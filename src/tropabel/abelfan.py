@@ -18,7 +18,8 @@ from .cone import Cone
 from .divisor import Divisor, Polarization, PseudoDivisor
 from .errors import ValidationError
 from .flow import AdmissiblePair, FlowAssignment, enumerate_admissible, is_acyclic_flow
-from .graph import Graph, contract, cycle_basis, subdivide
+from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, subdivide
+from .linalg import dot
 
 
 def _cycle_on_subdivision(cyc, sub):
@@ -67,6 +68,29 @@ def _through_sign(sub, flow, base):
     raise ValidationError(f"no oriented half over {base}")
 
 
+def _subdivision_data(g, eset, flow):
+    """Subdivision, cycle basis and reference-signed flow values of a flow on
+    the E-subdivision, after the checks every cone of the pair relies on."""
+    sub = subdivide(g, eset)
+    if flow.graph != sub.result:
+        raise ValidationError("flow does not live on the E-subdivision")
+    if not is_acyclic_flow(flow):
+        raise ValidationError("flow is not acyclic")
+    if not g.is_nondisconnecting(eset):
+        raise ValidationError("edge set disconnects the graph")
+    return sub, cycle_basis(g, avoid=eset), _signed_flow(sub, flow)
+
+
+def _split_cone(sub, basis, sflow):
+    order = sub.result.edge_ids
+    eqs = []
+    for _, vec in basis.cycles:
+        cyc = _cycle_on_subdivision(dict(vec), sub)
+        eqs.append(tuple(cyc.get(e, 0) * sflow[e] for e in order))
+    ineqs = [tuple(1 if i == j else 0 for i in range(len(order))) for j in range(len(order))]
+    return Cone.from_halfspaces(len(order), tuple(eqs), tuple(ineqs))
+
+
 def split_cone(g, eset, flow):
     """The cone of subdivision edge lengths compatible with the flow.
 
@@ -75,23 +99,8 @@ def split_cone(g, eset, flow):
     coefficient of an edge is its cycle sign times its flow value.
     """
     eset = frozenset(eset)
-    sub = subdivide(g, eset)
-    if flow.graph != sub.result:
-        raise ValidationError("flow does not live on the E-subdivision")
-    if not is_acyclic_flow(flow):
-        raise ValidationError("flow is not acyclic")
-    if not g.is_nondisconnecting(eset):
-        raise ValidationError("edge set disconnects the graph")
-    basis = cycle_basis(g, avoid=eset)
-    order = sub.result.edge_ids
-    sflow = _signed_flow(sub, flow)
-    eqs = []
-    for _, vec in basis.cycles:
-        cyc = _cycle_on_subdivision(dict(vec), sub)
-        row = tuple(cyc.get(e, 0) * sflow[e] for e in order)
-        eqs.append(row)
-    ineqs = [tuple(1 if i == j else 0 for i in range(len(order))) for j in range(len(order))]
-    return Cone.from_halfspaces(len(order), tuple(eqs), tuple(ineqs)), sub, basis
+    sub, basis, sflow = _subdivision_data(g, eset, flow)
+    return _split_cone(sub, basis, sflow), sub, basis
 
 
 @dataclass(frozen=True)
@@ -141,22 +150,59 @@ class AbelCone:
         }
 
 
-def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
-    """The fan cone of an admissible pair, embedded in ambient edge space.
+@dataclass(frozen=True)
+class PairRows:
+    """The H-representation of a pair's merged cone over its own edges,
+    derived without double description.
 
-    The inverse rows express each subdivision-edge length from merged
-    coordinates: tree edges are read off directly, and the two halves of a
-    subdivided edge are solved from its fundamental-cycle equation using the
-    unit gap between their flow values.
+    inverse_rows express each subdivision-edge length from merged
+    coordinates (one integer row per subdivision edge, over live edges);
+    equalities are the fundamental cycles avoiding E, pulled back to live
+    coordinates.  The merged cone is {u : equalities(u) = 0, inverse(u) >= 0}.
     """
-    c_cone, sub, basis = split_cone(g, pair.eset, pair.flow)
+
+    sub: Subdivision
+    basis: CycleBasis
+    sflow: dict  # reference-signed flow value per subdivision edge
+    live_edges: tuple
+    inverse_rows: tuple
+    equalities: tuple
+
+    def contains_interior(self, point):
+        """Open-cone membership of a point over the live edges.
+
+        Exact: the flow is acyclic once its zero edges are contracted, so a
+        topological potential gives a strictly positive split point and no
+        inverse row is an implicit equality.  The relative interior is then
+        cut out by the strict rows, as Cone.contains_interior decides from
+        the rays.
+        """
+        return all(dot(row, point) == 0 for row in self.equalities) and all(
+            dot(row, point) > 0 for row in self.inverse_rows
+        )
+
+    def split_point(self, point):
+        """Subdivision lengths of a point over the live edges."""
+        return {
+            e: dot(row, point)
+            for e, row in zip(self.sub.result.edge_ids, self.inverse_rows)
+        }
+
+
+def pair_rows(g, pair):
+    """The inverse rows and cycle equalities of an admissible pair.
+
+    Tree edges are read off directly, and the two halves of a subdivided
+    edge are solved from its fundamental-cycle equation using the unit gap
+    between their flow values.  Raises unless the inverse rows merge back to
+    the identity.
+    """
+    sub, basis, sflow = _subdivision_data(g, frozenset(pair.eset), pair.flow)
     live = g.edge_ids
-    amb = tuple(ambient_edges) if ambient_edges is not None else live
     n_live = len(live)
     idx = {e: i for i, e in enumerate(live)}
     order = sub.result.edge_ids
     flow = pair.flow.flow_map
-    sflow = _signed_flow(sub, pair.flow)
     inverse_rows = []
     for e in order:
         base = sub.over_map[e]
@@ -166,7 +212,7 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
             inverse_rows.append(tuple(row))
             continue
         ha, hb = sub.halves[base]
-        gamma = dict(basis.cycle_map[base])  # gamma(base) = +1 by convention
+        gamma = basis.cycle_map[base]  # gamma(base) = +1 by convention
         # the upstream half carries one unit less; solving the cycle equation
         # against half(a) + half(b) = u_base gives
         #   x(upstream) = phi(downstream) * u_base
@@ -192,18 +238,30 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
             inverse_rows.append(tuple(row_s))
         else:
             inverse_rows.append(tuple(row_t))
-    # merged H-representation: every subdivision length must be nonnegative,
-    # and the cycles avoiding E pull back to equalities on live coordinates
-    ineqs = list(inverse_rows)
+    _check_inverse(inverse_rows, order, sub, live)
+    # the cycles avoiding E pull back to equalities on live coordinates
     eqs = []
     for ce, vec in basis.cycles:
         if ce in pair.eset:
             continue
         row = [0] * n_live
-        for f, s in dict(vec).items():
+        for f, s in vec:
             row[idx[f]] = s * sflow[f]
         eqs.append(tuple(row))
-    # embed into ambient coordinates: missing (contracted) edges are pinned
+    return PairRows(sub, basis, sflow, live, tuple(inverse_rows), tuple(eqs))
+
+
+def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
+    """The fan cone of an admissible pair, embedded in ambient edge space.
+
+    Built from the pair's rows (pair_rows): the inverse rows are the
+    inequalities and the cycles avoiding E the equalities; edges of the
+    ambient space missing from g are pinned to zero.  The split and the
+    merged cone each run one double description.
+    """
+    rows = pair_rows(g, pair)
+    live = rows.live_edges
+    amb = tuple(ambient_edges) if ambient_edges is not None else live
     amb_idx = {e: i for i, e in enumerate(amb)}
     n_amb = len(amb)
 
@@ -213,29 +271,28 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
             out[amb_idx[e]] = c
         return tuple(out)
 
-    emb_eqs = [embed(r) for r in eqs]
+    emb_eqs = [embed(r) for r in rows.equalities]
+    live_set = set(live)
     for e in amb:
-        if e not in idx:
+        if e not in live_set:
             pin = [0] * n_amb
             pin[amb_idx[e]] = 1
             emb_eqs.append(tuple(pin))
-    emb_ineqs = [embed(r) for r in ineqs]
-    k_cone = Cone.from_halfspaces(n_amb, tuple(emb_eqs), tuple(emb_ineqs))
-    # sanity: merge of the inverse is the identity on live coordinates
-    _check_inverse(inverse_rows, order, sub, live)
+    emb_ineqs = [embed(r) for r in rows.inverse_rows]
     return AbelCone(
         ambient_edges=amb,
-        cone=k_cone,
+        cone=Cone.from_halfspaces(n_amb, tuple(emb_eqs), tuple(emb_ineqs)),
         provenance=pair,
         spec_contracted=frozenset(spec_contracted),
-        split=c_cone,
-        split_edge_order=order,
-        inverse_rows=tuple(inverse_rows),
+        split=_split_cone(rows.sub, rows.basis, rows.sflow),
+        split_edge_order=rows.sub.result.edge_ids,
+        inverse_rows=rows.inverse_rows,
         live_edges=live,
     )
 
 
 def _check_inverse(inverse_rows, order, sub, live):
+    """Certificate that the inverse rows merge back to the identity."""
     n = len(live)
     sums = {e: [0] * n for e in live}
     for e, row in zip(order, inverse_rows):
@@ -243,16 +300,8 @@ def _check_inverse(inverse_rows, order, sub, live):
         sums[base] = [a + b for a, b in zip(sums[base], row)]
     for i, e in enumerate(live):
         expect = [1 if j == i else 0 for j in range(n)]
-        assert sums[e] == expect, "inverse rows do not merge to the identity"
-
-
-def merge_point(sub, split_values):
-    """Forward map: sum the half-lengths over each base edge."""
-    out = {}
-    for e, v in split_values.items():
-        base = sub.over_map[e]
-        out[base] = out.get(base, 0) + v
-    return out
+        if sums[e] != expect:
+            raise AssertionError("inverse rows do not merge to the identity")
 
 
 def expected_dim(pair):
@@ -377,7 +426,13 @@ def _specialize_pair(g, pair, zset):
         if base2 in half_gone:
             src = next(e for e in by_base[base2] if e not in zset)
         elif base2 in pair.eset:
-            src = e2  # same half id survives
+            # match the half by the image of its base endpoint: contraction
+            # can rename the ends so that their sorted order flips
+            ha, hb = sub.halves[base2]
+            if spec(g.ends[base2][0]) == g2.ends[base2][0]:
+                src = e2
+            else:
+                src = hb if e2 == ha else ha
         else:
             src = base2
         v = pair.flow.flow_map[src]
@@ -501,58 +556,50 @@ def verify_fan(fan, pairwise=True):
 def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1 << 20):
     """Find the unique admissible pair whose open cone contains the point.
 
-    point: mapping edge -> positive rational (Fractions or ints).  Zero
+    point: mapping edge -> nonnegative rational (Fractions or ints).  Zero
     coordinates trigger contraction of those edges and location in the
     smaller fan; negative coordinates are rejected.  Returns (AbelCone,
     split values) where the split values place the exceptional points on
     the subdivided edges.
+
+    Pairs are scanned in canonical order (reversed with `reverse`) and
+    tested against their rows (pair_rows): the point lies in the open cone
+    exactly when every cycle equality vanishes at it and every inverse row
+    is positive there.  Only the hit's merged cone is built, so a point
+    costs two double descriptions however many cones the fan has.  With
+    `check_unique` every pair is tested and a second hit raises.
     """
     point = {e: point[e] for e in g.edge_ids}
     for e, x in point.items():
         if x < 0:
             raise ValidationError(f"negative coordinate on edge {e}")
-    zeros = {e for e, x in point.items() if x == 0}
+    zeros = frozenset(e for e, x in point.items() if x == 0)
+    live_g = g
     if zeros:
         spec = contract(g, zeros)
-        g2 = spec.target
-        inner = locate_point(
-            g2,
-            spec(v0),
-            pol.pushforward(spec),
-            _push_divisor(spec, d0),
-            {e: point[e] for e in g2.edge_ids},
-            reverse=reverse,
-            check_unique=check_unique,
-            cap=cap,
-        )
-        cone, split = inner
-        lifted = merged_cone(
-            g2,
-            cone.provenance,
-            ambient_edges=g.edge_ids,
-            spec_contracted=frozenset(zeros) | cone.spec_contracted,
-        )
-        return lifted, split
+        live_g = spec.target
+        v0, pol, d0 = spec(v0), pol.pushforward(spec), _push_divisor(spec, d0)
     # scale to integers: cone membership is invariant under positive scaling
     denom = 1
-    for x in point.values():
-        f = Fraction(x)
+    for e in live_g.edge_ids:
+        f = Fraction(point[e])
         denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    ipoint = tuple(int(Fraction(point[e]) * denom) for e in g.edge_ids)
-    pairs = enumerate_admissible(g, v0, pol, d0, cap=cap)
+    ipoint = tuple(int(Fraction(point[e]) * denom) for e in live_g.edge_ids)
+    pairs = enumerate_admissible(live_g, v0, pol, d0, cap=cap)
     order = reversed(pairs) if reverse else pairs
     hit = None
     for pair in order:
-        ac = merged_cone(g, pair)
-        if ac.cone.contains_interior(ipoint):
+        rows = pair_rows(live_g, pair)
+        if rows.contains_interior(ipoint):
             if hit is None:
-                hit = ac
+                hit = pair, rows
                 if not check_unique:
                     break
             else:
                 raise AssertionError("point lies in two open cones")
     if hit is None:
         raise ValidationError("point not located in any open cone")
-    split_scaled = hit.split_point(ipoint)
-    split = {e: Fraction(v, denom) for e, v in split_scaled.items()}
-    return hit, split
+    pair, rows = hit
+    cone = merged_cone(live_g, pair, ambient_edges=g.edge_ids, spec_contracted=zeros)
+    split = {e: Fraction(v, denom) for e, v in rows.split_point(ipoint).items()}
+    return cone, split

@@ -8,6 +8,7 @@ The environment variable TAK_CAP overrides enumeration caps.
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,9 @@ from .metric import double_ramification_cones
 from .semigroup import node_ring, model_symbolic_power, ray_power_intersection, symbolic_power_ideal
 
 DEFAULT_CAP = 1 << 20
+
+# options taking comma-separated numbers, whose first value may be negative
+NUMBER_LIST_OPTIONS = ("--mu", "--D0", "--point", "--A", "--rays")
 
 
 def _dump(data, out_path):
@@ -479,10 +483,27 @@ def _build_parser():
     return parser
 
 
+def _attach_number_lists(argv):
+    """Join a number list that starts with "-" to its option, so that
+    `--D0 -4,4` reads as `--D0=-4,4`; argparse would take the separate
+    value for an option, since it is not a single negative number."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in NUMBER_LIST_OPTIONS and i + 1 < len(argv) and re.match(r"-\d", argv[i + 1]):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_number_lists(argv))
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; that slot is reserved
         # for the desk-scale cap, so usage problems map to 1

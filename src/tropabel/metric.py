@@ -203,7 +203,8 @@ def abel_eval(metric, inp, reverse=False):
     # certificate: located divisor differs from the base one by the flow
     sub = pair.resulting_pd.subdivision
     lifted = d0_hat.lift_to_subdivision(sub)
-    assert pair.resulting_pd.divisor.sub(lifted).values == div_flow(pair.flow).values
+    if pair.resulting_pd.divisor.sub(lifted).values != div_flow(pair.flow).values:
+        raise AssertionError("located divisor differs from the base divisor by more than the flow")
     divisor_st, positions = _place_on_stable_model(st, refinement, metric, pair, split)
     free = tuple(
         (e, metric.length_map[e]) for e in g.edge_ids if e not in hat.edge_ids
@@ -242,7 +243,8 @@ def _place_on_stable_model(st, refinement, metric, pair, split):
                 # the a-half sits at the smaller endpoint of he; walking the
                 # chain forward means entering through that endpoint
                 enter_len = Fraction(split[ha] if forward else split[hb])
-                assert carrier is None, "two interior points on one edge"
+                if carrier is not None:
+                    raise AssertionError("two interior points on one edge")
                 carrier = offset + enter_len
             offset += metric.length_map[he]
             if idx < len(chain) - 1:
@@ -250,10 +252,11 @@ def _place_on_stable_model(st, refinement, metric, pair, split):
                 vtx = head if forward else tail
                 value = div[vtx]
                 if value == -1:
-                    assert carrier is None, "two interior points on one edge"
+                    if carrier is not None:
+                        raise AssertionError("two interior points on one edge")
                     carrier = offset
-                else:
-                    assert value == 0, "suppressed vertex with nonzero value"
+                elif value != 0:
+                    raise AssertionError("suppressed vertex with nonzero value")
         if carrier is not None:
             st_e.append(f)
             positions[f"x:{f}"] = (f, carrier)

@@ -363,11 +363,13 @@ class BoundaryFunctionals:
     u_second: tuple
 
 
-def boundary_functionals(pair, e0):
+def boundary_functionals(pair, e0, abel_cone=None):
     """Covectors u' and u'' of a subdivided edge, from the fundamental cycle
     through e0 of the spanning tree avoiding the subdivided set.
 
     The cycle is signed so that it traverses e0 along the flow direction.
+    The functionals are certified on the rays of the pair's merged cone;
+    pass `abel_cone` (merged_cone(pair.base, pair)) when it is at hand.
     """
     from .abelfan import _signed_flow, _through_sign
 
@@ -403,37 +405,40 @@ def boundary_functionals(pair, e0):
     u_prime[idx[e0]] = -phi_s
     u_second[idx[e0]] = phi_t
     out = BoundaryFunctionals(e0, phi_s, phi_t, tuple(u_prime), tuple(u_second))
-    _assert_functionals(pair, out)
+    _assert_functionals(pair, out, abel_cone)
     return out
 
 
-def _assert_functionals(pair, bf):
+def _assert_functionals(pair, bf, ac=None):
     from .abelfan import merged_cone
 
     g = pair.base
     idx = {e: i for i, e in enumerate(g.edge_ids)}
     e0vee = [0] * len(g.edge_ids)
     e0vee[idx[bf.edge]] = 1
-    assert vec_add(bf.u_prime, bf.u_second) == tuple(e0vee)
-    ac = merged_cone(g, pair)
+    if vec_add(bf.u_prime, bf.u_second) != tuple(e0vee):
+        raise AssertionError("boundary functionals do not sum to the edge functional")
+    if ac is None:
+        ac = merged_cone(g, pair)
     sub = pair.resulting_pd.subdivision
     ha, hb = sub.halves[bf.edge]
-    order = ac.split_edge_order
+    fa, fb = pair.flow.flow_map[ha], pair.flow.flow_map[hb]
+    s_half, t_half = (ha, hb) if fb == fa + 1 else (hb, ha)
     for r in ac.cone.rays:
         vp, vs = dot(bf.u_prime, r), dot(bf.u_second, r)
-        assert vp >= 0 and vs >= 0, "functional negative on a ray"
-        assert vp == 0 or vs == 0, "neither functional vanishes on a ray"
+        if vp < 0 or vs < 0:
+            raise AssertionError("functional negative on a ray")
+        if vp != 0 and vs != 0:
+            raise AssertionError("neither functional vanishes on a ray")
         # contraction clauses: a vanishing downstream half kills u', a
         # vanishing upstream half kills u''
         split = ac.split_point(r)
-        fa, fb = pair.flow.flow_map[ha], pair.flow.flow_map[hb]
-        s_half, t_half = (ha, hb) if fb == fa + 1 else (hb, ha)
-        if split[t_half] == 0:
-            assert vp == 0
-        if split[s_half] == 0:
-            assert vs == 0
-        if vp == 0 and vs == 0:
-            assert r[idx[bf.edge]] == 0
+        if split[t_half] == 0 and vp != 0:
+            raise AssertionError("u' survives a vanishing downstream half")
+        if split[s_half] == 0 and vs != 0:
+            raise AssertionError("u'' survives a vanishing upstream half")
+        if vp == 0 and vs == 0 and r[idx[bf.edge]] != 0:
+            raise AssertionError("both functionals vanish on a ray that spans the edge")
 
 
 def node_ring(pair, e0):
@@ -501,7 +506,7 @@ def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
     ring, ac = node_ring(pair, e0)
     rays = ac.cone.rays
     if e0 in pair.eset:
-        bf = boundary_functionals(pair, e0)
+        bf = boundary_functionals(pair, e0, abel_cone=ac)
         n_s, n_t = bf.upstream_flow, bf.downstream_flow
         pieces = []
         for r in rays:

@@ -63,3 +63,27 @@ def random_polarization(rng, g, degree=0):
     first = g.vertex_ids[0]
     vals[first] += degree - sum(vals.values())
     return Polarization.of(g, vals)
+
+
+def random_instance(rng, max_edges=5):
+    """A random instance (g, v0, mu, d0) with deg d0 = deg mu."""
+    g = random_connected_graph(rng, max_edges=max_edges)
+    v0 = g.leg_map[0]
+    d = rng.randint(-2, 2)
+    mu = random_polarization(rng, g, degree=d)
+    vals = {v: rng.randint(-3, 3) for v in g.vertex_ids}
+    vals[v0] += d - sum(vals.values())
+    return g, v0, mu, Divisor.of(g, vals)
+
+
+@pytest.fixture(scope="session")
+def random_instances():
+    """The 20 seeded instances of the acceptance suite, with their pairs."""
+    from tropabel.flow import enumerate_admissible
+
+    rng = random.Random(20260808)
+    out = []
+    while len(out) < 20:
+        g, v0, mu, d0 = random_instance(rng)
+        out.append((g, v0, mu, d0, enumerate_admissible(g, v0, mu, d0)))
+    return out

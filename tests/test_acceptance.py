@@ -33,21 +33,11 @@ from tropabel.semigroup import (
 )
 from tropabel.worked import theta_graph, theta_instance, worked_pair
 
-from conftest import random_connected_graph, random_polarization
+from conftest import random_connected_graph, random_instance, random_polarization
 
 
 def _report(number, text):
     print(f"[PASS] criterion {number}: {text}")
-
-
-def _random_instance(rng, max_edges=5):
-    g = random_connected_graph(rng, max_edges=max_edges)
-    v0 = g.leg_map[0]
-    d = rng.randint(-2, 2)
-    mu = random_polarization(rng, g, degree=d)
-    vals = {v: rng.randint(-3, 3) for v in g.vertex_ids}
-    vals[v0] += d - sum(vals.values())
-    return g, v0, mu, Divisor.of(g, vals)
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +49,6 @@ def theta():
 def theta_pairs():
     g, mu, d0 = theta_instance()
     return g, mu, d0, enumerate_admissible(g, "v0", mu, d0)
-
-
-@pytest.fixture(scope="module")
-def random_instances():
-    rng = random.Random(20260808)
-    out = []
-    while len(out) < 20:
-        g, v0, mu, d0 = _random_instance(rng)
-        pairs = enumerate_admissible(g, v0, mu, d0)
-        out.append((g, v0, mu, d0, pairs))
-    return out
 
 
 def test_acceptance_01_theta_poset(theta):
@@ -291,7 +270,7 @@ def test_acceptance_08_ray_power_identity(theta_pairs):
     rng = random.Random(808)
     extra = 0
     while extra < 10:
-        gg, v0, mmu, dd0 = _random_instance(rng, max_edges=4)
+        gg, v0, mmu, dd0 = random_instance(rng, max_edges=4)
         ppairs = enumerate_admissible(gg, v0, mmu, dd0)
         subdivided = [p for p in ppairs if p.eset]
         if not subdivided:

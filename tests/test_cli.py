@@ -260,3 +260,37 @@ def test_console_entry_point(theta_file):
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["elements"]) == 12
+
+
+@pytest.fixture
+def banana_file(tmp_path):
+    g = {
+        "vertices": [{"id": "a", "weight": 1}, {"id": "b", "weight": 1}],
+        "edges": [{"id": "e0", "ends": ["a", "b"]}, {"id": "e1", "ends": ["a", "b"]}],
+        "legs": {"0": "a", "1": "b"},
+    }
+    path = tmp_path / "banana.json"
+    path.write_text(json.dumps(g))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["locate", "--mu", "-1/3,1/3", "--D0", "-4,4", "--point", "1,2,3"], 0),
+        (["locate", "--mu", "0", "--D0", "4,-4", "--point", "-1,2,3"], 1),
+        (["build-fan", "--mu", "-1/3,1/3", "--D0", "-2,2"], 0),
+        (["drl", "--A", "-2,2,0"], 0),
+        (["dual-hilbert", "--rays", "-1,1,1;1,-1,1;1,1,-1"], 0),
+    ],
+)
+def test_negative_values_in_separated_form(capsys, theta_file, banana_file, argv, code):
+    """`--opt -1,...` reads like `--opt=-1,...`: same bytes, same exit code."""
+    graph = [] if argv[0] == "dual-hilbert" else ["--graph", banana_file if argv[0] == "drl" else theta_file]
+    joined = list(argv[:1])
+    for opt, value in zip(argv[1::2], argv[2::2]):
+        joined.append(f"{opt}={value}")
+    separated = _run(capsys, argv + graph)
+    assert separated == _run(capsys, joined + graph)
+    assert separated[0] == code, separated[2]
+    assert bool(separated[1]) == (code == 0)

@@ -336,3 +336,37 @@ def test_partition_census_saturates(theta):
                         seen.add(i)
                         break
     assert len(seen) == len(cones) == 55
+
+
+def _cycle(n):
+    return {
+        "vertices": [{"id": f"v{i}", "weight": 0} for i in range(n)],
+        "edges": [{"id": f"e{i}", "ends": [f"v{i}", f"v{(i + 1) % n}"]} for i in range(n)],
+        "legs": {"0": "v0"},
+    }
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (4, 4), (5, 2), (5, 4)])
+def test_build_fan_on_cycles(tmp_path, monkeypatch, n, k):
+    """Contracting an edge of a cycle can flip the sorted ends of a
+    subdivided edge; its faces must still carry each half's flow."""
+    import json
+
+    from tropabel import cli
+
+    built = []
+
+    def keep(*args, **kwargs):
+        built.append(build_fan(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_fan", keep)
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_cycle(n)))
+    d0 = ",".join([str(k)] + ["0"] * (n - 2) + [str(-k)])
+    out = tmp_path / "fan.json"
+    assert cli.main(["build-fan", "--graph", str(path), "--mu", "0", "--D0", d0, "--out", str(out)]) == 0
+    (fan,) = built
+    assert len(json.loads(out.read_text())["cones"]) == len(fan.cones)
+    assert verify_fan(fan, pairwise=False)
+    assert sum((-1) ** c.cone.dim for c in fan.cones) == 0

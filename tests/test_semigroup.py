@@ -335,3 +335,20 @@ def test_model_symbolic_power_membership_examples():
     assert member(ring.monomial((2,)))
     assert ideal.contains(ring.monomial((2,)))
     assert not member(ring.monomial((1,)))
+
+
+def test_ray_power_intersection_builds_one_cone(worked_pair, monkeypatch):
+    """The boundary functionals are certified on the cone node_ring built."""
+    from tropabel import abelfan
+
+    calls = []
+    real = abelfan.merged_cone
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(abelfan, "merged_cone", counted)
+    lhs, rhs = ray_power_intersection(worked_pair, "e0")
+    assert lhs.equals(rhs)
+    assert len(calls) == 1
