@@ -68,17 +68,25 @@ def _through_sign(sub, flow, base):
     raise ValidationError(f"no oriented half over {base}")
 
 
-def _subdivision_data(g, eset, flow):
-    """Subdivision, cycle basis and reference-signed flow values of a flow on
-    the E-subdivision, after the checks every cone of the pair relies on."""
+def _eset_frame(g, eset):
+    """The E-subdivision and the cycle basis avoiding E, shared by every
+    pair with that edge set."""
     sub = subdivide(g, eset)
+    if not g.is_nondisconnecting(eset):
+        raise ValidationError("edge set disconnects the graph")
+    return sub, cycle_basis(g, avoid=eset)
+
+
+def _subdivision_data(g, eset, flow, frame=None):
+    """Subdivision, cycle basis and reference-signed flow values of a flow on
+    the E-subdivision, after the checks every cone of the pair relies on.
+    `frame` is _eset_frame(g, eset) when the caller already has it."""
+    sub, basis = frame if frame is not None else _eset_frame(g, eset)
     if flow.graph != sub.result:
         raise ValidationError("flow does not live on the E-subdivision")
     if not is_acyclic_flow(flow):
         raise ValidationError("flow is not acyclic")
-    if not g.is_nondisconnecting(eset):
-        raise ValidationError("edge set disconnects the graph")
-    return sub, cycle_basis(g, avoid=eset), _signed_flow(sub, flow)
+    return sub, basis, _signed_flow(sub, flow)
 
 
 def _split_cone(sub, basis, sflow):
@@ -189,15 +197,15 @@ class PairRows:
         }
 
 
-def pair_rows(g, pair):
+def pair_rows(g, pair, frame=None):
     """The inverse rows and cycle equalities of an admissible pair.
 
     Tree edges are read off directly, and the two halves of a subdivided
     edge are solved from its fundamental-cycle equation using the unit gap
     between their flow values.  Raises unless the inverse rows merge back to
-    the identity.
+    the identity.  `frame` is the pair's _eset_frame, when already built.
     """
-    sub, basis, sflow = _subdivision_data(g, frozenset(pair.eset), pair.flow)
+    sub, basis, sflow = _subdivision_data(g, frozenset(pair.eset), pair.flow, frame)
     live = g.edge_ids
     n_live = len(live)
     idx = {e: i for i, e in enumerate(live)}
@@ -565,8 +573,9 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     Pairs are scanned in canonical order (reversed with `reverse`) and
     tested against their rows (pair_rows): the point lies in the open cone
     exactly when every cycle equality vanishes at it and every inverse row
-    is positive there.  Only the hit's merged cone is built, so a point
-    costs two double descriptions however many cones the fan has.  With
+    is positive there.  The subdivision and cycle basis are built once per
+    edge set E.  Only the hit's merged cone is built, so a point costs two
+    double descriptions however many cones the fan has.  With
     `check_unique` every pair is tested and a second hit raises.
     """
     point = {e: point[e] for e in g.edge_ids}
@@ -588,8 +597,12 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     pairs = enumerate_admissible(live_g, v0, pol, d0, cap=cap)
     order = reversed(pairs) if reverse else pairs
     hit = None
+    frames = {}
     for pair in order:
-        rows = pair_rows(live_g, pair)
+        eset = frozenset(pair.eset)
+        if eset not in frames:
+            frames[eset] = _eset_frame(live_g, eset)
+        rows = pair_rows(live_g, pair, frames[eset])
         if rows.contains_interior(ipoint):
             if hit is None:
                 hit = pair, rows

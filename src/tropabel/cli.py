@@ -270,24 +270,30 @@ def cmd_drl(args):
     return 0
 
 
-def _verify_chunk(payload):
-    """Sampling worker: locate `count` integer points and check uniqueness."""
+def _sample_partition(cones, n_edges, seed, count):
+    """Draw `count` integer points and count those not in exactly one open
+    cone."""
     import random
 
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(count):
+        pt = tuple(rng.randint(1, 12) for _ in range(n_edges))
+        hits = sum(1 for c in cones if c.cone.contains_interior(pt))
+        if hits != 1:
+            failures += 1
+    return failures
+
+
+def _verify_chunk(payload):
+    """Pool worker: build the cones, then sample like _sample_partition."""
     graph_json, mu_text, d0_text, seed, count = payload
     g = build_graph(graph_json)
     mu = _parse_mu(mu_text, g)
     d0 = _parse_d0(d0_text, g)
     pairs = enumerate_admissible(g, _v0(g), mu, d0)
     cones = [merged_cone(g, p) for p in pairs]
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(count):
-        pt = tuple(rng.randint(1, 12) for _ in g.edge_ids)
-        hits = sum(1 for c in cones if c.cone.contains_interior(pt))
-        if hits != 1:
-            failures += 1
-    return failures
+    return _sample_partition(cones, len(g.edge_ids), seed, count)
 
 
 def cmd_verify(args):
@@ -302,19 +308,19 @@ def cmd_verify(args):
     report["admissible_pairs"] = len(pairs)
     # partition sampling, parallelizable by chunking the seed space
     chunks = max(args.jobs, 1)
-    per = args.points // chunks
-    counts = [per] * chunks
-    counts[-1] += args.points - per * chunks
-    payloads = [
-        (g.to_json(), args.mu, args.d0, args.seed + i, counts[i]) for i in range(chunks)
-    ]
     if chunks > 1:
         import multiprocessing
 
+        per = args.points // chunks
+        counts = [per] * chunks
+        counts[-1] += args.points - per * chunks
+        payloads = [
+            (g.to_json(), args.mu, args.d0, args.seed + i, counts[i]) for i in range(chunks)
+        ]
         with multiprocessing.Pool(chunks) as pool:
             failures = sum(pool.map(_verify_chunk, payloads))
     else:
-        failures = sum(_verify_chunk(p) for p in payloads)
+        failures = _sample_partition(cones, len(g.edge_ids), args.seed, args.points)
     report["partition"] = {"points": args.points, "failures": failures}
     # dimension formula
     dim_bad = sum(1 for p, c in zip(pairs, cones) if c.cone.dim != expected_dim(p))

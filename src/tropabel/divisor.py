@@ -13,7 +13,7 @@ from itertools import combinations, product
 from .errors import DeskScaleError, ValidationError
 from .graph import Graph, exceptional_id, subdivide
 
-DEFAULT_SUBSET_CAP = 1 << 20
+DEFAULT_CANDIDATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,13 @@ class Divisor:
         return sum(self._map[v] for v in vset)
 
     def add(self, other):
-        assert self.graph == other.graph
+        if self.graph != other.graph:
+            raise AssertionError("divisors live on different graphs")
         return Divisor.of(self.graph, {v: self[v] + other[v] for v in self.graph.vertex_ids})
 
     def sub(self, other):
-        assert self.graph == other.graph
+        if self.graph != other.graph:
+            raise AssertionError("divisors live on different graphs")
         return Divisor.of(self.graph, {v: self[v] - other[v] for v in self.graph.vertex_ids})
 
     def lift_to_subdivision(self, sub):
@@ -176,7 +178,9 @@ def beta(div, pol, vset):
 
 
 def _quasistable_on_graph(div, v0, pol):
-    """Direct definition: beta >= 0 on proper subsets, strict when v0 inside."""
+    """Direct definition: beta >= 0 on proper subsets, strict when v0 inside.
+
+    Exhaustive over all 2^|V| subsets; kept as the oracle of the cut test."""
     g = div.graph
     verts = g.vertex_ids
     n = len(verts)
@@ -191,28 +195,189 @@ def _quasistable_on_graph(div, v0, pol):
     return True
 
 
+def _max_flow(cap, nbrs, s, t, limit):
+    """Edmonds-Karp on a dense residual matrix, updated in place.
+
+    Stops once the flow reaches `limit` and returns (flow, None); otherwise
+    the flow is maximum and comes back with the vertices reachable from s in
+    the residual network, the source side of a minimum cut.
+    """
+    n = len(cap)
+    total = 0
+    while total < limit:
+        parent = [-1] * n
+        parent[s] = s
+        queue = [s]
+        for u in queue:
+            row = cap[u]
+            for v in nbrs[u]:
+                if parent[v] < 0 and row[v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        if parent[t] < 0:
+            return total, queue
+        push = limit - total
+        v = t
+        while v != s:
+            u = parent[v]
+            push = min(push, cap[u][v])
+            v = u
+        v = t
+        while v != s:
+            u = parent[v]
+            cap[u][v] -= push
+            cap[v][u] += push
+            v = u
+        total += push
+    return total, None
+
+
+class _CutTester:
+    """Quasistability on one polarized graph by integer s-t minimum cuts.
+
+    With L the lcm of the polarization's denominators and
+    c(v) = 2L(D(v) - mu(v)), the function f(V) = sum_V c + L delta_V equals
+    2L beta(V).  It is a modular function plus a graph cut, so its minimum
+    over the sets holding s and missing t is a minimum cut (Picard and
+    Ratliff): each non-loop edge gives two arcs of capacity L, a vertex with
+    c(v) > 0 an arc v -> sink of capacity c(v), one with c(v) < 0 an arc
+    source -> v of capacity -c(v), and the cut value exceeds f by the sum of
+    the latter.  Only the terminal arcs depend on D, so one tester serves
+    every candidate divisor on its graph.
+    """
+
+    def __init__(self, graph, pol, v0):
+        if pol.graph != graph:
+            raise ValidationError("polarization lives on the wrong graph")
+        self.vertices = graph.vertex_ids
+        n = len(self.vertices)
+        idx = {v: i for i, v in enumerate(self.vertices)}
+        self.scale = math.lcm(*(c.denominator for _, c in pol.values))
+        self.root = idx[v0]
+        self.twice_mu = [int(2 * self.scale * pol[v]) for v in self.vertices]
+        # vertices 0..n-1, then the source n and the sink n + 1
+        src, snk = n, n + 1
+        arcs = [[0] * (n + 2) for _ in range(n + 2)]
+        for _, (a, b) in graph.edges:
+            if a != b:
+                arcs[idx[a]][idx[b]] += self.scale
+                arcs[idx[b]][idx[a]] += self.scale
+        self.arcs = arcs
+        # residual arcs into the source and out of the sink are never used
+        self.nbrs = [[v for v in range(n) if arcs[u][v]] + [snk] for u in range(n)]
+        self.nbrs += [list(range(n)), []]
+
+    def _network(self, values):
+        """Capacities for the divisor `values` (vertex -> int) and the sum
+        of the source arcs, which a cut value exceeds f by."""
+        n = len(self.vertices)
+        src, snk = n, n + 1
+        cap = [row[:] for row in self.arcs]
+        for i, v in enumerate(self.vertices):
+            c = 2 * self.scale * values[v] - self.twice_mu[i]
+            if c > 0:
+                cap[i][snk] = c
+            elif c < 0:
+                cap[src][i] = -c
+        return cap, sum(cap[src])
+
+    def _pinned_cuts(self, values, stop):
+        """Yield (holds v0, f, set) per pinned pair: first v0 on the source
+        side with each t on the sink side, then each s with v0 on the sink
+        side.  f is the minimum of 2L beta over the sets holding the source
+        pin and missing the sink pin, and set attains it.  With `stop` a flow
+        halts at the strict (first family) or weak (second family) bound on
+        f, and a pair that reaches it yields (holds v0, None, None); every
+        set yielded then violates quasistability.
+        """
+        n = len(self.vertices)
+        src, snk = n, n + 1
+        cap, offset = self._network(values)
+        big = sum(map(sum, cap)) + 1  # beyond any finite cut
+        r = self.root
+        for first in (True, False):
+            limit = offset + 1 if first else offset
+            for other in range(n):
+                if other == r:
+                    continue
+                s, t = (r, other) if first else (other, r)
+                res = [row[:] for row in cap]
+                res[src][s] = big
+                res[t][snk] = big
+                value, side = _max_flow(res, self.nbrs, src, snk, limit if stop else big)
+                if side is None:
+                    yield first, None, None
+                else:
+                    yield first, value - offset, frozenset(self.vertices[i] for i in side if i < n)
+
+    def violation(self, values):
+        """A set violating quasistability of `values`, or None: beta < 0, or
+        beta <= 0 on a set holding v0.  Stops at the first one found."""
+        for _, _, vset in self._pinned_cuts(values, stop=True):
+            if vset is not None:
+                return vset
+        return None
+
+    def minimum(self, values):
+        """(quasistable, beta, vset): vset attains the minimum of beta over
+        proper nonempty subsets, a set holding v0 preferred on ties, so it is
+        the most violated set whenever one exists."""
+        best = None
+        # the sets holding v0 come first, so they win ties
+        for first, f, vset in self._pinned_cuts(values, stop=False):
+            if best is None or f < best[0]:
+                best = f, first, vset
+        if best is None:  # a single vertex has no proper nonempty subset
+            return True, None, None
+        f, holds_root, vset = best
+        ok = f > 0 or (f == 0 and not holds_root)
+        return ok, Fraction(f, 2 * self.scale), vset
+
+
+class _QuasistableRoutes:
+    """The two quasistability tests of pseudo-divisors with one edge set E.
+
+    The direct route cuts the E-subdivision against the lifted
+    polarization; the reduction route demands E nondisconnecting and cuts
+    G - E against mu_E.  Both are built once per E and must agree on every
+    divisor they see.
+    """
+
+    def __init__(self, g, eset, v0, pol, sub=None):
+        self.sub = sub if sub is not None else subdivide(g, eset)
+        self.lifted = pol.lift_to_subdivision(self.sub)
+        self.direct = _CutTester(self.sub.result, self.lifted, v0)
+        self.reduced = None
+        if g.is_nondisconnecting(eset):
+            reduced_pol = pol.removed_edges_shift(eset)
+            self.reduced = _CutTester(reduced_pol.graph, reduced_pol, v0)
+
+    def accepts(self, values):
+        """Quasistability of the divisor `values` on the subdivision."""
+        direct = self.direct.violation(values) is None
+        via_removal = self.reduced is not None and self.reduced.violation(values) is None
+        if direct != via_removal:
+            raise AssertionError("quasistability cross-check failed")
+        return direct
+
+
 def is_quasistable(pd, v0, pol):
     """Quasistability of a pseudo-divisor, cross-checked two ways.
 
-    The direct route tests beta on every proper subset of the subdivision;
-    the reduction route demands E nondisconnecting plus quasistability of the
-    restricted divisor on the edge-removed graph against the shifted
-    polarization.  Both must agree.
+    The direct route minimizes beta over the proper subsets of the
+    subdivision; the reduction route demands E nondisconnecting plus
+    quasistability of the restricted divisor on the edge-removed graph
+    against the shifted polarization.  Each minimum is found by 2(|V| - 1)
+    integer s-t minimum cuts (see _CutTester), and both routes must agree.
     """
     if pol.graph != pd.base:
         raise ValidationError("polarization lives on the wrong graph")
     if v0 not in pd.base.weight:
         raise ValidationError(f"unknown base vertex {v0}")
-    lifted = pol.lift_to_subdivision(pd.subdivision)
-    direct = _quasistable_on_graph(pd.divisor, v0, lifted)
-    if pd.base.is_nondisconnecting(pd.eset):
-        reduced_pol = pol.removed_edges_shift(pd.eset)
-        reduced_div = pd.divisor.restrict_to(reduced_pol.graph)
-        via_removal = _quasistable_on_graph(reduced_div, v0, reduced_pol)
-    else:
-        via_removal = False
-    assert direct == via_removal, "quasistability cross-check failed"
-    return direct
+    routes = _QuasistableRoutes(pd.base, pd.eset, v0, pol, sub=pd.subdivision)
+    return routes.accepts(pd.divisor._map)
 
 
 def compatible_pushforward(pd, e, half):
@@ -290,20 +455,6 @@ class QuasistablePoset:
                 return i
         raise KeyError(key)
 
-    def downset(self, i):
-        below = {i}
-        frontier = [i]
-        rel = {}
-        for a, b in self.covers:
-            rel.setdefault(a, []).append(b)
-        while frontier:
-            a = frontier.pop()
-            for b in rel.get(a, ()):
-                if b not in below:
-                    below.add(b)
-                    frontier.append(b)
-        return frozenset(below)
-
     def to_json(self):
         return {
             "elements": [pd.to_json() for pd in self.elements],
@@ -311,40 +462,44 @@ class QuasistablePoset:
         }
 
 
-def enumerate_quasistable(g, v0, pol, cap=DEFAULT_SUBSET_CAP):
+def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     """The full poset of quasistable pseudo-divisors of degree deg(mu).
 
-    Per-vertex values are pruned to the window mu(v) +- delta_v/2 before the
-    full subset test.  Raises DeskScaleError past `cap` candidate checks.
+    Per-vertex values are pruned to the window mu(v) +- delta_v/2; each
+    remaining candidate goes through both cut tests of its edge set E
+    (_QuasistableRoutes, built once per E), and only the candidates that
+    pass become PseudoDivisors.  Raises DeskScaleError past `cap` candidate
+    checks.
     """
     if pol.graph != g:
         raise ValidationError("polarization lives on the wrong graph")
+    if v0 not in g.weight:
+        raise ValidationError(f"unknown base vertex {v0}")
     d = pol.degree()
     checks = 0
     found = []
     edge_ids = list(g.edge_ids)
+    base_verts = list(g.vertex_ids)
     for r in range(len(edge_ids) + 1):
         for eset in combinations(edge_ids, r):
             eset = frozenset(eset)
-            sub = subdivide(g, eset)
-            lifted = pol.lift_to_subdivision(sub)
-            windows = _value_windows(sub, lifted, g.vertex_ids)
-            base_verts = list(g.vertex_ids)
+            routes = _QuasistableRoutes(g, eset, v0, pol)
+            sub = routes.sub
+            windows = _value_windows(sub, routes.lifted, base_verts)
             target_total = d + len(eset)
+            vals = {x: -1 for x in sub.exceptional}
             for combo in product(*(windows[v] for v in base_verts)):
                 if sum(combo) != target_total:
                     continue
                 checks += 1
                 if checks > cap:
                     raise DeskScaleError(
-                        f"quasistable enumeration exceeded {cap} subset checks; "
+                        f"quasistable enumeration exceeded {cap} candidate checks; "
                         "instance is beyond desk scale"
                     )
-                vals = dict(zip(base_verts, combo))
-                vals.update({x: -1 for x in sub.exceptional})
-                pd = PseudoDivisor(g, eset, Divisor.of(sub.result, vals))
-                if is_quasistable(pd, v0, pol):
-                    found.append(pd)
+                vals.update(zip(base_verts, combo))
+                if routes.accepts(vals):
+                    found.append(PseudoDivisor(g, eset, Divisor.of(sub.result, vals)))
     found.sort(key=lambda p: p.canonical_key())
     index = {pd.canonical_key(): i for i, pd in enumerate(found)}
     covers = set()
@@ -353,6 +508,7 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_SUBSET_CAP):
             for half in pd.subdivision.halves[e]:
                 smaller = compatible_pushforward(pd, e, half)
                 j = index.get(smaller.canonical_key())
-                assert j is not None, "pushforward left the quasistable poset"
+                if j is None:
+                    raise AssertionError("pushforward left the quasistable poset")
                 covers.add((i, j))
     return QuasistablePoset(tuple(found), tuple(sorted(covers)))

@@ -95,7 +95,8 @@ def div_flow(f):
         vals[t] += v
         vals[s] -= v
     d = Divisor.of(f.graph, vals)
-    assert d.degree() == 0
+    if d.degree() != 0:
+        raise AssertionError("divisor of a flow has nonzero degree")
     return d
 
 

@@ -588,10 +588,11 @@ def cycle_basis(g, avoid=()):
             vec = {f: s for f, s in vec.items() if s != 0}
         cycles.append((e, tuple(sorted(vec.items()))))
     basis = CycleBasis(g, frozenset(tree), tuple(sorted(cycles)))
-    assert len(basis.cycles) == g.b1()
+    if len(basis.cycles) != g.b1():
+        raise AssertionError("cycle basis size differs from b1")
     rows = basis.as_rows()
-    if rows:
-        assert rank(rows) == g.b1()
+    if rows and rank(rows) != g.b1():
+        raise AssertionError("fundamental cycles are linearly dependent")
     return basis
 
 

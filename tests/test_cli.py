@@ -202,6 +202,49 @@ def test_verify_parallel_jobs(capsys, theta_file):
     assert json.loads(out)["partition"]["failures"] == 0
 
 
+VERIFY_THETA_4 = """{
+  "admissible_pairs": 55,
+  "dimension_formula": {
+    "cones": 55,
+    "failures": 0
+  },
+  "fan": {
+    "axioms": "ok",
+    "cones": 62,
+    "maximal": 55
+  },
+  "ok": true,
+  "partition": {
+    "failures": 0,
+    "points": 10
+  },
+  "ray_shapes": {
+    "loop": 3,
+    "proportional": 10
+  },
+  "split_roundtrip": {
+    "failures": 0
+  }
+}
+"""
+
+
+def test_verify_serial_sampler_reuses_cones(capsys, theta_file, monkeypatch):
+    """With one job the partition sampler uses the cones cmd_verify already
+    built: each pair's merged cone is built once by the command itself (the
+    fan's own cones come from build_fan), and the report is unchanged."""
+    import tropabel.cli as cli
+
+    calls = []
+    real = cli.merged_cone
+    monkeypatch.setattr(cli, "merged_cone", lambda *a, **k: calls.append(1) or real(*a, **k))
+    argv = ["verify", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
+    code, out, _ = _run(capsys, argv + ["--points", "10", "--skip-pairwise"])
+    assert code == 0
+    assert out == VERIFY_THETA_4
+    assert len(calls) == 55
+
+
 def test_examples_command(capsys):
     code, out, _ = _run(capsys, ["paper-examples"])
     assert code == 0

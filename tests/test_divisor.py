@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +13,21 @@ from tropabel.divisor import (
     Divisor,
     Polarization,
     PseudoDivisor,
+    _CutTester,
+    _QuasistableRoutes,
+    _quasistable_on_graph,
+    _value_windows,
     beta,
     enumerate_quasistable,
     is_quasistable,
     pushforward,
 )
 from tropabel.errors import DeskScaleError, ValidationError
-from tropabel.graph import contract, identity_specialization, subdivide
+from tropabel.graph import Graph, contract, identity_specialization, subdivide
 
 from conftest import random_connected_graph, random_polarization
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_beta_hand_value(theta):
@@ -246,8 +257,6 @@ def test_quasistable_on_refinement_has_sparse_exceptional_values(theta):
             if sum(vals.values()) != 0:
                 continue
             div = Divisor.of(sub.result, vals)
-            from tropabel.divisor import _quasistable_on_graph
-
             if _quasistable_on_graph(div, "v0", lifted):
                 found += 1
                 for x in exceptional:
@@ -265,3 +274,180 @@ def test_enumeration_cap(theta):
 def test_polarization_rejects_non_integer_degree(theta):
     with pytest.raises(ValidationError, match="not an integer"):
         Polarization.of(theta, {"v0": Fraction(1, 2), "v1": 0})
+
+
+def _min_beta(div, pol):
+    verts = div.graph.vertex_ids
+    return min(
+        beta(div, pol, vs) for r in range(1, len(verts)) for vs in combinations(verts, r)
+    )
+
+
+def _check_tester(tester, div, v0, pol):
+    """The cut tester against the subset oracle on one graph: same verdict,
+    a genuinely violating set, and a minimizer of beta."""
+    expect = _quasistable_on_graph(div, v0, pol)
+    bad = tester.violation(div._map)
+    assert (bad is None) == expect
+    if bad is not None:
+        b = beta(div, pol, bad)
+        assert b < 0 or (b == 0 and v0 in bad)
+    ok, b, vset = tester.minimum(div._map)
+    assert ok == expect
+    if len(div.graph.vertex_ids) == 1:
+        assert (b, vset) == (None, None)
+        return expect
+    assert 0 < len(vset) < len(div.graph.vertex_ids)
+    assert b == beta(div, pol, vset) == _min_beta(div, pol)
+    # a minimizer holding v0 is reported whenever one exists
+    assert ok == (b > 0 or (b == 0 and v0 not in vset))
+    return expect
+
+
+def _polarization_over(rng, g, degree, den):
+    """Values over the denominator `den`, with integer total."""
+    vals = {v: Fraction(rng.randint(-6, 6), den) for v in g.vertex_ids}
+    vals[g.vertex_ids[0]] += degree - sum(vals.values())
+    return Polarization.of(g, vals)
+
+
+def test_cut_tester_matches_subset_oracle_on_both_routes():
+    """Seeded graphs with loops, parallel edges and single vertices, every
+    edge set E (disconnecting ones included), D at both ends of each window
+    and one step outside it: each route's cut tester agrees with the subset
+    loop, and the routes together agree with is_quasistable's definition."""
+    rng = random.Random(4242)
+    seen = {"loop": 0, "parallel": 0, "single": 0, "disconnecting": 0, "kept": 0, "scale": set()}
+    for i in range(60):
+        g = random_connected_graph(rng, max_edges=4, max_extra_vertices=2)
+        v0 = rng.choice(g.vertex_ids)
+        pol = _polarization_over(rng, g, rng.randint(-2, 2), 1 + i % 4)
+        seen["loop"] += any(g.is_loop(e) for e in g.edge_ids)
+        seen["parallel"] += len({pair for _, pair in g.edges}) < len(g.edges)
+        seen["single"] += len(g.vertex_ids) == 1
+        for r in range(len(g.edge_ids) + 1):
+            for eset in combinations(g.edge_ids, r):
+                eset = frozenset(eset)
+                routes = _QuasistableRoutes(g, eset, v0, pol)
+                seen["scale"].add(routes.direct.scale)
+                sub = routes.sub
+                windows = _value_windows(sub, routes.lifted, g.vertex_ids)
+                ends = {
+                    v: (w.start - 1, w.start, w.stop - 1, w.stop) if len(w) else (w.start,)
+                    for v, w in windows.items()
+                }
+                disconnecting = not g.is_nondisconnecting(eset)
+                seen["disconnecting"] += disconnecting
+                reduced_pol = pol.removed_edges_shift(eset)
+                reduced_tester = _CutTester(reduced_pol.graph, reduced_pol, v0)
+                for _ in range(3):
+                    vals = {v: rng.choice(ends[v]) for v in g.vertex_ids}
+                    vals[g.vertex_ids[0]] += pol.degree() + len(eset) - sum(vals.values())
+                    vals.update({x: -1 for x in sub.exceptional})
+                    div = Divisor.of(sub.result, vals)
+                    direct = _check_tester(routes.direct, div, v0, routes.lifted)
+                    # G - E is tested even when disconnected; the route
+                    # itself then rejects
+                    reduced_div = div.restrict_to(reduced_pol.graph)
+                    via_removal = _check_tester(reduced_tester, reduced_div, v0, reduced_pol)
+                    via_removal = via_removal and not disconnecting
+                    assert direct == via_removal
+                    assert routes.accepts(vals) == direct
+                    assert (routes.reduced is None) == disconnecting
+                    seen["kept"] += direct
+    assert seen["loop"] and seen["parallel"] and seen["single"]
+    assert seen["disconnecting"] and seen["kept"]
+    assert seen["scale"] == {1, 2, 3, 4}
+
+
+def test_cut_tester_zero_beta_ties():
+    """beta = 0 on a set holding v0 rejects; on a set without v0 it does
+    not, and the reported minimizer says which case holds."""
+    g = Graph((("a", 0), ("b", 0)), (("e0", ("a", "b")), ("e1", ("a", "b"))), ((0, "a"),))
+    pol = Polarization.zero(g)
+    tester = _CutTester(g, pol, "a")
+    rejected = Divisor.of(g, {"a": -1, "b": 1})
+    assert beta(rejected, pol, {"a"}) == 0
+    assert tester.violation(rejected._map) == frozenset({"a"})
+    assert tester.minimum(rejected._map) == (False, 0, frozenset({"a"}))
+    assert not _quasistable_on_graph(rejected, "a", pol)
+    accepted = Divisor.of(g, {"a": 1, "b": -1})
+    assert beta(accepted, pol, {"b"}) == 0
+    assert tester.violation(accepted._map) is None
+    assert tester.minimum(accepted._map) == (True, 0, frozenset({"b"}))
+    assert _quasistable_on_graph(accepted, "a", pol)
+    assert is_quasistable(PseudoDivisor.of(g, set(), {"a": 1, "b": -1}), "a", pol)
+    assert not is_quasistable(PseudoDivisor.of(g, set(), {"a": -1, "b": 1}), "a", pol)
+
+
+def test_certificates_survive_optimize():
+    """The certificates on the enumeration path are explicit raises, so
+    `python -O`, which strips assert statements, still trips them: a forced
+    disagreement of the two quasistability routes, a pushforward leaving the
+    poset, divisors on different graphs, a flow divisor of nonzero degree,
+    and a dependent cycle basis."""
+    script = textwrap.dedent(
+        """
+        from tropabel import divisor, flow, graph
+        from tropabel.divisor import Divisor, Polarization, PseudoDivisor
+        from tropabel.worked import theta_graph
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        g = theta_graph()
+        mu = Polarization.zero(g)
+
+        def attempt(label, fn):
+            try:
+                fn()
+            except AssertionError as exc:
+                print(label, "rejected:", exc)
+            else:
+                print(label, "accepted")
+
+        class Accepts:
+            def violation(self, values):
+                return None
+
+        routes = divisor._QuasistableRoutes(g, frozenset(), "v0", mu)
+        routes.reduced = Accepts()
+        attempt("routes", lambda: routes.accepts({"v0": 2, "v1": -2}))
+
+        stray = PseudoDivisor.of(g, set(), {"v0": 9, "v1": -9})
+        real = divisor.compatible_pushforward
+        divisor.compatible_pushforward = lambda pd, e, half: stray
+        attempt("pushforward", lambda: divisor.enumerate_quasistable(g, "v0", mu))
+        divisor.compatible_pushforward = real
+
+        other = graph.subdivide(g, {"e0"}).result
+        attempt("add", lambda: Divisor.of(g, {}).add(Divisor.of(other, {})))
+        attempt("sub", lambda: Divisor.of(g, {}).sub(Divisor.of(other, {})))
+
+        class Shifted(Divisor):
+            @staticmethod
+            def of(graph, mapping):
+                return Shifted(graph, tuple(mapping.items()))
+
+            def degree(self):
+                return 1
+
+        flow.Divisor = Shifted
+        attempt("div_flow", lambda: flow.div_flow(flow.FlowAssignment.zero(g)))
+
+        graph.rank = lambda rows: 0
+        attempt("cycle_basis", lambda: graph.cycle_basis(g))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "routes rejected: quasistability cross-check failed",
+        "pushforward rejected: pushforward left the quasistable poset",
+        "add rejected: divisors live on different graphs",
+        "sub rejected: divisors live on different graphs",
+        "div_flow rejected: divisor of a flow has nonzero degree",
+        "cycle_basis rejected: fundamental cycles are linearly dependent",
+    ]
