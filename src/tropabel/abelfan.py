@@ -13,10 +13,11 @@ merged cone and the split of a located point back into half-lengths.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cone import Cone
+from .cone import Cone, face_lattice_rayset
 from .divisor import Divisor, Polarization, PseudoDivisor
-from .errors import ValidationError
+from .errors import DeskScaleError, ValidationError
 from .flow import AdmissiblePair, FlowAssignment, enumerate_admissible, is_acyclic_flow
 from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, subdivide
 from .linalg import dot
@@ -89,14 +90,29 @@ def _subdivision_data(g, eset, flow, frame=None):
     return sub, basis, _signed_flow(sub, flow)
 
 
-def _split_cone(sub, basis, sflow):
+def _split_halfspaces(sub, basis, sflow):
     order = sub.result.edge_ids
     eqs = []
     for _, vec in basis.cycles:
         cyc = _cycle_on_subdivision(dict(vec), sub)
         eqs.append(tuple(cyc.get(e, 0) * sflow[e] for e in order))
     ineqs = [tuple(1 if i == j else 0 for i in range(len(order))) for j in range(len(order))]
-    return Cone.from_halfspaces(len(order), tuple(eqs), tuple(ineqs))
+    return tuple(eqs), tuple(ineqs)
+
+
+def _split_image(rows, cone, amb_idx):
+    """The split cone as the image of the merged cone under the inverse
+    rows, with no double description.  The merge is a linear isomorphism,
+    so the images of the merged rays are the split cone's extremal rays;
+    they are primitive because merge and inverse are both integral.  Each
+    image is checked against the split H-representation."""
+    eqs, ineqs = _split_halfspaces(rows.sub, rows.basis, rows.sflow)
+    cols = [amb_idx[e] for e in rows.live_edges]
+    rays = [tuple(rows.split_point([ray[i] for i in cols]).values()) for ray in cone.rays]
+    split = Cone(len(rows.sub.result.edge_ids), eqs, ineqs, tuple(rays))
+    if not all(split.contains(r) for r in split.rays):
+        raise AssertionError("inverse rows map a merged ray out of the split cone")
+    return split
 
 
 def split_cone(g, eset, flow):
@@ -108,7 +124,8 @@ def split_cone(g, eset, flow):
     """
     eset = frozenset(eset)
     sub, basis, sflow = _subdivision_data(g, eset, flow)
-    return _split_cone(sub, basis, sflow), sub, basis
+    cone = Cone.from_halfspaces(len(sub.result.edge_ids), *_split_halfspaces(sub, basis, sflow))
+    return cone, sub, basis
 
 
 @dataclass(frozen=True)
@@ -264,8 +281,9 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
 
     Built from the pair's rows (pair_rows): the inverse rows are the
     inequalities and the cycles avoiding E the equalities; edges of the
-    ambient space missing from g are pinned to zero.  The split and the
-    merged cone each run one double description.
+    ambient space missing from g are pinned to zero.  The merged cone runs
+    one double description, and the split cone is its image under the
+    inverse rows.
     """
     rows = pair_rows(g, pair)
     live = rows.live_edges
@@ -287,12 +305,13 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
             pin[amb_idx[e]] = 1
             emb_eqs.append(tuple(pin))
     emb_ineqs = [embed(r) for r in rows.inverse_rows]
+    cone = Cone.from_halfspaces(n_amb, tuple(emb_eqs), tuple(emb_ineqs))
     return AbelCone(
         ambient_edges=amb,
-        cone=Cone.from_halfspaces(n_amb, tuple(emb_eqs), tuple(emb_ineqs)),
+        cone=cone,
         provenance=pair,
         spec_contracted=frozenset(spec_contracted),
-        split=_split_cone(rows.sub, rows.basis, rows.sflow),
+        split=_split_image(rows, cone, amb_idx),
         split_edge_order=rows.sub.result.edge_ids,
         inverse_rows=rows.inverse_rows,
         live_edges=live,
@@ -355,46 +374,63 @@ def classify_ray(abcone):
     raise AssertionError("ray provenance matches no admissible shape")
 
 
-def cone_faces(abcone):
-    """All faces of a fan cone, tagged with their provenance.
+def _lattice_faces(abcone):
+    """Every face of a fan cone, read from its face lattice and specialized
+    from the cone's pair: yields (face key, face pair, contracted base edges)
+    once per face.
 
-    Faces arise from contracting subsets of subdivision edges whose image
-    flow stays acyclic; distinct surviving data give distinct faces.  The
-    resulting cones are embedded in the same ambient space.
+    A face's zero set is the set of subdivision edges whose inverse row
+    vanishes on all of the face's rays; contracting it specializes the pair.
     """
     pair = abcone.provenance
-    g = pair.base
-    sub = _sub_of(pair)
-    out = {}
-    sub_edges = list(sub.result.edge_ids)
-    from itertools import combinations
+    vanish = []
+    for ray in abcone.cone.rays:
+        lengths = abcone.split_point(ray)
+        vanish.append(frozenset(e for e, x in lengths.items() if x == 0))
+    every = frozenset(abcone.split_edge_order)
+    for face in face_lattice_rayset(abcone.cone):
+        zset = every.intersection(*(vanish[i] for i in face))
+        spec = _specialize_pair(pair.base, pair, zset)
+        if spec is None:
+            raise AssertionError("a face of a fan cone specializes to a cyclic flow")
+        _, pair2, contracted = spec
+        key = (
+            tuple(sorted(abcone.spec_contracted | contracted)),
+            tuple(sorted(pair2.eset)),
+            pair2.flow.canonical_key(),
+        )
+        yield key, pair2, contracted
 
-    for r in range(len(sub_edges) + 1):
-        for zset in combinations(sub_edges, r):
-            face = _specialize_pair(g, pair, frozenset(zset))
-            if face is None:
-                continue
-            g2, pair2, contracted_base = face
-            key = (tuple(sorted(contracted_base)), tuple(sorted(pair2.eset)), pair2.flow.canonical_key())
-            if key in out:
-                continue
-            out[key] = merged_cone(
-                g2,
-                pair2,
-                ambient_edges=abcone.ambient_edges,
-                spec_contracted=abcone.spec_contracted | contracted_base,
-            )
+
+def cone_faces(abcone):
+    """All faces of a fan cone, tagged with their provenance, in key order.
+
+    The faces come from the cone's face lattice, each specialized from the
+    cone's pair (_lattice_faces); their cones are embedded in the same
+    ambient space.
+    """
+    out = {}
+    for key, pair, contracted in _lattice_faces(abcone):
+        out[key] = merged_cone(
+            pair.base,
+            pair,
+            ambient_edges=abcone.ambient_edges,
+            spec_contracted=abcone.spec_contracted | contracted,
+        )
     return [out[k] for k in sorted(out)]
 
 
 def _specialize_pair(g, pair, zset):
-    """Contract a set of subdivision edges of an admissible pair.
+    """Specialize an admissible pair by contracting a set of edges of its
+    E-subdivision; zset may hold plain edges as well as halves.
 
-    Returns (new graph, new pair, contracted base edges) or None when the
-    image flow has a directed cycle.  A base edge is contracted when all its
-    halves vanish; a subdivided edge with one half contracted drops out of
-    the subdivided set, its exceptional unit merging into the adjacent
-    vertex.
+    A base edge is contracted when all its parts are in zset (the plain
+    edge, or both halves).  A subdivided edge with one half in zset leaves
+    the subdivided set and carries the other half's flow; its exceptional
+    vertex merges into the far end of the contracted half.  The divisor is
+    pushed forward along the contraction.  Returns (contracted graph, face
+    pair, contracted base edges), or None when the image flow has a directed
+    cycle, which no face of the pair's cone gives.
     """
     sub = _sub_of(pair)
     by_base = {}
@@ -456,15 +492,15 @@ def _specialize_pair(g, pair, zset):
     for v in sub.result.vertex_ids:
         tv = vmap.get(v, v)
         vals[tv] += pair.resulting_pd.divisor[v]
-    pd2 = PseudoDivisor.of(g2, new_e, vals)
+    pd2 = PseudoDivisor(g2, new_e, Divisor.of(sub2.result, vals))
     pair2 = AdmissiblePair(g2, new_e, fa, pd2)
     return g2, pair2, frozenset(full_gone)
 
 
 @dataclass(frozen=True)
 class AbelFan:
-    """The complete fan: every admissible pair over every contraction of the
-    base graph, cones embedded in the base edge space."""
+    """The complete fan: the cones of the admissible pairs and of all their
+    specializations, embedded in the base edge space."""
 
     graph: Graph
     base_divisor: Divisor
@@ -472,21 +508,31 @@ class AbelFan:
     cones: tuple  # AbelCone, sorted by key
     maximal: tuple  # indices of cones with empty contraction
 
+    @cached_property
+    def index(self):
+        """Cone index by key."""
+        return {c.key(): i for i, c in enumerate(self.cones)}
+
+    @cached_property
+    def faces(self):
+        """Each cone's faces, in cone order: face key -> the face pair's
+        divisor (PseudoDivisor.canonical_key), read from the cone's face
+        lattice.  build_fan seeds this with the faces it walked."""
+        return tuple(
+            {key: pair.resulting_pd.canonical_key() for key, pair, _ in _lattice_faces(c)}
+            for c in self.cones
+        )
+
     def cone_by_key(self, key):
-        for c in self.cones:
-            if c.key() == key:
-                return c
-        raise KeyError(key)
+        return self.cones[self.index[key]]
 
     def to_json(self):
-        ids = {c.key(): i for i, c in enumerate(self.cones)}
+        ids = self.index
         cones = []
-        for i, c in enumerate(self.cones):
+        for i, (c, faces) in enumerate(zip(self.cones, self.faces)):
             entry = c.to_json()
             entry["id"] = i
-            entry["faces"] = sorted(
-                ids[f.key()] for f in cone_faces(c) if f.key() in ids
-            )
+            entry["faces"] = sorted(ids[k] for k in faces if k in ids)
             cones.append(entry)
         return {
             "edge_order": list(self.graph.edge_ids),
@@ -496,32 +542,52 @@ class AbelFan:
 
 
 def build_fan(g, v0, pol, d0, cap=1 << 20):
-    """Assemble the fan: admissible pairs of every contraction of g, with
-    cones embedded into the edge space of g (contracted coordinates pinned
-    to zero)."""
+    """Assemble the fan as the face closure of the admissible pairs of g.
+
+    The pairs' merged cones are the maximal cones.  Each cone's faces are
+    read from its face lattice and specialized from its pair
+    (_lattice_faces); a face key not seen before gets its merged cone, whose
+    faces are walked in turn.  Cones are embedded into the edge space of g,
+    contracted coordinates pinned to zero.  `cap` bounds the pair
+    enumeration and, separately, the number of face specializations.
+    """
     if d0.degree() != pol.degree():
         raise ValidationError("deg D0 must equal deg mu")
-    from itertools import combinations
-
     amb = g.edge_ids
     cones = {}
-    maximal_keys = []
-    for r in range(len(amb) + 1):
-        for cset in combinations(amb, r):
-            spec = contract(g, cset)
-            g2 = spec.target
-            d2 = _push_divisor(spec, d0)
-            mu2 = pol.pushforward(spec)
-            v02 = spec(v0)
-            for pair in enumerate_admissible(g2, v02, mu2, d2, cap=cap):
-                ac = merged_cone(g2, pair, ambient_edges=amb, spec_contracted=frozenset(cset))
-                cones[ac.key()] = ac
-                if not cset:
-                    maximal_keys.append(ac.key())
-    ordered = [cones[k] for k in sorted(cones)]
-    index = {c.key(): i for i, c in enumerate(ordered)}
+    for pair in enumerate_admissible(g, v0, pol, d0, cap=cap):
+        ac = merged_cone(g, pair, ambient_edges=amb)
+        cones[ac.key()] = ac
+    maximal_keys = list(cones)
+    faces = {}
+    frontier = list(cones.values())
+    work = 0
+    while frontier:
+        ac = frontier.pop()
+        mine = faces[ac.key()] = {}
+        for key, pair, contracted in _lattice_faces(ac):
+            work += 1
+            if work > cap:
+                raise DeskScaleError(
+                    f"fan faces: {work} face specializations exceed the cap of {cap}"
+                )
+            mine[key] = pair.resulting_pd.canonical_key()
+            if key not in cones:
+                face = merged_cone(
+                    pair.base,
+                    pair,
+                    ambient_edges=amb,
+                    spec_contracted=ac.spec_contracted | contracted,
+                )
+                cones[key] = face
+                frontier.append(face)
+    keys = sorted(cones)
+    index = {k: i for i, k in enumerate(keys)}
     maximal = tuple(sorted(index[k] for k in maximal_keys))
-    return AbelFan(g, d0, pol, tuple(ordered), maximal)
+    fan = AbelFan(g, d0, pol, tuple(cones[k] for k in keys), maximal)
+    object.__setattr__(fan, "index", index)
+    object.__setattr__(fan, "faces", tuple(faces[k] for k in keys))
+    return fan
 
 
 def _push_divisor(spec, d):
@@ -533,15 +599,26 @@ def _push_divisor(spec, d):
 
 def verify_fan(fan, pairwise=True):
     """Constructive fan-axiom check: face closure, and pairwise intersections
-    realized as common faces (matched through their ray sets)."""
-    keys = {c.key() for c in fan.cones}
+    realized as common faces (matched through their ray sets).
+
+    Faces are read from fan.faces; no face cone is built.  Each face must
+    be a cone of the fan, spanned by some of the cone's rays, and carry the
+    divisor of the fan cone with its key.
+    """
     all_faces = []
-    for c in fan.cones:
-        faces = cone_faces(c)
-        for f in faces:
-            if f.key() not in keys:
-                raise AssertionError(f"face {f.key()} missing from the fan")
-        all_faces.append({f.cone.rays for f in faces})
+    for c, faces in zip(fan.cones, fan.faces):
+        rays = set(c.cone.rays)
+        face_rays = set()
+        for key, divisor in faces.items():
+            if key not in fan.index:
+                raise AssertionError(f"face {key} missing from the fan")
+            face = fan.cone_by_key(key)
+            if face.provenance.resulting_pd.canonical_key() != divisor:
+                raise AssertionError(f"face {key} carries another divisor than its fan cone")
+            if not rays.issuperset(face.cone.rays):
+                raise AssertionError(f"face {key} has rays outside its cone")
+            face_rays.add(face.cone.rays)
+        all_faces.append(face_rays)
     if not pairwise:
         return True
     n = len(fan.cones)

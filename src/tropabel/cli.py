@@ -303,8 +303,9 @@ def cmd_verify(args):
     v0 = _v0(g)
     cap = _cap(args)
     report = {}
-    pairs = enumerate_admissible(g, v0, mu, d0, cap=cap)
-    cones = [merged_cone(g, p) for p in pairs]
+    fan = build_fan(g, v0, mu, d0, cap=cap)
+    cones = [fan.cones[i] for i in fan.maximal]
+    pairs = [c.provenance for c in cones]
     report["admissible_pairs"] = len(pairs)
     # partition sampling, parallelizable by chunking the seed space
     chunks = max(args.jobs, 1)
@@ -349,7 +350,6 @@ def cmd_verify(args):
                 round_bad += 1
     report["split_roundtrip"] = {"failures": round_bad}
     # fan axioms and ray shapes
-    fan = build_fan(g, v0, mu, d0, cap=cap)
     verify_fan(fan, pairwise=not args.skip_pairwise)
     report["fan"] = {
         "cones": len(fan.cones),

@@ -344,7 +344,8 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
     for a in basis:
         for b in basis:
             s = tuple(x + y for x, y in zip(a, b))
-            assert s not in bset, "Hilbert basis not minimal"
+            if s in bset:
+                raise AssertionError("Hilbert basis not minimal")
     return sorted(basis)
 
 
@@ -397,24 +398,28 @@ def semigroup_generators(cone):
         gens.append(tuple(u))
         gens.append(tuple(-x for x in u))
     for g in gens:
-        assert all(dot(g, r) >= 0 for r in cone.rays)
+        if any(dot(g, r) < 0 for r in cone.rays):
+            raise AssertionError("semigroup generator is negative on a ray")
     return tuple(sorted(set(gens)))
 
 
 def face_lattice_rayset(cone):
     """All faces as frozensets of ray indices (polyhedral route).
 
-    Faces are generated by closing the full ray set under intersections with
-    facet tight-sets; the empty set stands for the origin face.
+    Each inequality is valid on the cone, so the rays it vanishes on span a
+    face, and every facet is among these tight sets.  Closing the full ray
+    set under intersections with them therefore gives every face, with no
+    rank computation; the empty set stands for the origin face.
     """
-    facet_tights = []
-    for row in cone.facet_rows:
-        facet_tights.append(frozenset(i for i, r in enumerate(cone.rays) if dot(row, r) == 0))
+    tights = {
+        frozenset(i for i, r in enumerate(cone.rays) if dot(row, r) == 0)
+        for row in cone.inequalities
+    }
     faces = {frozenset(range(len(cone.rays)))}
     frontier = list(faces)
     while frontier:
         f = frontier.pop()
-        for t in facet_tights:
+        for t in tights:
             nf = f & t
             if nf not in faces:
                 faces.add(nf)

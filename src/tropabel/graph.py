@@ -486,8 +486,11 @@ def graph_stats(g, vset, eset):
     fset = set(g.edge_ids) - eset
     b1_contract_e = contract(g, eset).target.b1()
     b1_contract_f = contract(g, fset).target.b1()
-    assert b1_contract_e == len(fset) - g.b0(fset) + 1
-    assert b1_contract_f == len(eset) - g.b0(eset) + 1
+    if (
+        b1_contract_e != len(fset) - g.b0(fset) + 1
+        or b1_contract_f != len(eset) - g.b0(eset) + 1
+    ):
+        raise AssertionError("contraction Betti numbers break the partition identity")
     return GraphStats(
         b0_removed=g.b0(eset),
         b1_contracted=b1_contract_e,

@@ -288,6 +288,7 @@ def _int_inverse(m):
     out = []
     for i in range(n):
         row = a[i][n:]
-        assert all(x.denominator == 1 for x in row)
+        if any(x.denominator != 1 for x in row):
+            raise AssertionError("matrix is not unimodular")
         out.append(tuple(int(x) for x in row))
     return out

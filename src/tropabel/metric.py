@@ -88,7 +88,8 @@ class MetricGraph:
 def canonical_divisor(g):
     """omega(v) = 2 w(v) + val(v) - 2, of degree 2 genus - 2."""
     d = Divisor.of(g, {v: 2 * g.weight[v] + g.valence(v) - 2 for v in g.vertex_ids})
-    assert d.degree() == 2 * g.genus() - 2
+    if d.degree() != 2 * g.genus() - 2:
+        raise AssertionError("canonical divisor has the wrong degree")
     return d
 
 
@@ -105,7 +106,8 @@ def target_divisor(g, weights):
         for v in g.vertex_ids:
             vals[v] += m * omega[v]
     d = Divisor.of(g, vals)
-    assert d.degree() == sum(a) + m * (2 * g.genus() - 2)
+    if d.degree() != sum(a) + m * (2 * g.genus() - 2):
+        raise AssertionError("target divisor has the wrong degree")
     return d
 
 

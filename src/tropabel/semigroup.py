@@ -301,7 +301,8 @@ def intersect_ideals(ideal_a, ideal_b, bound=DEFAULT_SEARCH_BOUND):
             cands.extend(_join_search(ring, g, h, bound))
     result = MonomialIdeal.of(ring, cands)
     for m in result.gens:
-        assert ideal_a.contains(m) and ideal_b.contains(m)
+        if not (ideal_a.contains(m) and ideal_b.contains(m)):
+            raise AssertionError("intersection generator lies outside an ideal")
     return result
 
 
@@ -489,7 +490,8 @@ def symbolic_power_ideal(ring, ray, n, bound=DEFAULT_SEARCH_BOUND):
         cands.extend(yfac * h for h in hits)
     ideal = MonomialIdeal.of(ring, cands)
     for g in ideal.gens:
-        assert symbolic_power_membership(ring, ray, n, g)
+        if not symbolic_power_membership(ring, ray, n, g):
+            raise AssertionError("symbolic power generator fails the membership rule")
     return ideal
 
 
@@ -528,7 +530,8 @@ def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
         pieces = [symbolic_power_ideal(ring, r, n, bound=bound) for r in rays]
         lhs = intersect_many(pieces, bound=bound)
         rhs = MonomialIdeal.of(ring, (ring.y() ** n,))
-    assert lhs.equals(rhs), "two-sided symbolic-power identity failed"
+    if not lhs.equals(rhs):
+        raise AssertionError("two-sided symbolic-power identity failed")
     return lhs, rhs
 
 

@@ -230,19 +230,23 @@ VERIFY_THETA_4 = """{
 
 
 def test_verify_serial_sampler_reuses_cones(capsys, theta_file, monkeypatch):
-    """With one job the partition sampler uses the cones cmd_verify already
-    built: each pair's merged cone is built once by the command itself (the
-    fan's own cones come from build_fan), and the report is unchanged."""
+    """With one job every check uses the cones of the fan cmd_verify built
+    first: the command builds at most one merged cone per fan cone, the
+    sampler and the face checks build none, and the report is unchanged."""
+    import tropabel.abelfan as abelfan
     import tropabel.cli as cli
 
     calls = []
-    real = cli.merged_cone
-    monkeypatch.setattr(cli, "merged_cone", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for module in (cli, abelfan):
+        real = module.merged_cone
+        monkeypatch.setattr(
+            module, "merged_cone", lambda *a, real=real, **k: calls.append(1) or real(*a, **k)
+        )
     argv = ["verify", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
     code, out, _ = _run(capsys, argv + ["--points", "10", "--skip-pairwise"])
     assert code == 0
     assert out == VERIFY_THETA_4
-    assert len(calls) == 55
+    assert len(calls) <= json.loads(out)["fan"]["cones"] == 62
 
 
 def test_examples_command(capsys):
@@ -280,6 +284,20 @@ def test_cap_exit_code(capsys, theta_file):
     )
     assert code == 2
     assert "cap" in err.lower()
+
+
+def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
+    """On theta (8,-8) the pair enumeration fits under a cap of 500, but the
+    fan's face specializations do not: the command stops at the stage that
+    passed the cap and says how far it got."""
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(theta.to_json()))
+    argv = ["build-fan", "--graph", str(path), "--mu", "0", "--D0", "8,-8"]
+    assert main(["admissible"] + argv[1:] + ["--cap", "500"]) == 0
+    capsys.readouterr()
+    code, out, err = _run(capsys, argv + ["--cap", "500"])
+    assert (code, out) == (2, "")
+    assert err == "desk-scale cap: fan faces: 501 face specializations exceed the cap of 500\n"
 
 
 def test_env_cap_override(capsys, theta_file, monkeypatch):

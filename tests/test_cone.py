@@ -168,6 +168,45 @@ def test_face_lattice_of_quadrilateral():
     assert sizes == [0, 1, 1, 1, 1, 2, 2, 2, 2, 4]
 
 
+def _facet_closure(cone):
+    """The face lattice from the facets alone: the full ray set closed under
+    intersections with the facet rows' tight sets, plus the origin."""
+    tights = [
+        frozenset(i for i, r in enumerate(cone.rays) if dot(row, r) == 0) for row in cone.facet_rows
+    ]
+    faces = {frozenset(range(len(cone.rays)))}
+    frontier = list(faces)
+    while frontier:
+        f = frontier.pop()
+        for t in tights:
+            if f & t not in faces:
+                faces.add(f & t)
+                frontier.append(f & t)
+    return faces | {frozenset()}
+
+
+def test_face_lattice_matches_facet_closure():
+    """Closing under every inequality's tight set gives the faces that the
+    facets alone give, on random cones (some lower-dimensional) whose
+    H-representation carries redundant rows: sums of two facet rows."""
+    rng = random.Random(8)
+    sizes = set()
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        rays = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 6))]
+        if not any(any(r) for r in rays):
+            continue
+        hull = Cone.from_rays(n, rays)
+        rows = list(hull.inequalities)
+        rows += [tuple(x + y for x, y in zip(rng.choice(rows), rng.choice(rows))) for _ in range(3)]
+        cone = Cone.from_halfspaces(n, hull.equalities, rows)
+        assert cone.rays == Cone.from_halfspaces(n, hull.equalities, hull.inequalities).rays
+        faces = face_lattice_rayset(cone)
+        assert faces == _facet_closure(cone)
+        sizes.add((cone.dim, len(faces)))
+    assert len(sizes) > 5
+
+
 def test_left_kernel_lattice_saturated():
     mat = [[1, 1, 1], [1, 1, 2]]  # columns = rays transposed
     cols = [list(c) for c in zip(*mat)]

@@ -385,10 +385,13 @@ def test_certificates_survive_optimize():
     `python -O`, which strips assert statements, still trips them: a forced
     disagreement of the two quasistability routes, a pushforward leaving the
     poset, divisors on different graphs, a flow divisor of nonzero degree,
-    and a dependent cycle basis."""
+    a non-unimodular integer inverse, contraction Betti numbers breaking the
+    partition identity, and a dependent cycle basis."""
     script = textwrap.dedent(
         """
-        from tropabel import divisor, flow, graph
+        from types import SimpleNamespace
+
+        from tropabel import divisor, flow, graph, linalg
         from tropabel.divisor import Divisor, Polarization, PseudoDivisor
         from tropabel.worked import theta_graph
 
@@ -434,6 +437,13 @@ def test_certificates_survive_optimize():
         flow.Divisor = Shifted
         attempt("div_flow", lambda: flow.div_flow(flow.FlowAssignment.zero(g)))
 
+        attempt("int_inverse", lambda: linalg._int_inverse([[2]]))
+
+        real_contract = graph.contract
+        graph.contract = lambda g, e: SimpleNamespace(target=SimpleNamespace(b1=lambda: -1))
+        attempt("graph_stats", lambda: graph.graph_stats(g, {"v0"}, {"e0"}))
+        graph.contract = real_contract
+
         graph.rank = lambda rows: 0
         attempt("cycle_basis", lambda: graph.cycle_basis(g))
         """
@@ -449,5 +459,7 @@ def test_certificates_survive_optimize():
         "add rejected: divisors live on different graphs",
         "sub rejected: divisors live on different graphs",
         "div_flow rejected: divisor of a flow has nonzero degree",
+        "int_inverse rejected: matrix is not unimodular",
+        "graph_stats rejected: contraction Betti numbers break the partition identity",
         "cycle_basis rejected: fundamental cycles are linearly dependent",
     ]

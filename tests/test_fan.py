@@ -1,8 +1,13 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tropabel.abelfan import (
+    AbelFan,
+    _push_divisor,
+    _specialize_pair,
     build_fan,
     classify_ray,
     cone_faces,
@@ -16,7 +21,7 @@ from tropabel.cone import face_lattice_rayset
 from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import ValidationError
 from tropabel.flow import FlowAssignment, enumerate_admissible
-from tropabel.graph import Graph, subdivide
+from tropabel.graph import Graph, build_graph, contract, subdivide
 
 from conftest import random_connected_graph, random_polarization
 
@@ -81,6 +86,21 @@ def test_merged_cone_empty_subdivision_is_split_cone(theta):
     for p in pairs:
         ac = merged_cone(theta, p)
         assert ac.cone.rays == ac.split.rays
+
+
+def test_split_image_matches_double_description(theta, random_instances):
+    """The split cone read off through the inverse rows is the cone that
+    double description finds from the split H-representation, on every
+    cone of the theta fan (contracted ones included) and on every pair of
+    the seeded instances."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
+    cones = list(build_fan(theta, "v0", mu, d0).cones)
+    for g, _, _, _, pairs in random_instances:
+        cones.extend(merged_cone(g, p) for p in pairs)
+    for ac in cones:
+        pair = ac.provenance
+        assert ac.split == split_cone(pair.base, pair.eset, pair.flow)[0], ac.key()
 
 
 def test_dimension_formula_across_fan(theta):
@@ -370,3 +390,119 @@ def test_build_fan_on_cycles(tmp_path, monkeypatch, n, k):
     assert len(json.loads(out.read_text())["cones"]) == len(fan.cones)
     assert verify_fan(fan, pairwise=False)
     assert sum((-1) ** c.cone.dim for c in fan.cones) == 0
+
+
+# --- the exhaustive routes the face-closure build replaced, kept as oracles
+
+
+def contraction_loop_fan(g, v0, pol, d0):
+    """The fan from the admissible pairs of all 2^|E| contractions of g,
+    with the faces of each cone from the subset loop."""
+    amb = g.edge_ids
+    cones = {}
+    maximal_keys = []
+    for r in range(len(amb) + 1):
+        for cset in combinations(amb, r):
+            spec = contract(g, cset)
+            pairs = enumerate_admissible(
+                spec.target, spec(v0), pol.pushforward(spec), _push_divisor(spec, d0)
+            )
+            for pair in pairs:
+                ac = merged_cone(spec.target, pair, ambient_edges=amb, spec_contracted=frozenset(cset))
+                cones[ac.key()] = ac
+                if not cset:
+                    maximal_keys.append(ac.key())
+    ordered = tuple(cones[k] for k in sorted(cones))
+    index = {c.key(): i for i, c in enumerate(ordered)}
+    fan = AbelFan(g, d0, pol, ordered, tuple(sorted(index[k] for k in maximal_keys)))
+    object.__setattr__(fan, "faces", tuple(subset_loop_faces(c) for c in ordered))
+    return fan
+
+
+def subset_loop_faces(abcone):
+    """Face key -> face divisor, from specializing every subset of the
+    cone's subdivision edges and keeping the acyclic images."""
+    pair = abcone.provenance
+    sub_edges = pair.resulting_pd.subdivision.result.edge_ids
+    out = {}
+    for r in range(len(sub_edges) + 1):
+        for zset in combinations(sub_edges, r):
+            face = _specialize_pair(pair.base, pair, frozenset(zset))
+            if face is None:
+                continue
+            _, pair2, contracted = face
+            key = (
+                tuple(sorted(abcone.spec_contracted | contracted)),
+                tuple(sorted(pair2.eset)),
+                pair2.flow.canonical_key(),
+            )
+            divisor = pair2.resulting_pd.canonical_key()
+            assert out.setdefault(key, divisor) == divisor, key
+    return out
+
+
+def _parallel_instance(n_edges, k, m):
+    g = build_graph(
+        {
+            "vertices": [{"id": "v0", "weight": 0}, {"id": "v1", "weight": 0}],
+            "edges": [{"id": f"e{i}", "ends": ["v0", "v1"]} for i in range(n_edges)],
+            "legs": {"0": "v0"},
+        }
+    )
+    return g, "v0", Polarization.of(g, {"v0": m, "v1": -m}), Divisor.of(g, {"v0": k, "v1": -k})
+
+
+def _cycle_instance(n, k):
+    g = build_graph(_cycle(n))
+    vals = {v: 0 for v in g.vertex_ids}
+    vals["v0"], vals[f"v{n - 1}"] = k, -k
+    return g, "v0", Polarization.zero(g), Divisor.of(g, vals)
+
+
+def _assert_matches_oracles(g, v0, mu, d0):
+    """Same JSON as the contraction loop, and each cone's lattice faces
+    (keys and divisors) are the subset loop's."""
+    fan = build_fan(g, v0, mu, d0)
+    oracle = contraction_loop_fan(g, v0, mu, d0)
+    assert fan.to_json() == oracle.to_json()
+    assert fan.faces == oracle.faces
+    return fan
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(lambda: _parallel_instance(3, 4, 0), id="theta"),
+        pytest.param(lambda: _parallel_instance(4, 2, Fraction(1, 5)), id="banana4+"),
+        pytest.param(lambda: _parallel_instance(4, 2, Fraction(-1, 5)), id="banana4-"),
+        pytest.param(lambda: _cycle_instance(4, 2), id="cycle4-2"),
+        pytest.param(lambda: _cycle_instance(4, 4), id="cycle4-4"),
+        pytest.param(lambda: _cycle_instance(5, 2), id="cycle5-2"),
+        pytest.param(lambda: _cycle_instance(5, 4), id="cycle5-4"),
+    ],
+)
+def test_face_closure_matches_exhaustive_routes(instance):
+    """The face closure of the uncontracted pairs gives the fan of the
+    contraction loop; the face map derived from the cones alone is the one
+    build_fan seeded."""
+    fan = _assert_matches_oracles(*instance())
+    rebuilt = AbelFan(fan.graph, fan.base_divisor, fan.polarization, fan.cones, fan.maximal)
+    assert rebuilt.faces == fan.faces
+
+
+def test_face_closure_matches_exhaustive_routes_on_seeded_instances(random_instances):
+    for g, v0, mu, d0, _ in random_instances:
+        _assert_matches_oracles(g, v0, mu, d0)
+
+
+def test_verify_fan_catches_wrong_face_divisor(theta):
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
+    fan = build_fan(theta, "v0", mu, d0)
+    faces = [dict(f) for f in fan.faces]
+    top = fan.maximal[0]
+    key = next(k for k in faces[top] if k != fan.cones[top].key())
+    faces[top][key] = ((), (("v0", 9), ("v1", -9)))
+    object.__setattr__(fan, "faces", tuple(faces))
+    with pytest.raises(AssertionError, match="another divisor"):
+        verify_fan(fan, pairwise=False)
