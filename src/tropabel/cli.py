@@ -226,7 +226,7 @@ def cmd_icap_check(args):
 
 
 def cmd_symbolic_power(args):
-    if args.model_t:
+    if args.model_t is not None:
         ideal, _ = model_symbolic_power(args.model_t, args.power)
         _dump(
             {
@@ -237,6 +237,8 @@ def cmd_symbolic_power(args):
             args.out,
         )
         return 0
+    if None in (args.graph, args.mu, args.d0, args.edge):
+        raise ValidationError("symbolic-power needs --graph, --mu, --D0 and --edge, or --model-t")
     g, pair = _pick_pair(args)
     ring, ac = node_ring(pair, args.edge)
     if not 0 <= args.ray < len(ac.cone.rays):

@@ -2,19 +2,24 @@
 its node extension obtained by adjoining a split variable pair with
 x * y = chi^(relation covector).
 
-Everything is decided at the level of exponents: ideal membership reduces to
-lattice-cone inequalities, so no Groebner machinery is needed.  Generator
-lists come from bounded searches over a generating set of the monoid, with a
-saturation re-check at a larger bound.
+Everything is decided at the level of exponents.  Each monomial carries its
+valuation vector w: its values on the cone's extremal rays, in two blocks in
+the split ring (one counting x, one counting y).  The relation pairs
+nonnegatively with every ray, so divisibility is the componentwise
+comparison of these vectors (in a normal affine monoid, divisibility is a
+comparison of support forms) and no Groebner machinery is needed.
+Generator lists come from one search over a generating set of the monoid.
+It only takes steps that raise a valuation still short of its threshold, so
+it ends by itself; its level cap only bounds the work.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cone import Cone, semigroup_generators
 from .errors import SearchBoundError, ValidationError
-from .graph import cycle_basis, subdivide
-from .linalg import dot, vec_add, vec_sub
+from .graph import cycle_basis
+from .linalg import dot, vec_add
 
 DEFAULT_SEARCH_BOUND = 12
 
@@ -26,12 +31,22 @@ class MonomialRing:
 
     rays: the cone's extremal rays (membership tests pair against them);
     relation: the integer covector tied to the split pair, or None for the
-    plain semigroup ring.
+    plain semigroup ring.  The relation must lie in the dual monoid (pair
+    nonnegatively with every ray), since x*y is a monomial of the ring.
     """
 
     ambient_dim: int
     rays: tuple
     relation: tuple = None
+
+    def __post_init__(self):
+        if self.relation is not None:
+            for r in self.rays:
+                if dot(self.relation, r) < 0:
+                    raise ValidationError(
+                        f"relation {tuple(self.relation)} pairs negatively with the ray "
+                        f"{tuple(r)}: x*y would leave the monoid"
+                    )
 
     @staticmethod
     def for_cone(cone, relation=None):
@@ -43,6 +58,11 @@ class MonomialRing:
         is not full-dimensional)."""
         cone = Cone.from_rays(self.ambient_dim, self.rays)
         return semigroup_generators(cone)
+
+    @cached_property
+    def relation_values(self):
+        """c_r = <relation, r> for each ray r (all >= 0)."""
+        return tuple(dot(self.relation, r) for r in self.rays)
 
     def in_monoid(self, u):
         return all(dot(u, r) >= 0 for r in self.rays)
@@ -59,9 +79,15 @@ class MonomialRing:
             if k:
                 u = tuple(x + k * y for x, y in zip(u, self.relation))
                 a, b = a - k, b - k
-        if not self.in_monoid(u):
+        v = tuple(dot(u, r) for r in self.rays)
+        if any(x < 0 for x in v):
             raise ValidationError(f"exponent {u} is outside the monoid")
-        return Monomial(self, u, a, b)
+        if self.relation is None:
+            w = v
+        else:
+            c = self.relation_values
+            w = tuple(x + a * y for x, y in zip(v, c)) + tuple(x + b * y for x, y in zip(v, c))
+        return Monomial(self, u, a, b, w)
 
     def one(self):
         return self.monomial((0,) * self.ambient_dim)
@@ -71,6 +97,13 @@ class MonomialRing:
 
     def y(self):
         return self.monomial((0,) * self.ambient_dim, b=1)
+
+    def ray_index(self, ray):
+        """Position of an extremal ray among the ring's rays."""
+        ray = tuple(ray)
+        if ray not in self.rays:
+            raise ValidationError(f"{ray} is not an extremal ray of the ring's cone")
+        return self.rays.index(ray)
 
     @cached_property
     def monomial_generators(self):
@@ -84,20 +117,34 @@ class MonomialRing:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Canonical form x^a y^b chi^u with min(a, b) = 0."""
+    """Canonical form x^a y^b chi^u with min(a, b) = 0.
+
+    w is the valuation vector: (<u,r> + a c_r)_r ++ (<u,r> + b c_r)_r in the
+    split ring, with c_r = <relation, r>, and (<u,r>)_r in the plain ring.  It
+    is unchanged by x*y -> chi^relation, adds under multiplication, and is
+    nonnegative on every monomial.
+    """
 
     ring: MonomialRing
     u: tuple
     a: int
     b: int
+    w: tuple = field(compare=False, repr=False)
 
     def key(self):
         return (self.u, self.a, self.b)
 
     def __mul__(self, other):
-        if other.ring != self.ring:
+        ring = self.ring
+        if other.ring is not ring and other.ring != ring:
             raise ValidationError("ring mismatch")
-        return self.ring.monomial(vec_add(self.u, other.u), self.a + other.a, self.b + other.b)
+        u = vec_add(self.u, other.u)
+        a, b = self.a + other.a, self.b + other.b
+        k = min(a, b)
+        if k:
+            u = tuple(x + k * y for x, y in zip(u, ring.relation))
+            a, b = a - k, b - k
+        return Monomial(ring, u, a, b, vec_add(self.w, other.w))
 
     def __pow__(self, n):
         out = self.ring.one()
@@ -110,33 +157,17 @@ class Monomial:
 
         The quotient exponent (du, da, db) lies in the extended monoid iff
         some integer shift j >= max(-da, -db) keeps du - j*relation in the
-        chi-monoid; j is bounded above through any ray pairing positively
-        with the relation covector.
+        chi-monoid.  Every c_r = <relation, r> is nonnegative, so the
+        smallest shift j = -min(da, db) is the best one, and the test is
+        <du, r> + min(da, db) c_r >= 0 on every ray r: both valuation blocks
+        of other dominate those of self.
         """
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValidationError("ring mismatch")
-        du = vec_sub(other.u, self.u)
-        da = other.a - self.a
-        db = other.b - self.b
-        ring = self.ring
-        if ring.relation is None:
-            return da == 0 and db == 0 and ring.in_monoid(du)
-        rel = ring.relation
-        jlo = max(-da, -db)
-        jhi = None
-        for r in ring.rays:
-            cr = dot(rel, r)
-            if cr > 0:
-                bound = dot(du, r) // cr
-                jhi = bound if jhi is None else min(jhi, bound)
-        if jhi is None:
-            # relation vanishes on the cone: j only needs to clear jlo
-            return ring.in_monoid(du)
-        for j in range(jlo, jhi + 1):
-            shifted = tuple(x - j * y for x, y in zip(du, rel))
-            if ring.in_monoid(shifted):
-                return True
-        return False
+        for x, y in zip(other.w, self.w):
+            if x < y:
+                return False
+        return True
 
     def format(self):
         parts = []
@@ -234,64 +265,79 @@ class MonomialIdeal:
         return [g.format() for g in self.gens]
 
 
-def _bfs_minimal(start, member, alphabet, bound, what):
-    """Breadth-first minimal monomials above `start` satisfying a
-    divisor-closed predicate.
+def _minimal_search(start, need, bound, what):
+    """Minimal monomials above `start` whose valuations reach thresholds.
 
-    Hits stop their branch; states divisible by an earlier hit are pruned
-    (extensions stay multiples).  The walk stops two levels after the last
-    new minimal hit (the saturation contract: raising the coefficient bound
-    by 2 adds nothing), and raises SearchBoundError when the cap is reached
-    without that certificate.
+    need: (coordinate, threshold) pairs on the valuation vector w.  The
+    members are the monomials m = start * q, q in the monoid, with
+    m.w[i] >= t for each (i, t) in need; the answer is every member none of
+    whose quotients by a ring generator is a member.  Of unit multiples,
+    the first found is kept.
+
+    A state short of a threshold is extended only by the ring generators
+    that raise its first short coordinate.  Every minimal answer is reached
+    that way: write it as start times generators; while a state p dividing
+    it is short at i, the answer is not, so one of the remaining factors
+    raises i (every generator has w >= 0).  Each step cuts the total
+    deficit sum(max(0, t - w[i])) by at least one, so no word is longer
+    than the deficit at `start` and the search ends by itself.  `bound`
+    caps the word length only: a state that would need extending past it
+    raises SearchBoundError.  Membership is upward closed, so a state that
+    is not a member is never a multiple of a hit.
     """
+    ring = start.ring
+    rel = ring.relation
+    need = [(i, t) for i, t in need if start.w[i] < t]
+    # steps[k]: the generators raising the k-th short coordinate
+    steps = [
+        [(s.u, s.a, s.b, s.w) for s in ring.monomial_generators if s.w[i] > 0]
+        for i, _ in need
+    ]
     hits = []
-    frontier = {start.key(): start}
-    visited = {start.key()}
+    frontier = [(start.u, start.a, start.b, start.w)]
+    seen = {start.key()}
     level = 0
-    last_new = None
     while frontier:
-        if last_new is not None and level > last_new + 2:
-            return hits
-        if level > bound + 2:
-            raise SearchBoundError(what, bound)
-        nxt = {}
-        for m in frontier.values():
-            if member(m):
-                if not any(w.divides(m) for w in hits):
-                    hits.append(m)
-                    last_new = level
+        nxt = []
+        for state in frontier:
+            u, a, b, w = state
+            for k, (i, t) in enumerate(need):
+                if w[i] < t:
+                    break
+            else:
+                if not any(all(x >= y for x, y in zip(w, h[3])) for h in hits):
+                    hits.append(state)
                 continue
-            if any(w.divides(m) for w in hits):
-                continue
-            for t in alphabet:
-                nm = m * t
-                if nm.key() not in visited:
-                    visited.add(nm.key())
-                    nxt[nm.key()] = nm
+            if level >= bound:
+                raise SearchBoundError(what, bound)
+            for su, sa, sb, sw in steps[k]:
+                nu, na, nb = vec_add(u, su), a + sa, b + sb
+                if na and nb:  # x * y = chi^relation
+                    nu, na, nb = vec_add(nu, rel), na - 1, nb - 1
+                key = (nu, na, nb)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((nu, na, nb, vec_add(w, sw)))
         frontier = nxt
         level += 1
-    return hits
+    return [Monomial(ring, u, a, b, w) for u, a, b, w in hits]
 
 
-def _monomial_size(m):
-    return sum(abs(c) for c in m.u) + m.a + m.b
+def _deficit(m, target):
+    return sum(t - x for x, t in zip(m.w, target.w) if x < t)
 
 
 def _join_search(ring, g, h, bound):
-    """Minimal common multiples of g and h, walking up from the larger one."""
-    if _monomial_size(h) > _monomial_size(g):
+    """Minimal common multiples of g and h: the multiples of one of them
+    whose valuations reach the other's (h | m iff m.w >= h.w), walking up
+    from the one with the smaller deficit."""
+    if _deficit(h, g) < _deficit(g, h):
         g, h = h, g
-    return _bfs_minimal(
-        g,
-        lambda m: h.divides(m),
-        ring.monomial_generators,
-        bound,
-        "ideal intersection",
-    )
+    return _minimal_search(g, enumerate(h.w), bound, "ideal intersection")
 
 
 def intersect_ideals(ideal_a, ideal_b, bound=DEFAULT_SEARCH_BOUND):
-    """Generators of the intersection, by pairwise bounded join searches."""
+    """Generators of the intersection, by pairwise join searches."""
     if ideal_a.ring != ideal_b.ring:
         raise ValidationError("ring mismatch")
     ring = ideal_a.ring
@@ -315,39 +361,24 @@ def intersect_many(ideals, bound=DEFAULT_SEARCH_BOUND):
 
 def localization_preimage(ring, face_rays, target, bound=DEFAULT_SEARCH_BOUND):
     """Preimage of the principal ideal (target) under localization at the
-    face spanned by the given primal rays.
+    face spanned by the given extremal rays.
 
     Membership: the quotient exponent pairs nonnegatively with the face data
-    (for the split ring, against both lifts (r, 0, c_r) and (r, c_r, 0)).
+    (for the split ring, against both lifts (r, 0, c_r) and (r, c_r, 0)),
+    that is, m reaches target's valuations at the face rays, in both blocks.
     Returns (ideal, membership predicate).
     """
-    face_rays = tuple(tuple(r) for r in face_rays)
-    rel = ring.relation
+    if target.ring is not ring and target.ring != ring:
+        raise ValidationError("ring mismatch")
+    cols = [ring.ray_index(r) for r in face_rays]
+    if ring.relation is not None:
+        cols += [len(ring.rays) + i for i in cols]
+    need = [(i, target.w[i]) for i in cols]
 
     def member(m):
-        du = vec_sub(m.u, target.u)
-        da = m.a - target.a
-        db = m.b - target.b
-        if rel is None:
-            if da or db:
-                return False
-            return all(dot(du, r) >= 0 for r in face_rays)
-        # pairing with (r, c_r, 0) and (r, 0, c_r); shift-invariant
-        for r in face_rays:
-            cr = dot(rel, r)
-            if dot(du, r) + da * cr < 0:
-                return False
-            if dot(du, r) + db * cr < 0:
-                return False
-        return True
+        return all(m.w[i] >= t for i, t in need)
 
-    # generators pairing to zero with every face ray cannot help reach
-    # membership and never occur in a minimal generator's factorization
-    alphabet = []
-    for t in ring.monomial_generators:
-        if t.a or t.b or any(dot(t.u, r) != 0 for r in face_rays):
-            alphabet.append(t)
-    gens = _bfs_minimal(ring.one(), member, alphabet, bound, "localization preimage")
+    gens = _minimal_search(ring.one(), need, bound, "localization preimage")
     return MonomialIdeal.of(ring, gens), member
 
 
@@ -449,8 +480,10 @@ def node_ring(pair, e0):
     from .abelfan import merged_cone
 
     g = pair.base
-    ac = merged_cone(g, pair)
     idx = {e: i for i, e in enumerate(g.edge_ids)}
+    if e0 not in idx:
+        raise ValidationError(f"unknown edge {e0!r}")
+    ac = merged_cone(g, pair)
     rel = [0] * len(g.edge_ids)
     rel[idx[e0]] = 1
     return MonomialRing(len(g.edge_ids), ac.cone.rays, tuple(rel)), ac
@@ -466,29 +499,19 @@ def symbolic_power_membership(ring, ray, n, m):
 
 
 def symbolic_power_ideal(ring, ray, n, bound=DEFAULT_SEARCH_BOUND):
-    """Generator list of the n-th symbolic power at a ray.
+    """Generator list of the n-th symbolic power at an extremal ray.
 
-    Candidates are y^b chi^u for b = 0..n with u minimal against the
-    threshold (n-b) * relation(ray); the union is minimalized in the full
-    ring.
+    A monomial belongs iff u(ray) + b * relation(ray) >= n * relation(ray),
+    which is its second-block valuation at the ray reaching n * c.
     """
-    c = dot(ring.relation, ray)
-    cands = [ring.y() ** n]
-    # a minimal exponent against a single ray threshold never uses a
-    # generator pairing to zero with that ray (dropping it keeps membership)
-    chi_gens = [ring.monomial(u) for u in ring.generators if dot(u, ray) > 0]
-    for b in range(n):
-        need = (n - b) * c
-        yfac = ring.y() ** b
-        hits = _bfs_minimal(
-            ring.one(),
-            lambda m, need=need: dot(m.u, ray) >= need,
-            chi_gens,
-            bound,
-            "symbolic power saturation",
-        )
-        cands.extend(yfac * h for h in hits)
-    ideal = MonomialIdeal.of(ring, cands)
+    if ring.relation is None:
+        raise ValidationError("symbolic powers live in the split-pair ring")
+    if n < 0:
+        raise ValidationError(f"a symbolic power needs an exponent n >= 0, got {n}")
+    k = ring.ray_index(ray)
+    need = [(len(ring.rays) + k, n * ring.relation_values[k])]
+    gens = _minimal_search(ring.one(), need, bound, "symbolic power saturation")
+    ideal = MonomialIdeal.of(ring, gens)
     for g in ideal.gens:
         if not symbolic_power_membership(ring, ray, n, g):
             raise AssertionError("symbolic power generator fails the membership rule")
@@ -544,6 +567,10 @@ def model_symbolic_power(t, m, height_cap=None):
     """Symbolic power of (y, u) in the model ring, by x-saturation of the
     ordinary power: a monomial belongs iff x^k times it falls into the
     ordinary power for some k."""
+    if t < 1:
+        raise ValidationError(f"the model ring needs a relation exponent t >= 1, got {t}")
+    if m < 0:
+        raise ValidationError(f"a symbolic power needs an exponent n >= 0, got {m}")
     ring = model_ring(t)
     y, u = ring.y(), ring.monomial((1,))
     base = MonomialIdeal.of(ring, (y, u))

@@ -136,6 +136,31 @@ def test_symbolic_power_model_command(capsys):
     assert data["generators"] == ["y χ{0}"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model-t", "-2", "--power", "2"], "t >= 1, got -2"),
+        (["--model-t", "0", "--power", "2"], "t >= 1, got 0"),
+        (["--model-t", "2", "--power", "-1"], "n >= 0, got -1"),
+        (["--power", "2"], "needs --graph"),
+    ],
+)
+def test_symbolic_power_model_rejects_bad_input(capsys, argv, message):
+    code, out, err = _run(capsys, ["symbolic-power"] + argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_symbolic_power_rejects_negative_power(capsys, theta_file):
+    base = ["symbolic-power", "--graph", theta_file, "--mu", "0", "--D0", "4,-4", "--edge", "e0"]
+    code, out, err = _run(capsys, base + ["--power", "-1"])
+    assert code == 1 and out == ""
+    assert err == "error: a symbolic power needs an exponent n >= 0, got -1\n"
+    code, out, err = _run(capsys, base + ["--power", "1"])
+    assert code == 0, err
+    assert json.loads(out)["generators"]
+
+
 def test_drl_command(capsys, tmp_path):
     g = {
         "vertices": [{"id": "a", "weight": 1}, {"id": "b", "weight": 1}],

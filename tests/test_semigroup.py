@@ -3,9 +3,9 @@ import random
 import pytest
 
 from tropabel.divisor import Divisor, Polarization
-from tropabel.errors import ValidationError
+from tropabel.errors import SearchBoundError, ValidationError
 from tropabel.flow import enumerate_admissible
-from tropabel.linalg import dot
+from tropabel.linalg import dot, vec_add
 from tropabel.semigroup import (
     Monomial,
     MonomialIdeal,
@@ -352,3 +352,51 @@ def test_ray_power_intersection_builds_one_cone(worked_pair, monkeypatch):
     lhs, rhs = ray_power_intersection(worked_pair, "e0")
     assert lhs.equals(rhs)
     assert len(calls) == 1
+
+
+def test_join_finds_the_generator_four_levels_up():
+    """chi^(5,5) is a minimal common multiple of chi^(1,0) and chi^(1,1)
+    four levels above chi^(2,1); a search that stops two levels past its
+    last new generator misses it."""
+    ring = MonomialRing(2, ((0, 1), (5, -4)))
+    a = MonomialIdeal.of(ring, (ring.monomial((1, 0)),))
+    b = MonomialIdeal.of(ring, (ring.monomial((1, 1)),))
+    got = intersect_ideals(a, b)
+    assert [m.u for m in got.gens] == [(2, 1), (5, 5)]
+
+
+def test_valuations_add_and_survive_canonical_form(worked_ring):
+    r = worked_ring
+    m = r.monomial(Z1, a=2) * r.monomial(Z4, b=3)
+    assert m.key() == r.monomial(vec_add(vec_add(Z1, Z4), (2, 0, 0)), b=1).key()
+    assert m.w == r.monomial(m.u, m.a, m.b).w
+    assert m.w == tuple(x + y for x, y in zip(r.monomial(Z1, a=2).w, r.monomial(Z4, b=3).w))
+
+
+def test_relation_outside_the_monoid_is_rejected():
+    with pytest.raises(ValidationError, match="pairs negatively"):
+        MonomialRing(2, ((0, 1), (5, -4)), (0, -1))
+    with pytest.raises(ValidationError, match="pairs negatively"):
+        model_ring(-2)
+    MonomialRing(2, ((0, 1), (5, -4)), (1, 0))
+
+
+def test_symbolic_power_rejects_bad_exponent_and_ray(worked_ring):
+    with pytest.raises(ValidationError, match="n >= 0"):
+        symbolic_power_ideal(worked_ring, (1, 1, 1), -1)
+    with pytest.raises(ValidationError, match="not an extremal ray"):
+        symbolic_power_ideal(worked_ring, (1, 1, 3), 1)
+    with pytest.raises(ValidationError, match="split-pair ring"):
+        symbolic_power_ideal(MonomialRing(3, WORKED_RAYS), (1, 1, 1), 1)
+    assert symbolic_power_ideal(worked_ring, (1, 1, 1), 0).is_whole()
+
+
+def test_search_stops_at_the_cap_on_a_deep_staircase():
+    """The search may only stop once every short valuation is met; on this
+    ring the chi-only staircase at the ray is 45 levels deep, so a cap of 40
+    raises instead of returning a guess."""
+    ring = MonomialRing(2, ((0, 1), (8, -1)), (2, 1))
+    with pytest.raises(SearchBoundError, match="bound 40"):
+        symbolic_power_ideal(ring, (8, -1), 3, bound=40)
+    ideal = symbolic_power_ideal(ring, (8, -1), 3, bound=45)
+    assert sorted(ideal.format()) == ["y χ{4,0}", "y^2 χ{2,0}", "y^3 χ{0,0}", "χ{6,0}"]
