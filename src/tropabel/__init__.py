@@ -28,9 +28,9 @@ from .errors import DeskScaleError, GoldenMismatch, SearchBoundError, Validation
 from .flow import (
     AdmissiblePair,
     FlowAssignment,
+    acyclic_flows,
     div_flow,
     enumerate_admissible,
-    flows_with_divisor,
     is_acyclic_flow,
 )
 from .graph import (

@@ -492,7 +492,7 @@ def _specialize_pair(g, pair, zset):
     for v in sub.result.vertex_ids:
         tv = vmap.get(v, v)
         vals[tv] += pair.resulting_pd.divisor[v]
-    pd2 = PseudoDivisor(g2, new_e, Divisor.of(sub2.result, vals))
+    pd2 = PseudoDivisor(g2, new_e, Divisor.of(sub2.result, vals), sub2)
     pair2 = AdmissiblePair(g2, new_e, fa, pd2)
     return g2, pair2, frozenset(full_gone)
 

@@ -6,12 +6,12 @@ because stability is decided by strict comparison with 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import DeskScaleError, ValidationError
-from .graph import Graph, exceptional_id, subdivide
+from .graph import Graph, Subdivision, exceptional_id, subdivide
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
@@ -132,29 +132,35 @@ class Polarization:
 @dataclass(frozen=True)
 class PseudoDivisor:
     """A pair (E, D): D lives on the E-subdivision with -1 at every
-    exceptional vertex."""
+    exceptional vertex.
+
+    `subdivision` is the E-subdivision of base; pass it when it is already
+    built (pseudo-divisors with one E share it), otherwise it is built here.
+    """
 
     base: Graph
     eset: frozenset
     divisor: Divisor
+    subdivision: Subdivision = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        sub = subdivide(self.base, self.eset)
+        sub = self.subdivision
+        if sub is None:
+            sub = subdivide(self.base, self.eset)
+            object.__setattr__(self, "subdivision", sub)
+        elif sub.base != self.base or sub.subdivided_set != self.eset:
+            raise ValidationError("subdivision is not the E-subdivision of the base")
         if self.divisor.graph != sub.result:
             raise ValidationError("divisor does not live on the E-subdivision")
         for x in sub.exceptional:
             if self.divisor[x] != -1:
                 raise ValidationError(f"exceptional vertex {x} must carry -1")
-        object.__setattr__(self, "_sub", sub)
-
-    @property
-    def subdivision(self):
-        return self._sub
 
     @staticmethod
-    def of(base, eset, values):
-        sub = subdivide(base, eset)
-        return PseudoDivisor(base, frozenset(eset), Divisor.of(sub.result, values))
+    def of(base, eset, values, subdivision=None):
+        eset = frozenset(eset)
+        sub = subdivision if subdivision is not None else subdivide(base, eset)
+        return PseudoDivisor(base, eset, Divisor.of(sub.result, values), sub)
 
     def degree(self):
         return self.divisor.degree()
@@ -380,11 +386,12 @@ def is_quasistable(pd, v0, pol):
     return routes.accepts(pd.divisor._map)
 
 
-def compatible_pushforward(pd, e, half):
+def compatible_pushforward(pd, e, half, subdivision=None):
     """Push a pseudo-divisor along the contraction of one half of e in E.
 
     `half` selects the endpoint absorbing the exceptional -1: one of the two
-    result edges over e.  Returns the pseudo-divisor with E' = E - {e}.
+    result edges over e.  Returns the pseudo-divisor with E' = E - {e};
+    `subdivision` is the E'-subdivision of the base, when already built.
     """
     if e not in pd.eset:
         raise ValidationError(f"{e} is not subdivided")
@@ -395,13 +402,9 @@ def compatible_pushforward(pd, e, half):
     x = exceptional_id(e)
     tail, head = sub.dir_map[half]
     absorbed = tail if tail != x else head
-    new_e = pd.eset - {e}
-    vals = {}
-    newsub = subdivide(pd.base, new_e)
-    for v in newsub.result.vertex_ids:
-        vals[v] = pd.divisor[v]
+    vals = {v: pd.divisor[v] for v in sub.result.vertex_ids if v != x}
     vals[absorbed] += pd.divisor[x]
-    return PseudoDivisor.of(pd.base, new_e, vals)
+    return PseudoDivisor.of(pd.base, pd.eset - {e}, vals, subdivision)
 
 
 def pushforward(spec, pd):
@@ -427,7 +430,7 @@ def pushforward(spec, pd):
                 vals[spec(a)] += pd.divisor[v]
             else:
                 vals[v] += pd.divisor[v]
-    return PseudoDivisor.of(spec.target, new_e, vals)
+    return PseudoDivisor.of(spec.target, new_e, vals, newsub)
 
 
 def _value_windows(sub, pol_lifted, base_vertices):
@@ -478,13 +481,14 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     d = pol.degree()
     checks = 0
     found = []
+    subs = {}
     edge_ids = list(g.edge_ids)
     base_verts = list(g.vertex_ids)
     for r in range(len(edge_ids) + 1):
         for eset in combinations(edge_ids, r):
             eset = frozenset(eset)
             routes = _QuasistableRoutes(g, eset, v0, pol)
-            sub = routes.sub
+            sub = subs[eset] = routes.sub
             windows = _value_windows(sub, routes.lifted, base_verts)
             target_total = d + len(eset)
             vals = {x: -1 for x in sub.exceptional}
@@ -499,14 +503,14 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
                     )
                 vals.update(zip(base_verts, combo))
                 if routes.accepts(vals):
-                    found.append(PseudoDivisor(g, eset, Divisor.of(sub.result, vals)))
+                    found.append(PseudoDivisor(g, eset, Divisor.of(sub.result, vals), sub))
     found.sort(key=lambda p: p.canonical_key())
     index = {pd.canonical_key(): i for i, pd in enumerate(found)}
     covers = set()
     for i, pd in enumerate(found):
         for e in sorted(pd.eset):
             for half in pd.subdivision.halves[e]:
-                smaller = compatible_pushforward(pd, e, half)
+                smaller = compatible_pushforward(pd, e, half, subs[pd.eset - {e}])
                 j = index.get(smaller.canonical_key())
                 if j is None:
                     raise AssertionError("pushforward left the quasistable poset")

@@ -1,9 +1,15 @@
-"""Orientations, integer flows, their divisors, and admissible pairs.
+"""Integer flows, their divisors, and admissible pairs.
 
 A flow is canonically stored with zero edges unoriented: the cones downstream
 depend only on the values, and keeping phantom orientations would duplicate
 fan cones.  Acyclicity is the contracted-zero-edge notion: positive edges must
 induce no directed cycle after all zero edges are collapsed.
+
+acyclic_flows produces the acyclic flows with a given divisor directly on
+the undirected graph, each once: it peels sink classes of zero edges in one
+canonical order, so no orientation is enumerated and no copy has to be
+removed.  enumerate_admissible runs it once per nondisconnecting E and
+quasistable divisor, and its cap counts the pairs produced.
 """
 
 from dataclasses import dataclass
@@ -11,7 +17,7 @@ from functools import cached_property
 
 from .divisor import Divisor, PseudoDivisor
 from .errors import DeskScaleError, ValidationError
-from .graph import Graph, subdivide
+from .graph import Graph
 
 DEFAULT_PAIR_CAP = 1 << 20
 
@@ -141,101 +147,184 @@ def is_acyclic_flow(f):
     return all(color.get(u, 0) != 0 or dfs(u) for u in list(arcs))
 
 
-def _digraph_is_acyclic(graph, orient):
-    arcs = {}
-    for e, (s, t) in orient.items():
-        if s == t:
-            return False
-        arcs.setdefault(s, set()).add(t)
-    color = {}
-
-    def dfs(u):
-        color[u] = 1
-        for w in arcs.get(u, ()):
-            c = color.get(w, 0)
-            if c == 1:
-                return False
-            if c == 0 and not dfs(w):
-                return False
-        color[u] = 2
-        return True
-
-    return all(color.get(u, 0) != 0 or dfs(u) for u in list(arcs))
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def flows_with_divisor(graph, orient, target):
-    """All flows on the acyclic digraph (graph, orient) with divisor `target`.
-
-    Sink-peeling: pick the canonical sink, split its divisor value over the
-    incoming edges in every nonnegative way, remove the sink and recurse.
-    Returns flows as edge -> value dicts over the digraph's full edge set.
-    """
-    orient = {e: tuple(p) for e, p in orient.items()}
-    if set(orient) != set(graph.edge_ids):
-        raise ValidationError("orientation must cover every edge")
-    if not _digraph_is_acyclic(graph, orient):
-        raise ValidationError("digraph has a directed cycle")
-    if target.degree() != 0:
-        raise ValidationError("divisor must have degree 0")
-
-    def rec(vertices, edges, dvals):
-        if len(vertices) == 1:
-            v = next(iter(vertices))
-            return [dict()] if dvals[v] == 0 else []
-        sinks = sorted(v for v in vertices if not any(orient[e][0] == v for e in edges))
-        v = sinks[0]
-        incoming = sorted(e for e in edges if orient[e][1] == v)
-        need = dvals[v]
-        if need < 0:
-            return []
-        out = []
-        for split in _compositions(need, len(incoming)):
-            ndv = dict(dvals)
-            del ndv[v]
-            # removing e: v' -> v drops a -phi(e) term at v', so the target
-            # for the remaining digraph gains phi(e) there (degree stays 0)
-            for e, val in zip(incoming, split):
-                ndv[orient[e][0]] += val
-            rest = [e for e in edges if e not in incoming]
-            for sub in rec(vertices - {v}, rest, ndv):
-                whole = dict(sub)
-                whole.update(dict(zip(incoming, split)))
-                out.append(whole)
-        return out
-
-    dvals = {v: target[v] for v in graph.vertex_ids}
-    return rec(set(graph.vertex_ids), list(graph.edge_ids), dvals)
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+def _positive_splits(total, parts):
+    """Every way to write total as an ordered sum of `parts` positive ints."""
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(1, total - parts + 2):
+        for rest in _positive_splits(total - first, parts - 1):
             yield (first,) + rest
 
 
-def acyclic_orientations(graph):
-    """All acyclic orientations of the non-loop edges, canonically ordered.
+def acyclic_flows(graph, target):
+    """Every acyclic flow on `graph` with divisor `target`, each once.
 
-    Loops are omitted: an oriented loop is already a directed cycle, so any
-    acyclic flow vanishes there and the canonical form keeps them unoriented.
+    The zero edges of an acyclic flow split the vertices into connected
+    classes.  Every edge inside a class is zero (loops included), every edge
+    between two classes is positive, and the positive edges orient the
+    quotient without a directed cycle.  Such a flow is taken apart by
+    peeling sink classes: the edges from a sink class S to the vertices
+    still left all point into S and carry at least one unit each, at every
+    vertex of S they carry exactly its adjusted target, and removing S adds
+    each edge's value to the target of its far end.
+
+    A flow has one peeling order per reverse topological order of its
+    quotient; only the greedy one is followed, which at each step peels the
+    sink class with the smallest least vertex.  After a given history, S may
+    come next exactly when every class peeled after S's last neighbour (all
+    of them, if S has none) has a smaller least vertex than S, so the order
+    is checked class by class and no flow is produced twice.  Vertices
+    compare in the graph's (sorted) vertex order.  Candidate classes grow from their least vertex through
+    vertices of nonnegative target, and a branch stops as soon as a vertex
+    of the class has fewer units of target than edges that must leave the
+    class there, or a component of the vertices left has nonzero total.
     """
-    plain = [e for e in graph.edge_ids if not graph.is_loop(e)]
-    out = []
-    for mask in range(1 << len(plain)):
-        orient = {}
-        for i, e in enumerate(plain):
-            a, b = graph.ends[e]
-            orient[e] = (a, b) if not (mask >> i) & 1 else (b, a)
-        if _digraph_is_acyclic(graph, orient):
-            out.append(orient)
-    return out
+    if target.graph != graph:
+        raise ValidationError("divisor lives on another graph")
+    if target.degree() != 0:
+        raise ValidationError("divisor must have degree 0")
+    verts = graph.vertex_ids
+    index = {v: i for i, v in enumerate(verts)}
+    edges = []  # the non-loop edges as (id, end, end)
+    slots = []  # every edge id in order, with its index in edges (None for a loop)
+    for e, (a, b) in graph.edges:
+        slots.append((e, len(edges) if a != b else None))
+        if a != b:
+            edges.append((e, index[a], index[b]))
+    inc = [[] for _ in verts]  # per vertex: (edge index, far end)
+    nbr = [0] * len(verts)
+    for k, (_, a, b) in enumerate(edges):
+        inc[a].append((k, b))
+        inc[b].append((k, a))
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    need = [target[v] for v in verts]
+    value = [0] * len(edges)
+    tail = [0] * len(edges)  # ends of a positive edge, set when it is peeled
+    head = [0] * len(edges)
+    peeled = []  # (class mask, least vertex) in peeling order
+
+    members = {}  # mask -> its vertices, ascending
+
+    def bits(mask):
+        got = members.get(mask)
+        if got is None:
+            got = members[mask] = tuple(_bits(mask))
+        return got
+
+    def outside(v, mask):
+        return sum(1 for _, w in inc[v] if mask >> w & 1)
+
+    def components(rest):
+        """The vertex masks of the components that `rest` induces."""
+        comps = []
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                for v in bits(frontier):
+                    grown |= nbr[v]
+                frontier = grown & rest & ~comp
+                comp |= frontier
+            comps.append(comp)
+            rest &= ~comp
+        return comps
+
+    def grow(left, possible, cls, frontier, banned):
+        """Connected classes holding cls, inside possible, each once: the
+        least frontier vertex is first left out, then taken in."""
+        if not frontier:
+            yield cls
+            return
+        u = (frontier & -frontier).bit_length() - 1
+        bit = 1 << u
+        out = left & ~(possible & ~banned & ~bit)
+        if all(outside(v, out) <= need[v] for v in bits(cls & nbr[u])):
+            yield from grow(left, possible, cls, frontier & ~bit, banned | bit)
+        out = left & ~(possible & ~banned)
+        if outside(u, out) <= need[u]:
+            grown = (frontier | nbr[u] & possible) & ~(cls | bit | banned)
+            yield from grow(left, possible, cls | bit, grown, banned)
+
+    def sink_classes(left):
+        """(class, its cut edges per vertex) for every class that the greedy
+        order may peel next from the vertices in `left`."""
+        possible = 0
+        for v in bits(left):
+            if need[v] >= 0:
+                possible |= 1 << v
+        for r in bits(possible):
+            # the classes peeled since the last one with a larger least
+            # vertex; a class rooted at r must touch one of them
+            late = None
+            for j in range(len(peeled) - 1, -1, -1):
+                if peeled[j][1] > r:
+                    late = 0
+                    for mask, _ in peeled[j:]:
+                        for v in bits(mask):
+                            late |= nbr[v]
+                    break
+            above = possible & ~((2 << r) - 1)
+            for cls in grow(left, above | 1 << r, 1 << r, nbr[r] & above, 0):
+                if late is not None and not cls & late:
+                    continue
+                rest = left & ~cls
+                cut = []
+                for v in bits(cls):
+                    edges_out = [(k, w) for k, w in inc[v] if rest >> w & 1]
+                    if len(edges_out) > need[v] or (not edges_out and need[v]):
+                        break
+                    if edges_out:
+                        cut.append((v, edges_out))
+                else:
+                    yield cls, r, cut
+
+    def distribute(cut, i):
+        """Spread each vertex's target over its cut edges, one unit at least
+        on each; the far ends gain what they send."""
+        if i == len(cut):
+            yield
+            return
+        v, edges_out = cut[i]
+        for split in _positive_splits(need[v], len(edges_out)):
+            for (k, w), x in zip(edges_out, split):
+                value[k], tail[k], head[k] = x, w, v
+                need[w] += x
+            yield from distribute(cut, i + 1)
+            for (k, w), x in zip(edges_out, split):
+                need[w] -= x
+                value[k] = 0
+
+    def peel(left):
+        if not left:
+            flow = tuple((e, value[k] if k is not None else 0) for e, k in slots)
+            orient = tuple(
+                (e, (verts[tail[k]], verts[head[k]])) for e, k in slots if k is not None and value[k]
+            )
+            yield FlowAssignment(graph, orient, flow)
+            return
+        for cls, r, cut in sink_classes(left):
+            rest = left & ~cls
+            # no flow crosses between two components of rest any more, so
+            # each must balance; a single one does, as the total is zero
+            parts = components(rest)
+            if len(parts) < 2:
+                parts = ()
+            peeled.append((cls, r))
+            for _ in distribute(cut, 0):
+                if all(sum(need[v] for v in bits(c)) == 0 for c in parts):
+                    yield from peel(rest)
+            peeled.pop()
+
+    yield from peel((1 << len(verts)) - 1)
 
 
 @dataclass(frozen=True)
@@ -259,11 +348,13 @@ class AdmissiblePair:
 
 
 def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
-    """All admissible pairs for the base divisor d0.
+    """All admissible pairs for the base divisor d0, sorted by canonical key.
 
-    For each nondisconnecting E and acyclic orientation of the subdivision,
-    the flows hitting each quasistable divisor are collected via sink
-    peeling, canonicalized and deduplicated.
+    For each nondisconnecting E and each quasistable divisor D on the
+    E-subdivision, acyclic_flows yields every acyclic flow with divisor
+    D - D0 once.  Raises DeskScaleError once more than `cap` pairs have
+    been produced (the quasistable poset counts its candidate checks
+    against the same cap).
     """
     if d0.graph != g or pol.graph != g:
         raise ValidationError("divisor or polarization lives on the wrong graph")
@@ -277,44 +368,22 @@ def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
     by_eset = {}
     for pd in poset.elements:
         by_eset.setdefault(pd.eset, []).append(pd)
-    found = {}
-    work = 0
-    for eset in sorted(by_eset, key=sorted):
+    pairs = []
+    for eset, pds in by_eset.items():
         if not g.is_nondisconnecting(eset):
             continue
-        sub = subdivide(g, eset)
+        sub = pds[0].subdivision
         lifted_d0 = d0.lift_to_subdivision(sub)
-        targets = [(pd, pd.divisor.sub(lifted_d0)) for pd in by_eset[eset]]
-        # loops must carry zero flow in any acyclic assignment; peel them off
-        loops = {e for e in sub.result.edge_ids if sub.result.is_loop(e)}
-        loopfree = sub.result.remove_edges(loops)
-        for orient in acyclic_orientations(sub.result):
-            work += 1
-            if work > cap:
-                raise DeskScaleError(
-                    f"admissible-pair enumeration exceeded {cap} orientation visits"
-                )
-            # quick local feasibility: positive demand needs an incoming edge,
-            # negative demand an outgoing one
-            indeg = {v: 0 for v in sub.result.vertex_ids}
-            outdeg = {v: 0 for v in sub.result.vertex_ids}
-            for e, (s, t) in orient.items():
-                outdeg[s] += 1
-                indeg[t] += 1
-            for pd, target in targets:
-                feasible = all(
-                    not (target[v] > 0 and indeg[v] == 0)
-                    and not (target[v] < 0 and outdeg[v] == 0)
-                    for v in sub.result.vertex_ids
-                )
-                if not feasible:
-                    continue
-                loopfree_target = target.restrict_to(loopfree)
-                for raw in flows_with_divisor(loopfree, orient, loopfree_target):
-                    raw.update({e: 0 for e in loops})
-                    fa = FlowAssignment.of(sub.result, orient, raw)
-                    if not is_acyclic_flow(fa):
-                        continue
-                    pair = AdmissiblePair(g, eset, fa, pd)
-                    found.setdefault(pair.canonical_key(), pair)
-    return [found[k] for k in sorted(found)]
+        for pd in pds:
+            for fa in acyclic_flows(sub.result, pd.divisor.sub(lifted_d0)):
+                if len(pairs) == cap:
+                    raise DeskScaleError(
+                        f"admissible pairs: {cap + 1} pairs exceed the cap of {cap}"
+                    )
+                pairs.append(AdmissiblePair(g, eset, fa, pd))
+    keys = [p.canonical_key() for p in pairs]
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
+            raise AssertionError("an admissible pair was produced twice")
+    return [pairs[i] for i in order]

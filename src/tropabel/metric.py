@@ -14,15 +14,8 @@ from functools import cached_property
 
 from .abelfan import locate_point, merged_cone
 from .divisor import Divisor, Polarization, PseudoDivisor
-from .errors import ValidationError
-from .flow import (
-    AdmissiblePair,
-    FlowAssignment,
-    acyclic_orientations,
-    div_flow,
-    flows_with_divisor,
-    is_acyclic_flow,
-)
+from .errors import DeskScaleError, ValidationError
+from .flow import AdmissiblePair, FlowAssignment, acyclic_flows, div_flow
 from .graph import Graph, stable_reduction
 
 
@@ -269,29 +262,21 @@ def _place_on_stable_model(st, refinement, metric, pair, split):
 
 def double_ramification_cones(g, weights, cap=1 << 20):
     """All acyclic flows on g (nothing subdivided) killing the target
-    divisor, each with its fan cone.
+    divisor, each with its fan cone, in canonical flow order.
 
-    The target must have degree zero; enumeration runs over acyclic
-    orientations with sink-peeling, loops pinned to zero flow.
+    The target must have degree zero; the flows come from acyclic_flows,
+    loops carrying zero flow.  Raises DeskScaleError once more than `cap`
+    flows have been produced.
     """
     d = target_divisor(g, weights)
     if d.degree() != 0:
         raise ValidationError("target divisor must have degree 0")
     target = Divisor.of(g, {v: -d[v] for v in g.vertex_ids})
-    loops = {e for e in g.edge_ids if g.is_loop(e)}
-    loopfree = g.remove_edges(loops)
-    found = {}
-    for orient in acyclic_orientations(g):
-        for raw in flows_with_divisor(loopfree, orient, target.restrict_to(loopfree)):
-            raw.update({e: 0 for e in loops})
-            fa = FlowAssignment.of(g, orient, raw)
-            if not is_acyclic_flow(fa):
-                continue
-            found.setdefault(fa.canonical_key(), fa)
-    out = []
-    for key in sorted(found):
-        fa = found[key]
-        pd = PseudoDivisor.of(g, frozenset(), {v: 0 for v in g.vertex_ids})
-        pair = AdmissiblePair(g, frozenset(), fa, pd)
-        out.append(merged_cone(g, pair))
-    return out
+    flows = []
+    for fa in acyclic_flows(g, target):
+        if len(flows) == cap:
+            raise DeskScaleError(f"DR flows: {cap + 1} flows exceed the cap of {cap}")
+        flows.append(fa)
+    flows.sort(key=FlowAssignment.canonical_key)
+    pd = PseudoDivisor.of(g, frozenset(), {v: 0 for v in g.vertex_ids})
+    return [merged_cone(g, AdmissiblePair(g, frozenset(), fa, pd)) for fa in flows]

@@ -76,6 +76,36 @@ def random_instance(rng, max_edges=5):
     return g, v0, mu, Divisor.of(g, vals)
 
 
+def cycle_json(n):
+    """The cycle v0 - v1 - ... - v(n-1) - v0 as graph JSON, leg 0 at v0."""
+    return {
+        "vertices": [{"id": f"v{i}", "weight": 0} for i in range(n)],
+        "edges": [{"id": f"e{i}", "ends": [f"v{i}", f"v{(i + 1) % n}"]} for i in range(n)],
+        "legs": {"0": "v0"},
+    }
+
+
+def parallel_instance(n_edges, k, m):
+    """v0 and v1 joined by n_edges parallel edges (theta: 3, banana_4: 4),
+    with mu = (m, -m) and D0 = (k, -k)."""
+    g = build_graph(
+        {
+            "vertices": [{"id": "v0", "weight": 0}, {"id": "v1", "weight": 0}],
+            "edges": [{"id": f"e{i}", "ends": ["v0", "v1"]} for i in range(n_edges)],
+            "legs": {"0": "v0"},
+        }
+    )
+    return g, "v0", Polarization.of(g, {"v0": m, "v1": -m}), Divisor.of(g, {"v0": k, "v1": -k})
+
+
+def cycle_instance(n, k):
+    """The n-cycle with mu = 0 and D0 = k v0 - k v(n-1)."""
+    g = build_graph(cycle_json(n))
+    vals = {v: 0 for v in g.vertex_ids}
+    vals["v0"], vals[f"v{n - 1}"] = k, -k
+    return g, "v0", Polarization.zero(g), Divisor.of(g, vals)
+
+
 @pytest.fixture(scope="session")
 def random_instances():
     """The 20 seeded instances of the acceptance suite, with their pairs."""

@@ -19,7 +19,7 @@ from tropabel.abelfan import build_fan, expected_dim, merged_cone, verify_fan
 from tropabel.cli import main as cli_main
 from tropabel.cone import dual_and_hilbert
 from tropabel.divisor import Divisor, Polarization, PseudoDivisor, enumerate_quasistable
-from tropabel.flow import acyclic_orientations, enumerate_admissible, flows_with_divisor
+from tropabel.flow import acyclic_flows, enumerate_admissible
 from tropabel.graph import Graph, stable_reduction
 from tropabel.metric import AbelInput, MetricGraph, abel_eval, target_divisor
 from tropabel.semigroup import (
@@ -34,6 +34,12 @@ from tropabel.semigroup import (
 from tropabel.worked import theta_graph, theta_instance, worked_pair
 
 from conftest import random_connected_graph, random_instance, random_polarization
+from flow_oracle import (
+    acyclic_flows_by_orientations,
+    acyclic_orientations,
+    bruteforce_acyclic_flows,
+    flows_with_divisor,
+)
 
 
 def _report(number, text):
@@ -303,7 +309,9 @@ def test_acceptance_09_model_ring_powers():
 def test_acceptance_10_flow_oracle():
     """Sink-peeling enumeration matches bounded brute force exactly: all
     loop-free multigraph shapes up to 3 edges exhaustively, plus a seeded
-    family of digraphs with up to 5 edges and divisor entries up to 3."""
+    family of digraphs with up to 5 edges and divisor entries up to 3.  On
+    the same shapes, acyclic_flows yields each acyclic flow once and the
+    same flows as the orientation route and as brute force."""
 
     def brute(graph, orient, tgt):
         bound = sum(max(tgt[v], 0) for v in graph.vertex_ids)
@@ -319,7 +327,7 @@ def test_acceptance_10_flow_oracle():
                 out.append(dict(zip(edges, vals)))
         return sorted(tuple(sorted(f.items())) for f in out)
 
-    checked = 0
+    checked = generated = 0
     for nv in (2, 3):
         vids = [f"v{i}" for i in range(nv)]
         pool = [(a, b) for i, a in enumerate(vids) for b in vids[i + 1 :]]
@@ -332,6 +340,15 @@ def test_acceptance_10_flow_oracle():
                 )
                 if g.b0() != 1:
                     continue
+                for vals in product(range(-2, 3), repeat=nv):
+                    if sum(vals) != 0:
+                        continue
+                    tgt = Divisor.of(g, dict(zip(g.vertex_ids, vals)))
+                    keys = [fa.canonical_key() for fa in acyclic_flows(g, tgt)]
+                    assert len(set(keys)) == len(keys)
+                    assert set(keys) == set(acyclic_flows_by_orientations(g, tgt))
+                    assert set(keys) == set(bruteforce_acyclic_flows(g, tgt))
+                    generated += 1
                 for orient in acyclic_orientations(g):
                     for vals in product(range(-2, 3), repeat=nv):
                         if sum(vals) != 0:
@@ -361,7 +378,12 @@ def test_acceptance_10_flow_oracle():
         )
         assert got == brute(g, orient, tgt)
         extra += 1
-    _report(10, f"flow enumeration matches brute force on {checked} exhaustive + {extra} random cases")
+    assert generated > 200
+    _report(
+        10,
+        f"flow enumeration matches brute force on {checked} exhaustive + {extra} random cases; "
+        f"acyclic_flows matches both routes on {generated} shapes and divisors",
+    )
 
 
 def test_acceptance_11_abel_uniqueness_and_scaling():

@@ -311,6 +311,17 @@ def test_cap_exit_code(capsys, theta_file):
     assert "cap" in err.lower()
 
 
+def test_admissible_cap_counts_emitted_pairs(capsys, theta_file):
+    """Theta (64,-64) has 23,815 admissible pairs; under a cap of 1000 the
+    enumeration stops at the 1001st pair and names its stage."""
+    code, out, err = _run(
+        capsys,
+        ["admissible", "--graph", theta_file, "--mu", "0", "--D0", "64,-64", "--cap", "1000"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "desk-scale cap: admissible pairs: 1001 pairs exceed the cap of 1000\n"
+
+
 def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
     """On theta (8,-8) the pair enumeration fits under a cap of 500, but the
     fan's face specializations do not: the command stops at the stage that

@@ -69,6 +69,17 @@ def test_pseudo_divisor_invariant(theta):
         PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": 0, "x:e0": 0})
 
 
+def test_pseudo_divisors_share_one_subdivision_per_edge_set(theta):
+    poset = enumerate_quasistable(theta, "v0", Polarization.zero(theta))
+    shared = {}
+    for pd in poset.elements:
+        assert shared.setdefault(pd.eset, pd.subdivision) is pd.subdivision
+    assert len(shared) == 7
+    other = subdivide(theta, {"e0"})
+    with pytest.raises(ValidationError, match="not the E-subdivision"):
+        PseudoDivisor.of(theta, {"e1"}, {"v0": 1, "v1": 0, "x:e0": -1}, other)
+
+
 def test_quasistable_figure_top(theta):
     mu = Polarization.zero(theta)
     pd = PseudoDivisor.of(theta, {"e0", "e1"}, {"v0": 1, "v1": 1, "x:e0": -1, "x:e1": -1})
@@ -384,7 +395,7 @@ def test_certificates_survive_optimize():
     """The certificates on the enumeration path are explicit raises, so
     `python -O`, which strips assert statements, still trips them: a forced
     disagreement of the two quasistability routes, a pushforward leaving the
-    poset, divisors on different graphs, a flow divisor of nonzero degree,
+    poset, an admissible pair produced twice, divisors on different graphs, a flow divisor of nonzero degree,
     a non-unimodular integer inverse, contraction Betti numbers breaking the
     partition identity, and a dependent cycle basis."""
     script = textwrap.dedent(
@@ -418,9 +429,21 @@ def test_certificates_survive_optimize():
 
         stray = PseudoDivisor.of(g, set(), {"v0": 9, "v1": -9})
         real = divisor.compatible_pushforward
-        divisor.compatible_pushforward = lambda pd, e, half: stray
+        divisor.compatible_pushforward = lambda pd, e, half, subdivision=None: stray
         attempt("pushforward", lambda: divisor.enumerate_quasistable(g, "v0", mu))
         divisor.compatible_pushforward = real
+
+        real_flows = flow.acyclic_flows
+
+        def twice(graph, target):
+            for fa in real_flows(graph, target):
+                yield fa
+                yield fa
+
+        flow.acyclic_flows = twice
+        d0 = Divisor.of(g, {"v0": 2, "v1": -2})
+        attempt("pairs", lambda: flow.enumerate_admissible(g, "v0", mu, d0))
+        flow.acyclic_flows = real_flows
 
         other = graph.subdivide(g, {"e0"}).result
         attempt("add", lambda: Divisor.of(g, {}).add(Divisor.of(other, {})))
@@ -456,6 +479,7 @@ def test_certificates_survive_optimize():
     assert proc.stdout.splitlines() == [
         "routes rejected: quasistability cross-check failed",
         "pushforward rejected: pushforward left the quasistable poset",
+        "pairs rejected: an admissible pair was produced twice",
         "add rejected: divisors live on different graphs",
         "sub rejected: divisors live on different graphs",
         "div_flow rejected: divisor of a flow has nonzero degree",

@@ -21,9 +21,15 @@ from tropabel.cone import face_lattice_rayset
 from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import ValidationError
 from tropabel.flow import FlowAssignment, enumerate_admissible
-from tropabel.graph import Graph, build_graph, contract, subdivide
+from tropabel.graph import Graph, contract, subdivide
 
-from conftest import random_connected_graph, random_polarization
+from conftest import (
+    cycle_instance,
+    cycle_json,
+    parallel_instance,
+    random_connected_graph,
+    random_polarization,
+)
 
 
 def figure_pair(theta):
@@ -358,14 +364,6 @@ def test_partition_census_saturates(theta):
     assert len(seen) == len(cones) == 55
 
 
-def _cycle(n):
-    return {
-        "vertices": [{"id": f"v{i}", "weight": 0} for i in range(n)],
-        "edges": [{"id": f"e{i}", "ends": [f"v{i}", f"v{(i + 1) % n}"]} for i in range(n)],
-        "legs": {"0": "v0"},
-    }
-
-
 @pytest.mark.parametrize("n,k", [(4, 2), (4, 4), (5, 2), (5, 4)])
 def test_build_fan_on_cycles(tmp_path, monkeypatch, n, k):
     """Contracting an edge of a cycle can flip the sorted ends of a
@@ -382,7 +380,7 @@ def test_build_fan_on_cycles(tmp_path, monkeypatch, n, k):
 
     monkeypatch.setattr(cli, "build_fan", keep)
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(_cycle(n)))
+    path.write_text(json.dumps(cycle_json(n)))
     d0 = ",".join([str(k)] + ["0"] * (n - 2) + [str(-k)])
     out = tmp_path / "fan.json"
     assert cli.main(["build-fan", "--graph", str(path), "--mu", "0", "--D0", d0, "--out", str(out)]) == 0
@@ -441,24 +439,6 @@ def subset_loop_faces(abcone):
     return out
 
 
-def _parallel_instance(n_edges, k, m):
-    g = build_graph(
-        {
-            "vertices": [{"id": "v0", "weight": 0}, {"id": "v1", "weight": 0}],
-            "edges": [{"id": f"e{i}", "ends": ["v0", "v1"]} for i in range(n_edges)],
-            "legs": {"0": "v0"},
-        }
-    )
-    return g, "v0", Polarization.of(g, {"v0": m, "v1": -m}), Divisor.of(g, {"v0": k, "v1": -k})
-
-
-def _cycle_instance(n, k):
-    g = build_graph(_cycle(n))
-    vals = {v: 0 for v in g.vertex_ids}
-    vals["v0"], vals[f"v{n - 1}"] = k, -k
-    return g, "v0", Polarization.zero(g), Divisor.of(g, vals)
-
-
 def _assert_matches_oracles(g, v0, mu, d0):
     """Same JSON as the contraction loop, and each cone's lattice faces
     (keys and divisors) are the subset loop's."""
@@ -472,13 +452,13 @@ def _assert_matches_oracles(g, v0, mu, d0):
 @pytest.mark.parametrize(
     "instance",
     [
-        pytest.param(lambda: _parallel_instance(3, 4, 0), id="theta"),
-        pytest.param(lambda: _parallel_instance(4, 2, Fraction(1, 5)), id="banana4+"),
-        pytest.param(lambda: _parallel_instance(4, 2, Fraction(-1, 5)), id="banana4-"),
-        pytest.param(lambda: _cycle_instance(4, 2), id="cycle4-2"),
-        pytest.param(lambda: _cycle_instance(4, 4), id="cycle4-4"),
-        pytest.param(lambda: _cycle_instance(5, 2), id="cycle5-2"),
-        pytest.param(lambda: _cycle_instance(5, 4), id="cycle5-4"),
+        pytest.param(lambda: parallel_instance(3, 4, 0), id="theta"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(1, 5)), id="banana4+"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(-1, 5)), id="banana4-"),
+        pytest.param(lambda: cycle_instance(4, 2), id="cycle4-2"),
+        pytest.param(lambda: cycle_instance(4, 4), id="cycle4-4"),
+        pytest.param(lambda: cycle_instance(5, 2), id="cycle5-2"),
+        pytest.param(lambda: cycle_instance(5, 4), id="cycle5-4"),
     ],
 )
 def test_face_closure_matches_exhaustive_routes(instance):

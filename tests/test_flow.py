@@ -1,21 +1,34 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from tropabel.divisor import Divisor, Polarization, is_quasistable
-from tropabel.errors import ValidationError
+from tropabel.errors import DeskScaleError, ValidationError
 from tropabel.flow import (
     FlowAssignment,
-    acyclic_orientations,
+    acyclic_flows,
     div_flow,
     enumerate_admissible,
-    flows_with_divisor,
     is_acyclic_flow,
 )
 from tropabel.graph import Graph, contract, subdivide
 
-from conftest import random_connected_graph, random_polarization
+from conftest import (
+    cycle_instance,
+    parallel_instance,
+    random_connected_graph,
+    random_instance,
+    random_polarization,
+)
+from flow_oracle import (
+    acyclic_flows_by_orientations,
+    acyclic_orientations,
+    admissible_by_orientations,
+    bruteforce_acyclic_flows,
+    flows_with_divisor,
+)
 
 
 def _theta_subdivided_flow(theta):
@@ -126,10 +139,10 @@ def _bruteforce_flows(graph, orient, target):
     return out
 
 
-def test_flows_match_bruteforce_exhaustive_small():
-    # every loop-free multigraph shape on 2..3 vertices with <= 3 edges
-    # (edge multisets, since edge labels do not matter here), every acyclic
-    # orientation, every degree-0 divisor with entries bounded by 2
+def _small_shapes(loops=False):
+    """Every multigraph shape on 2..3 vertices with 1..3 edges between
+    distinct vertices (edge multisets), connected; with `loops`, each shape
+    also gets a loop at its last vertex."""
     from itertools import combinations_with_replacement
 
     shapes = []
@@ -139,12 +152,20 @@ def test_flows_match_bruteforce_exhaustive_small():
         for ne in (1, 2, 3):
             for combo in combinations_with_replacement(range(len(pairs)), ne):
                 edges = tuple((f"e{i}", pairs[c]) for i, c in enumerate(combo))
+                if loops:
+                    edges += (("l", (vids[-1], vids[-1])),)
                 g = Graph(tuple((v, 0) for v in vids), edges, ((0, vids[0]),))
                 if g.b0() == 1:
                     shapes.append(g)
-    assert shapes
+    return shapes
+
+
+def test_flows_match_bruteforce_exhaustive_small():
+    # every loop-free multigraph shape on 2..3 vertices with <= 3 edges
+    # (edge multisets, since edge labels do not matter here), every acyclic
+    # orientation, every degree-0 divisor with entries bounded by 2
     checked = 0
-    for g in shapes:
+    for g in _small_shapes():
         for orient in acyclic_orientations(g):
             for vals in product(range(-2, 3), repeat=len(g.vertex_ids)):
                 if sum(vals) != 0:
@@ -181,6 +202,100 @@ def test_flows_match_bruteforce_random_five_edges():
             tuple(sorted(f.items())) for f in want
         )
         done += 1
+
+
+def _generated(graph, target):
+    """acyclic_flows as key -> flow, after checking that no key comes twice
+    and that every flow is acyclic with the asked divisor."""
+    flows = list(acyclic_flows(graph, target))
+    keys = [fa.canonical_key() for fa in flows]
+    assert len(set(keys)) == len(keys)
+    for fa in flows:
+        assert fa.graph == graph and is_acyclic_flow(fa)
+        assert div_flow(fa).values == target.values
+    return dict(zip(keys, flows))
+
+
+def test_acyclic_flows_match_both_oracles_exhaustive_small():
+    """Every small shape (with and without a loop) and every degree-0
+    divisor with entries in -2..2: the generator, the orientation route and
+    brute force give the same flows."""
+    checked = 0
+    for g in _small_shapes() + _small_shapes(loops=True):
+        for vals in product(range(-2, 3), repeat=len(g.vertex_ids)):
+            if sum(vals) != 0:
+                continue
+            target = Divisor.of(g, dict(zip(g.vertex_ids, vals)))
+            got = _generated(g, target)
+            assert set(got) == set(acyclic_flows_by_orientations(g, target))
+            assert set(got) == set(bruteforce_acyclic_flows(g, target))
+            checked += 1
+    assert checked > 200
+
+
+def test_acyclic_flows_match_orientation_route_random():
+    """Seeded graphs with up to 6 edges, loops and parallel edges, and
+    divisors with entries up to 4."""
+    rng = random.Random(2027)
+    nonempty = 0
+    for _ in range(150):
+        g = random_connected_graph(rng, max_edges=6, max_extra_vertices=3)
+        vals = [rng.randint(-4, 4) for _ in g.vertex_ids]
+        vals[0] -= sum(vals)
+        target = Divisor.of(g, dict(zip(g.vertex_ids, vals)))
+        got = _generated(g, target)
+        assert set(got) == set(acyclic_flows_by_orientations(g, target))
+        nonempty += bool(got)
+    assert nonempty >= 50
+
+
+def test_acyclic_flows_single_vertex_and_rejections(single_vertex):
+    zero = Divisor.of(single_vertex, {"v": 0})
+    (fa,) = acyclic_flows(single_vertex, zero)
+    assert fa == FlowAssignment.zero(single_vertex)
+    g = Graph((("a", 0), ("b", 0)), (("e", ("a", "b")),), ((0, "a"),))
+    with pytest.raises(ValidationError, match="degree 0"):
+        list(acyclic_flows(g, Divisor.of(g, {"a": 1})))
+    with pytest.raises(ValidationError, match="another graph"):
+        list(acyclic_flows(g, zero))
+
+
+def _same_pairs(g, v0, mu, d0):
+    got = enumerate_admissible(g, v0, mu, d0)
+    want = admissible_by_orientations(g, v0, mu, d0)
+    assert [p.canonical_key() for p in got] == [p.canonical_key() for p in want]
+    for p, q in zip(got, want):
+        assert p.to_json() == q.to_json()
+        assert p.resulting_pd.canonical_key() == q.resulting_pd.canonical_key()
+    return len(got)
+
+
+def test_enumerate_admissible_matches_orientation_route_seeded():
+    """300 seeded random_instance(max_edges=6) draws: the same pairs, in
+    the same order, as sink peeling over every acyclic orientation."""
+    rng = random.Random(8080)
+    total = 0
+    for _ in range(300):
+        total += _same_pairs(*random_instance(rng, max_edges=6))
+    assert total > 5000
+
+
+def test_enumerate_admissible_matches_orientation_route_named():
+    """Theta with k <= 16, banana_4 with mu = +-1/5, cycle_4 and cycle_5."""
+    counts = [_same_pairs(*parallel_instance(3, k, 0)) for k in (1, 2, 4, 8, 16)]
+    assert counts[2:] == [55, 295, 1351]
+    for m in (Fraction(1, 5), Fraction(-1, 5)):
+        counts += [_same_pairs(*parallel_instance(4, k, m)) for k in (2, 4)]
+    counts += [_same_pairs(*cycle_instance(n, k)) for n in (4, 5) for k in (2, 4)]
+    assert all(counts)
+
+
+def test_enumerate_admissible_cap_counts_pairs():
+    """The cap counts emitted pairs: theta (8,-8) has 295 of them."""
+    theta = parallel_instance(3, 8, 0)
+    assert len(enumerate_admissible(*theta, cap=295)) == 295
+    with pytest.raises(DeskScaleError, match="^admissible pairs: 295 pairs exceed the cap of 294$"):
+        enumerate_admissible(*theta, cap=294)
 
 
 def test_enumerate_admissible_single_vertex(single_vertex):

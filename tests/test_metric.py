@@ -202,22 +202,11 @@ def _banana():
 def _bruteforce_drl_flows(g, weights):
     """Oracle: acyclic flows killing the target divisor, via sink-peeling
     over all acyclic orientations plus the acyclicity filter."""
-    from tropabel.flow import (
-        FlowAssignment,
-        acyclic_orientations,
-        flows_with_divisor,
-        is_acyclic_flow,
-    )
+    from flow_oracle import acyclic_flows_by_orientations
 
     d = target_divisor(g, weights)
     target = Divisor.of(g, {v: -d[v] for v in g.vertex_ids})
-    out = {}
-    for orient in acyclic_orientations(g):
-        for raw in flows_with_divisor(g, orient, target):
-            fa = FlowAssignment.of(g, orient, raw)
-            if is_acyclic_flow(fa):
-                out[fa.canonical_key()] = fa
-    return out
+    return acyclic_flows_by_orientations(g, target)
 
 
 def test_drl_two_edge_banana_unit_weights_is_empty():
