@@ -8,6 +8,13 @@ map that collapses the two halves of each subdivided edge.  The merge is an
 integral isomorphism; its inverse is assembled from the fundamental cycles
 through the subdivided edges and provides both the H-representation of the
 merged cone and the split of a located point back into half-lengths.
+
+Point location does not go through the pairs.  For each quasistable
+pseudo-divisor (E, D) it solves the tropical Abel-Jacobi condition exactly:
+the flows with divisor D - D0 differ by integer combinations of the
+fundamental cycles, and the cycle equations at the point are linear in
+those integers and in the half-lengths, so the candidates are the lattice
+points of a small parallelepiped (_EdgeSetSolve).
 """
 
 import math
@@ -16,11 +23,18 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cone import Cone, face_lattice_rayset
-from .divisor import Divisor, Polarization, PseudoDivisor
+from .divisor import Divisor, Polarization, PseudoDivisor, enumerate_quasistable
 from .errors import DeskScaleError, ValidationError
-from .flow import AdmissiblePair, FlowAssignment, enumerate_admissible, is_acyclic_flow
+from .flow import (
+    AdmissiblePair,
+    FlowAssignment,
+    _check_instance,
+    div_flow,
+    enumerate_admissible,
+    is_acyclic_flow,
+)
 from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, subdivide
-from .linalg import dot
+from .linalg import dot, inverse
 
 
 def _cycle_on_subdivision(cyc, sub):
@@ -69,25 +83,14 @@ def _through_sign(sub, flow, base):
     raise ValidationError(f"no oriented half over {base}")
 
 
-def _eset_frame(g, eset):
-    """The E-subdivision and the cycle basis avoiding E, shared by every
-    pair with that edge set."""
-    sub = subdivide(g, eset)
-    if not g.is_nondisconnecting(eset):
-        raise ValidationError("edge set disconnects the graph")
-    return sub, cycle_basis(g, avoid=eset)
-
-
-def _subdivision_data(g, eset, flow, frame=None):
-    """Subdivision, cycle basis and reference-signed flow values of a flow on
-    the E-subdivision, after the checks every cone of the pair relies on.
-    `frame` is _eset_frame(g, eset) when the caller already has it."""
-    sub, basis = frame if frame is not None else _eset_frame(g, eset)
+def _subdivision_data(sub, flow):
+    """Reference-signed flow values of a flow on the E-subdivision, after
+    the checks every cone of the pair relies on."""
     if flow.graph != sub.result:
         raise ValidationError("flow does not live on the E-subdivision")
     if not is_acyclic_flow(flow):
         raise ValidationError("flow is not acyclic")
-    return sub, basis, _signed_flow(sub, flow)
+    return _signed_flow(sub, flow)
 
 
 def _split_halfspaces(sub, basis, sflow):
@@ -123,7 +126,8 @@ def split_cone(g, eset, flow):
     coefficient of an edge is its cycle sign times its flow value.
     """
     eset = frozenset(eset)
-    sub, basis, sflow = _subdivision_data(g, eset, flow)
+    sub, basis = subdivide(g, eset), cycle_basis(g, avoid=eset)
+    sflow = _subdivision_data(sub, flow)
     cone = Cone.from_halfspaces(len(sub.result.edge_ids), *_split_halfspaces(sub, basis, sflow))
     return cone, sub, basis
 
@@ -214,15 +218,21 @@ class PairRows:
         }
 
 
-def pair_rows(g, pair, frame=None):
+def pair_rows(g, pair, basis=None):
     """The inverse rows and cycle equalities of an admissible pair.
 
     Tree edges are read off directly, and the two halves of a subdivided
     edge are solved from its fundamental-cycle equation using the unit gap
     between their flow values.  Raises unless the inverse rows merge back to
-    the identity.  `frame` is the pair's _eset_frame, when already built.
+    the identity.  The subdivision is the pair's pseudo-divisor's; `basis`
+    is cycle_basis(g, avoid=E), when already built.
     """
-    sub, basis, sflow = _subdivision_data(g, frozenset(pair.eset), pair.flow, frame)
+    sub = _sub_of(pair)
+    if sub.base != g:
+        raise ValidationError("the pair's subdivision is not one of the graph")
+    if basis is None:
+        basis = cycle_basis(g, avoid=pair.eset)
+    sflow = _subdivision_data(sub, pair.flow)
     live = g.edge_ids
     n_live = len(live)
     idx = {e: i for i, e in enumerate(live)}
@@ -276,16 +286,17 @@ def pair_rows(g, pair, frame=None):
     return PairRows(sub, basis, sflow, live, tuple(inverse_rows), tuple(eqs))
 
 
-def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset()):
+def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset(), rows=None):
     """The fan cone of an admissible pair, embedded in ambient edge space.
 
-    Built from the pair's rows (pair_rows): the inverse rows are the
-    inequalities and the cycles avoiding E the equalities; edges of the
-    ambient space missing from g are pinned to zero.  The merged cone runs
-    one double description, and the split cone is its image under the
-    inverse rows.
+    Built from the pair's rows (pair_rows, or `rows` when the caller already
+    has them): the inverse rows are the inequalities and the cycles avoiding
+    E the equalities; edges of the ambient space missing from g are pinned
+    to zero.  The merged cone runs one double description, and the split
+    cone is its image under the inverse rows.
     """
-    rows = pair_rows(g, pair)
+    if rows is None:
+        rows = pair_rows(g, pair)
     live = rows.live_edges
     amb = tuple(ambient_edges) if ambient_edges is not None else live
     amb_idx = {e: i for i, e in enumerate(amb)}
@@ -638,6 +649,152 @@ def verify_fan(fan, pairwise=True):
     return True
 
 
+def _box_points(ranges, cols, acc, z=()):
+    """Every integer point z of a box (one range per coordinate) together
+    with acc + sum_j z_j cols[j]; each step adds one column."""
+    j = len(z)
+    if j == len(ranges):
+        yield z, acc
+        return
+    rng, col = ranges[j], cols[j]
+    acc = [a + rng.start * c for a, c in zip(acc, col)]
+    for v in rng:
+        yield from _box_points(ranges, cols, acc, z + (v,))
+        acc = [a + c for a, c in zip(acc, col)]
+
+
+class _EdgeSetSolve:
+    """The flows of one nondisconnecting edge set E whose open cone holds an
+    integer point (edge lengths l over the graph's edges).
+
+    Take the tree of cycle_basis(g, avoid=E) and its fundamental cycles C_i.
+    Peeling the leaves of the subdivision's spanning tree (the tree plus the
+    half e:a of each e in E) gives a flow y0 with divisor D - D0, zero off
+    the tree; every other one is y0 + sum_i lam_i C_i with lam integer, and
+    the halves of e in E carry lam_e - 1 and lam_e.  Cycle i's equation at
+    the point is linear: (Q lam)_i = r_i, plus t_e in row e of E, where
+    Q = C diag(l) C^T, r = -C diag(l) y0 and t_e is the length of e:a.  The
+    rows off E are integer equalities, which fix lam off E as a function of
+    lam on E; the rows in E ask 0 < t_e < l_e, which keeps lam on E in an
+    open parallelepiped.  Its shape depends on E and l only, so it is built
+    once per E; each divisor D moves it.  Every lattice point of its
+    bounding box is tested exactly, in integers scaled by d, the common
+    denominator of the off-E block's inverse.  The box is at most |E| wide
+    along each e in E, whatever l and D0: its width is a sum over f in E of
+    |l_f (Q^-1)_ef|, and each term is an electrical transfer current, at
+    most 1.
+    """
+
+    def __init__(self, g, sub, ipoint):
+        self.sub = sub
+        self.basis = cycle_basis(g, avoid=sub.subdivided_set)
+        length = dict(zip(g.edge_ids, ipoint))
+        self.cycles = [dict(vec) for _, vec in self.basis.cycles]
+        tree = self.basis.spanning_tree
+        # r_i = sum over tree edges f of -C_i(f) l_f y0(f)
+        self.r_terms = [
+            [(f, -c * length[f]) for f, c in cyc.items() if f in tree] for cyc in self.cycles
+        ]
+        q = [
+            [sum(c * ci.get(f, 0) * length[f] for f, c in cj.items()) for ci in self.cycles]
+            for cj in self.cycles
+        ]
+        on = [i for i, (e, _) in enumerate(self.basis.cycles) if e in sub.subdivided_set]
+        off = [i for i, (e, _) in enumerate(self.basis.cycles) if e not in sub.subdivided_set]
+        self.on, self.off = on, off
+        qoo_inv = inverse([[q[i][j] for j in off] for i in off])
+        d = math.lcm(1, *(x.denominator for row in qoo_inv for x in row))
+        a = [[int(x * d) for x in row] for row in qoo_inv]
+        # d lam_off = a r_off - db lam_on and d t = ds lam_on + dc
+        db = [[dot(row, [q[m][j] for m in off]) for j in on] for row in a]
+        ds = [
+            [
+                d * q[i][j] - dot([q[i][m] for m in off], [row[n] for row in db])
+                for n, j in enumerate(on)
+            ]
+            for i in on
+        ]
+        self.d, self.a = d, a
+        self.q_on_off = [[q[i][m] for m in off] for i in on]
+        self.cols = [
+            tuple([-row[n] for row in db] + [row[n] for row in ds]) for n in range(len(on))
+        ]
+        self.dl = [d * length[self.basis.cycles[i][0]] for i in on]
+        # lam_on = ds^-1 (d t - dc) with d t in the open box (0, d l)
+        self.ds_inv = inverse(ds)
+        self.spread = [
+            (
+                sum(min(0, x * dl) for x, dl in zip(row, self.dl)),
+                sum(max(0, x * dl) for x, dl in zip(row, self.dl)),
+            )
+            for row in self.ds_inv
+        ]
+        # the subdivision's spanning tree, children after their parents:
+        # (vertex, parent edge, +1 if the edge points into the vertex, parent)
+        res = sub.result
+        tree_edges = set(tree) | {sub.halves[e][0] for e in sub.subdivided_set}
+        self.order = []
+        seen = {res.vertex_ids[0]}
+        queue = [res.vertex_ids[0]]
+        for v in queue:
+            for e, u in res.adjacency[v]:
+                if e in tree_edges and u not in seen:
+                    seen.add(u)
+                    self.order.append((u, e, 1 if sub.dir_map[e][1] == u else -1, v))
+                    queue.append(u)
+
+    def flows(self, target):
+        """One item per lattice point tested: the signed flow (per
+        subdivision edge, against its reference direction) when the point
+        solves every row, else None.  `target` is D - D0 per vertex."""
+        acc = {}
+        y = {h: 0 for h in self.sub.result.edge_ids}
+        for v, e, sign, parent in reversed(self.order):
+            need = target[v] - acc.get(v, 0)
+            y[e] = sign * need
+            acc[parent] = acc.get(parent, 0) - need
+        r = [sum(c * y[f] for f, c in terms) for terms in self.r_terms]
+        d, off = self.d, self.off
+        ar = [dot(row, [r[m] for m in off]) for row in self.a]
+        dc = [dot(row, ar) - d * r[i] for row, i in zip(self.q_on_off, self.on)]
+        ranges = []
+        for row, (lo, hi) in zip(self.ds_inv, self.spread):
+            centre = dot(row, dc)
+            ranges.append(range(math.floor(lo - centre) + 1, math.ceil(hi - centre)))
+        n_off = len(off)
+        for z, vec in _box_points(ranges, self.cols, ar + dc):
+            if any(x % d for x in vec[:n_off]) or not all(
+                0 < x < dl for x, dl in zip(vec[n_off:], self.dl)
+            ):
+                yield None
+                continue
+            lam = dict(zip(off, (x // d for x in vec[:n_off])))
+            lam.update(zip(self.on, z))
+            flow = dict(y)
+            for i, k in lam.items():
+                if k:
+                    for f, c in self.cycles[i].items():
+                        for h in self.sub.halves.get(f, (f,)):
+                            flow[h] += k * c
+            yield flow
+
+
+def _certified_pair(g, pd, basis, flow, d0, ipoint):
+    """The admissible pair of a signed flow found by _EdgeSetSolve, with its
+    rows, after two explicit checks: the flow's divisor is D - D0, and the
+    point lies in the pair's open cone."""
+    sub = pd.subdivision
+    orient = {h: sub.dir_map[h] if v > 0 else sub.dir_map[h][::-1] for h, v in flow.items() if v}
+    fa = FlowAssignment.of(sub.result, orient, {h: abs(v) for h, v in flow.items()})
+    if div_flow(fa).values != pd.divisor.sub(d0.lift_to_subdivision(sub)).values:
+        raise AssertionError("a lattice candidate's flow has the wrong divisor")
+    pair = AdmissiblePair(g, pd.eset, fa, pd)
+    rows = pair_rows(g, pair, basis)
+    if not rows.contains_interior(ipoint):
+        raise AssertionError("a lattice candidate lies outside its open cone")
+    return pair, rows
+
+
 def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1 << 20):
     """Find the unique admissible pair whose open cone contains the point.
 
@@ -647,14 +804,22 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     split values) where the split values place the exceptional points on
     the subdivided edges.
 
-    Pairs are scanned in canonical order (reversed with `reverse`) and
-    tested against their rows (pair_rows): the point lies in the open cone
-    exactly when every cycle equality vanishes at it and every inverse row
-    is positive there.  The subdivision and cycle basis are built once per
-    edge set E.  Only the hit's merged cone is built, so a point costs two
-    double descriptions however many cones the fan has.  With
-    `check_unique` every pair is tested and a second hit raises.
+    No admissible pair is enumerated.  The quasistable pseudo-divisors
+    (E, D) are taken in canonical order (reversed with `reverse`), and for
+    each nondisconnecting E the lattice solve (_EdgeSetSolve, built once per
+    E) yields the flows with divisor D - D0 whose cone holds the point; each
+    is certified against its pair's rows (pair_rows) and only the hit's
+    merged cone is built.  The lattice points tested per (E, D) are bounded
+    by the graph alone, whatever D0 and the scale of the point.  With `check_unique` every (E, D) is tested and a
+    second hit raises.  `cap` bounds the quasistable candidate checks plus
+    the lattice points tested.
     """
+    cone, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
+    return cone, split
+
+
+def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
+    """locate_point, also returning the number of lattice points tested."""
     point = {e: point[e] for e in g.edge_ids}
     for e, x in point.items():
         if x < 0:
@@ -671,25 +836,42 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
         f = Fraction(point[e])
         denom = denom * f.denominator // math.gcd(denom, f.denominator)
     ipoint = tuple(int(Fraction(point[e]) * denom) for e in live_g.edge_ids)
-    pairs = enumerate_admissible(live_g, v0, pol, d0, cap=cap)
-    order = reversed(pairs) if reverse else pairs
+    _check_instance(live_g, pol, d0)
+    poset = enumerate_quasistable(live_g, v0, pol, cap=cap)
+    solves = {}
+    tested = 0
     hit = None
-    frames = {}
-    for pair in order:
-        eset = frozenset(pair.eset)
-        if eset not in frames:
-            frames[eset] = _eset_frame(live_g, eset)
-        rows = pair_rows(live_g, pair, frames[eset])
-        if rows.contains_interior(ipoint):
-            if hit is None:
-                hit = pair, rows
-                if not check_unique:
-                    break
-            else:
+    for pd in reversed(poset.elements) if reverse else poset.elements:
+        if pd.eset not in solves:
+            nondisconnecting = live_g.is_nondisconnecting(pd.eset)
+            solves[pd.eset] = (
+                _EdgeSetSolve(live_g, pd.subdivision, ipoint) if nondisconnecting else None
+            )
+        solve = solves[pd.eset]
+        if solve is None:
+            continue
+        target = {v: pd.divisor[v] - d0[v] for v in live_g.vertex_ids}
+        target.update((x, -1) for x in pd.subdivision.exceptional)
+        for flow in solve.flows(target):
+            tested += 1
+            if poset.checks + tested > cap:
+                raise DeskScaleError(
+                    f"locate: {poset.checks} candidate checks and {tested} lattice points "
+                    f"exceed the cap of {cap}"
+                )
+            if flow is None:
+                continue
+            found = _certified_pair(live_g, pd, solve.basis, flow, d0, ipoint)
+            if hit is not None:
                 raise AssertionError("point lies in two open cones")
+            hit = found
+            if not check_unique:
+                break
+        if hit is not None and not check_unique:
+            break
     if hit is None:
         raise ValidationError("point not located in any open cone")
     pair, rows = hit
-    cone = merged_cone(live_g, pair, ambient_edges=g.edge_ids, spec_contracted=zeros)
+    cone = merged_cone(live_g, pair, ambient_edges=g.edge_ids, spec_contracted=zeros, rows=rows)
     split = {e: Fraction(v, denom) for e, v in rows.split_point(ipoint).items()}
-    return cone, split
+    return cone, split, tested

@@ -446,10 +446,12 @@ def _value_windows(sub, pol_lifted, base_vertices):
 @dataclass(frozen=True)
 class QuasistablePoset:
     """All quasistable pseudo-divisors of a polarized 1-legged graph, ordered
-    by specialization; covers link (E, D) to its single-edge pushforwards."""
+    by specialization; covers link (E, D) to its single-edge pushforwards.
+    checks counts the candidates tested to find them."""
 
     elements: tuple  # PseudoDivisor, canonically sorted
     covers: tuple  # (i, j) index pairs: element i covers element j
+    checks: int = field(default=0, compare=False)
 
     def index(self, pd):
         key = pd.canonical_key()
@@ -515,4 +517,4 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
                 if j is None:
                     raise AssertionError("pushforward left the quasistable poset")
                 covers.add((i, j))
-    return QuasistablePoset(tuple(found), tuple(sorted(covers)))
+    return QuasistablePoset(tuple(found), tuple(sorted(covers)), checks)

@@ -347,6 +347,16 @@ class AdmissiblePair:
         return data
 
 
+def _check_instance(g, pol, d0):
+    """The checks on (g, mu, D0) shared by every search for D0's pairs."""
+    if d0.graph != g or pol.graph != g:
+        raise ValidationError("divisor or polarization lives on the wrong graph")
+    if d0.degree() != pol.degree():
+        raise ValidationError(
+            f"deg D0 = {d0.degree()} differs from deg mu = {pol.degree()}"
+        )
+
+
 def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
     """All admissible pairs for the base divisor d0, sorted by canonical key.
 
@@ -356,12 +366,7 @@ def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
     been produced (the quasistable poset counts its candidate checks
     against the same cap).
     """
-    if d0.graph != g or pol.graph != g:
-        raise ValidationError("divisor or polarization lives on the wrong graph")
-    if d0.degree() != pol.degree():
-        raise ValidationError(
-            f"deg D0 = {d0.degree()} differs from deg mu = {pol.degree()}"
-        )
+    _check_instance(g, pol, d0)
     from .divisor import enumerate_quasistable
 
     poset = enumerate_quasistable(g, v0, pol, cap=cap)

@@ -272,12 +272,14 @@ def _det_int(m):
     return int(det) if det.denominator == 1 else det
 
 
-def _int_inverse(m):
-    """Inverse of a unimodular integer matrix, as integer rows."""
+def inverse(m):
+    """Inverse of a nonsingular square matrix, as rows of Fractions."""
     n = len(m)
     a = [[Fraction(x) for x in m[i]] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
         a[c], a[piv] = a[piv], a[c]
         inv = 1 / a[c][c]
         a[c] = [x * inv for x in a[c]]
@@ -285,9 +287,13 @@ def _int_inverse(m):
             if i != c and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [tuple(row[n:]) for row in a]
+
+
+def _int_inverse(m):
+    """Inverse of a unimodular integer matrix, as integer rows."""
     out = []
-    for i in range(n):
-        row = a[i][n:]
+    for row in inverse(m):
         if any(x.denominator != 1 for x in row):
             raise AssertionError("matrix is not unimodular")
         out.append(tuple(int(x) for x in row))

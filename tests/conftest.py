@@ -76,6 +76,38 @@ def random_instance(rng, max_edges=5):
     return g, v0, mu, Divisor.of(g, vals)
 
 
+def abel_instances(rng, count):
+    """`count` seeded Abel-map instances on graphs of at most 3 edges, each as
+    (metric graph, AbelInput, scale factor); draws whose stable model has no
+    edges are skipped."""
+    from fractions import Fraction
+
+    from tropabel.graph import stable_reduction
+    from tropabel.metric import AbelInput, MetricGraph, target_divisor
+
+    done = 0
+    while done < count:
+        base = random_connected_graph(rng, max_edges=3, max_extra_vertices=1)
+        n_extra = rng.randint(0, 1)
+        legs = [(0, base.leg_map[0])] + [
+            (i + 1, rng.choice(base.vertex_ids)) for i in range(n_extra)
+        ]
+        g = Graph(base.vertices, base.edges, tuple(legs))
+        weights = tuple(rng.randint(-2, 2) for _ in legs) + (rng.randint(0, 1),)
+        st, _, _ = stable_reduction(Graph(g.vertices, g.edges, ((0, g.leg_map[0]),)))
+        if not st.edge_ids:
+            continue
+        d = target_divisor(g, weights).degree()
+        mu = random_polarization(rng, st, degree=d)
+        metric = MetricGraph.of(
+            g,
+            {e: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for e in g.edge_ids},
+        )
+        lam = rng.choice([2, Fraction(1, 3), 7])
+        yield metric, AbelInput(weights, mu), lam
+        done += 1
+
+
 def cycle_json(n):
     """The cycle v0 - v1 - ... - v(n-1) - v0 as graph JSON, leg 0 at v0."""
     return {

@@ -10,7 +10,6 @@ everywhere, and the stated wall-clock budgets are asserted.
 import json
 import random
 import time
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -20,8 +19,8 @@ from tropabel.cli import main as cli_main
 from tropabel.cone import dual_and_hilbert
 from tropabel.divisor import Divisor, Polarization, PseudoDivisor, enumerate_quasistable
 from tropabel.flow import acyclic_flows, enumerate_admissible
-from tropabel.graph import Graph, stable_reduction
-from tropabel.metric import AbelInput, MetricGraph, abel_eval, target_divisor
+from tropabel.graph import Graph
+from tropabel.metric import abel_eval
 from tropabel.semigroup import (
     MonomialIdeal,
     boundary_functionals,
@@ -33,7 +32,7 @@ from tropabel.semigroup import (
 )
 from tropabel.worked import theta_graph, theta_instance, worked_pair
 
-from conftest import random_connected_graph, random_instance, random_polarization
+from conftest import abel_instances, random_connected_graph, random_instance
 from flow_oracle import (
     acyclic_flows_by_orientations,
     acyclic_orientations,
@@ -389,31 +388,13 @@ def test_acceptance_10_flow_oracle():
 def test_acceptance_11_abel_uniqueness_and_scaling():
     """500 random metric-graph instances: scaling the lengths and reversing
     the enumeration order leave the located answer unchanged."""
-    rng = random.Random(1111)
     done = 0
-    while done < 500:
-        base = random_connected_graph(rng, max_edges=3, max_extra_vertices=1)
-        n_extra = rng.randint(0, 1)
-        legs = [(0, base.leg_map[0])] + [
-            (i + 1, rng.choice(base.vertex_ids)) for i in range(n_extra)
-        ]
-        g = Graph(base.vertices, base.edges, tuple(legs))
-        weights = tuple(rng.randint(-2, 2) for _ in legs) + (rng.randint(0, 1),)
-        st, _, _ = stable_reduction(Graph(g.vertices, g.edges, ((0, g.leg_map[0]),)))
-        if not st.edge_ids:
-            continue
-        d = target_divisor(g, weights).degree()
-        mu = random_polarization(rng, st, degree=d)
-        metric = MetricGraph.of(
-            g,
-            {e: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for e in g.edge_ids},
-        )
-        inp = AbelInput(weights, mu)
+    for metric, inp, lam in abel_instances(random.Random(1111), 500):
         res = abel_eval(metric, inp)
-        lam = rng.choice([2, Fraction(1, 3), 7])
         scaled = abel_eval(metric.scaled(lam), inp)
         reversed_order = abel_eval(metric, inp, reverse=True)
         assert scaled.answer_key() == res.answer_key()
         assert reversed_order.answer_key() == res.answer_key()
         done += 1
+    assert done == 500
     _report(11, "Abel evaluation stable under scaling and reversed enumeration (500 instances)")

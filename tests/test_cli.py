@@ -322,6 +322,23 @@ def test_admissible_cap_counts_emitted_pairs(capsys, theta_file):
     assert err == "desk-scale cap: admissible pairs: 1001 pairs exceed the cap of 1000\n"
 
 
+def test_locate_cap_counts_candidates_and_lattice_points(capsys, theta_file):
+    """Locating a point enumerates no pairs: theta (64,-64) fits under a cap
+    of 1000 (its 12 candidate checks and a few lattice points), while a cap
+    below the 12 candidate checks stops the quasistable stage."""
+    argv = ["locate", "--graph", theta_file, "--mu", "0", "--D0", "64,-64", "--point", "3,5,7"]
+    code, out, err = _run(capsys, argv + ["--cap", "1000"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pair"]["E"] == ["e0", "e2"]
+    assert _run(capsys, argv) == (0, out, "")
+    code, out, err = _run(capsys, argv + ["--cap", "5"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "desk-scale cap: quasistable enumeration exceeded 5 candidate checks; "
+        "instance is beyond desk scale\n"
+    )
+
+
 def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
     """On theta (8,-8) the pair enumeration fits under a cap of 500, but the
     fan's face specializations do not: the command stops at the stage that
