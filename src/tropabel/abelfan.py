@@ -34,7 +34,7 @@ from .flow import (
     is_acyclic_flow,
 )
 from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, subdivide
-from .linalg import dot, inverse
+from .linalg import clear_denominators, dot, inverse
 
 
 def _cycle_on_subdivision(cyc, sub):
@@ -601,13 +601,6 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     return fan
 
 
-def _push_divisor(spec, d):
-    vals = {v: 0 for v in spec.target.vertex_ids}
-    for v in spec.source.vertex_ids:
-        vals[spec(v)] += d[v]
-    return Divisor.of(spec.target, vals)
-
-
 def verify_fan(fan, pairwise=True):
     """Constructive fan-axiom check: face closure, and pairwise intersections
     realized as common faces (matched through their ray sets).
@@ -829,13 +822,9 @@ def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
     if zeros:
         spec = contract(g, zeros)
         live_g = spec.target
-        v0, pol, d0 = spec(v0), pol.pushforward(spec), _push_divisor(spec, d0)
+        v0, pol, d0 = spec(v0), pol.pushforward(spec), d0.pushforward(spec)
     # scale to integers: cone membership is invariant under positive scaling
-    denom = 1
-    for e in live_g.edge_ids:
-        f = Fraction(point[e])
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-    ipoint = tuple(int(Fraction(point[e]) * denom) for e in live_g.edge_ids)
+    ipoint, denom = clear_denominators(point[e] for e in live_g.edge_ids)
     _check_instance(live_g, pol, d0)
     poset = enumerate_quasistable(live_g, v0, pol, cap=cap)
     solves = {}

@@ -10,7 +10,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .abelfan import build_fan, classify_ray, expected_dim, locate_point, merged_cone, verify_fan
 from .cone import Cone, dual_and_hilbert
@@ -18,6 +17,7 @@ from .divisor import Divisor, Polarization, enumerate_quasistable
 from .errors import DeskScaleError, GoldenMismatch, ValidationError
 from .flow import enumerate_admissible
 from .graph import build_graph
+from .linalg import format_rational, parse_rational
 from .metric import double_ramification_cones
 from .semigroup import node_ring, model_symbolic_power, ray_power_intersection, symbolic_power_ideal
 
@@ -49,20 +49,10 @@ def _load_graph(path):
     return build_graph(data)
 
 
-def _parse_fraction(text):
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational {text!r}") from exc
-
-
 def _parse_mu(text, g):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1 and len(g.vertex_ids) != 1:
-        value = _parse_fraction(parts[0])
+        value = parse_rational(parts[0])
         if value != 0:
             raise ValidationError(
                 "a single polarization value is only allowed as the uniform 0"
@@ -72,7 +62,7 @@ def _parse_mu(text, g):
         raise ValidationError(
             f"polarization needs {len(g.vertex_ids)} values (canonical vertex order)"
         )
-    return Polarization.of(g, dict(zip(g.vertex_ids, map(_parse_fraction, parts))))
+    return Polarization.of(g, dict(zip(g.vertex_ids, map(parse_rational, parts))))
 
 
 def _parse_d0(text, g):
@@ -94,7 +84,7 @@ def _parse_point(text, g):
         raise ValidationError(
             f"point needs {len(g.edge_ids)} coordinates (canonical edge order)"
         )
-    return dict(zip(g.edge_ids, map(_parse_fraction, parts)))
+    return dict(zip(g.edge_ids, map(parse_rational, parts)))
 
 
 def _parse_weights(text):
@@ -120,11 +110,6 @@ def _cap(args):
         except ValueError as exc:
             raise ValidationError(f"TAK_CAP must be an integer: {env!r}") from exc
     return DEFAULT_CAP
-
-
-def _frac_str(v):
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
 def cmd_quasistable_poset(args):
@@ -163,7 +148,7 @@ def cmd_locate(args):
         "pair": cone.provenance.to_json(),
         "contracted": sorted(cone.spec_contracted),
         "divisor": cone.provenance.resulting_pd.to_json(),
-        "splits": {e: _frac_str(v) for e, v in split.items()},
+        "splits": {e: format_rational(v) for e, v in split.items()},
     }
     _dump(out, args.out)
     return 0

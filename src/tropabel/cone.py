@@ -16,28 +16,18 @@ from functools import cached_property
 
 from .errors import DeskScaleError, ValidationError
 from .linalg import (
+    clear_denominators,
     dot,
+    independent_rows,
+    inverse,
     lattice_quotient,
     left_kernel_lattice,
     nullspace,
     primitive,
     rank,
-    solve,
     vec_scale,
     vec_sub,
 )
-
-
-def _independent_rows(rows):
-    """Indices of a greedy maximal linearly independent subset."""
-    chosen = []
-    cur = 0
-    for i, row in enumerate(rows):
-        cand = [rows[j] for j in chosen] + [row]
-        if rank(cand) > cur:
-            chosen.append(i)
-            cur += 1
-    return chosen
 
 
 def rays_from_halfspaces(ineqs, dim):
@@ -49,20 +39,13 @@ def rays_from_halfspaces(ineqs, dim):
     rows = [tuple(a) for a in ineqs if any(a)]
     if dim == 0:
         return []
-    if rank(rows) < dim:
+    base_idx = independent_rows(rows)
+    if len(base_idx) < dim:
         raise ValidationError("cone is not pointed")
-    base_idx = _independent_rows(rows)
     base = [rows[i] for i in base_idx]
     rest = [r for i, r in enumerate(rows) if i not in base_idx]
     # simplicial start: rays are the columns of the inverse of the base rows
-    rays = []
-    for j in range(dim):
-        rhs = [1 if i == j else 0 for i in range(dim)]
-        sol = solve(base, rhs)
-        den = 1
-        for x in sol:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rays.append(primitive(tuple(int(x * den) for x in sol)))
+    rays = [primitive(clear_denominators(col)[0]) for col in zip(*inverse(base))]
     processed = list(base)
 
     def tight_set(r):
@@ -152,7 +135,7 @@ class Cone:
         if not self.rays:
             return ()
         mat = [list(r) for r in self.rays]
-        idx = _independent_rows(mat)
+        idx = independent_rows(mat)
         return tuple(tuple(mat[i]) for i in idx)
 
     @cached_property
@@ -302,8 +285,8 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
     hi = [0] * n
     for j in range(n):
         fracs = [Fraction(d[j], deg) for d, deg in zip(dual_ray_list, degs)]
-        lo[j] = min([0] + [_floor_frac(f * W) for f in fracs])
-        hi[j] = max([0] + [_ceil_frac(f * W) for f in fracs])
+        lo[j] = min([0] + [math.floor(f * W) for f in fracs])
+        hi[j] = max([0] + [math.ceil(f * W) for f in fracs])
 
     def in_dual(u):
         return all(dot(u, r) >= 0 for r in primal_rays)
@@ -347,14 +330,6 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
             if s in bset:
                 raise AssertionError("Hilbert basis not minimal")
     return sorted(basis)
-
-
-def _floor_frac(f):
-    return f.numerator // f.denominator
-
-
-def _ceil_frac(f):
-    return -((-f.numerator) // f.denominator)
 
 
 def dual_and_hilbert(cone):

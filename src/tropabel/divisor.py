@@ -12,6 +12,7 @@ from itertools import combinations, product
 
 from .errors import DeskScaleError, ValidationError
 from .graph import Graph, Subdivision, exceptional_id, subdivide
+from .linalg import format_rational
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
@@ -59,6 +60,13 @@ class Divisor:
         vals = {v: self[v] for v in self.graph.vertex_ids}
         vals.update({x: 0 for x in sub.exceptional})
         return Divisor.of(sub.result, vals)
+
+    def pushforward(self, spec):
+        """The divisor on spec.target summing the values over each fiber."""
+        vals = {v: 0 for v in spec.target.vertex_ids}
+        for v in self.graph.vertex_ids:
+            vals[spec(v)] += self[v]
+        return Divisor.of(spec.target, vals)
 
     def restrict_to(self, graph):
         """Forget vertices not present in `graph` (values there must exist)."""
@@ -126,7 +134,7 @@ class Polarization:
         return Polarization.of(spec.target, vals)
 
     def to_json(self):
-        return {v: f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator) for v, c in self.values}
+        return {v: format_rational(c) for v, c in self.values}
 
 
 @dataclass(frozen=True)
@@ -500,8 +508,8 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
                 checks += 1
                 if checks > cap:
                     raise DeskScaleError(
-                        f"quasistable enumeration exceeded {cap} candidate checks; "
-                        "instance is beyond desk scale"
+                        f"quasistable pseudo-divisors: {cap + 1} candidate checks "
+                        f"exceed the cap of {cap}"
                     )
                 vals.update(zip(base_verts, combo))
                 if routes.accepts(vals):

@@ -2,10 +2,18 @@
 
 Vectors are tuples of ints (or Fractions where noted); matrices are tuples of
 row tuples.  Everything is exact; floats never appear.
+
+Rational elimination has one kernel, `_eliminate` (Gauss-Jordan on Fraction
+rows); rank, nullspace, solve, inverse, the determinant and the greedy
+independent-row choice all read its pivots.  Rationals cross the program's
+boundary through one codec: `format_rational` writes "n" or "p/q", and
+`parse_rational` reads an int or such a string back.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .errors import ValidationError
 
 
 def dot(u, v):
@@ -51,6 +59,70 @@ def sign_normalize(vec):
     return v
 
 
+def clear_denominators(fracs):
+    """(ints, den): den is the least positive integer making every entry of
+    fracs integral, and ints are the entries times den."""
+    fracs = [Fraction(x) for x in fracs]
+    den = lcm(1, *(x.denominator for x in fracs))
+    return tuple(x.numerator * (den // x.denominator) for x in fracs), den
+
+
+def format_rational(q):
+    """The text "n" for an integer, else "p/q" in lowest terms with the
+    sign on p."""
+    return str(Fraction(q))
+
+
+def parse_rational(text):
+    """The Fraction of an int, or of a string "n" or "p/q" with integers n,
+    p and q != 0.  Anything else (floats, bools, "0.5", "1/0", "1/2/3")
+    raises ValidationError."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str) and text.count("/") <= 1:
+        try:
+            return Fraction(*(int(p) for p in text.split("/")))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad rational {text!r}") from exc
+    raise ValidationError(f"bad rational {text!r}")
+
+
+def _eliminate(m, ncols):
+    """Gauss-Jordan elimination, in place, of the first ncols columns of the
+    Fraction rows m; columns past ncols (an augmented part) ride along.
+
+    Pivots are taken in column order, each from the first row at or below
+    the current one with a nonzero entry, and scaled to 1.  Returns
+    (pivots, sign, product): pivots[i] is the pivot column of row i, sign is
+    the parity of the row swaps and product the product of the pivots
+    before scaling, so a square matrix of full rank has determinant
+    sign * product.
+    """
+    pivots = []
+    sign, product = 1, Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p = m[r][c]
+        product *= p
+        inv = 1 / p
+        m[r] = [a * inv for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, sign, product
+
+
 def _to_fraction_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
@@ -59,24 +131,20 @@ def rank(rows):
     """Rank over the rationals."""
     if not rows:
         return 0
-    m = _to_fraction_rows(rows)
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    return len(_eliminate(_to_fraction_rows(rows), len(rows[0]))[0])
+
+
+def independent_rows(rows):
+    """Indices of the greedy maximal linearly independent subset of rows
+    (each row kept when it is independent of the rows kept before it).
+
+    These are the pivot columns of the transpose: a column is a pivot
+    exactly when it is not a combination of the columns before it.
+    """
+    if not rows:
+        return []
+    cols = [[Fraction(row[j]) for row in rows] for j in range(len(rows[0]))]
+    return _eliminate(cols, len(rows))[0]
 
 
 def nullspace(rows, ncols):
@@ -85,34 +153,16 @@ def nullspace(rows, ncols):
     Returns a deterministic list (free columns in increasing order).
     """
     m = _to_fraction_rows(rows)
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(m):
-            break
+    pivots = _eliminate(m, ncols)[0]
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for c in free:
+    for c in range(ncols):
+        if c in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[c] = Fraction(1)
-        for pc, pr in pivots.items():
+        for pr, pc in enumerate(pivots):
             v[pc] = -m[pr][c]
-        den = 1
-        for a in v:
-            den = den * a.denominator // gcd(den, a.denominator)
-        basis.append(sign_normalize(tuple(int(a * den) for a in v)))
+        basis.append(sign_normalize(clear_denominators(v)[0]))
     return basis
 
 
@@ -125,29 +175,12 @@ def solve(rows, rhs):
         return None
     ncols = len(rows[0])
     m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
+    pivots = _eliminate(m, ncols)[0]
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for c, pr in pivots.items():
-        x[c] = m[pr][ncols]
+    for pr, pc in enumerate(pivots):
+        x[pc] = m[pr][ncols]
     return tuple(x)
 
 
@@ -254,39 +287,19 @@ def lattice_quotient(basis, n):
 
 def _det_int(m):
     n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    pivots, sign, product = _eliminate(_to_fraction_rows(m), n)
+    if len(pivots) < n:
+        return 0
+    det = sign * product
     return int(det) if det.denominator == 1 else det
 
 
 def inverse(m):
     """Inverse of a nonsingular square matrix, as rows of Fractions."""
     n = len(m)
-    a = [[Fraction(x) for x in m[i]] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    a = [[Fraction(x) for x in m[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if len(_eliminate(a, n)[0]) < n:
+        raise ValueError("matrix is singular")
     return [tuple(row[n:]) for row in a]
 
 

@@ -17,6 +17,7 @@ from .divisor import Divisor, Polarization, PseudoDivisor
 from .errors import DeskScaleError, ValidationError
 from .flow import AdmissiblePair, FlowAssignment, acyclic_flows, div_flow
 from .graph import Graph, stable_reduction
+from .linalg import format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,7 @@ class MetricGraph:
         raw = data.get("lengths")
         if not isinstance(raw, dict):
             raise ValidationError("metric graph JSON needs a lengths object")
-        lengths = {}
-        for e, text in raw.items():
-            if isinstance(text, str) and "/" in text:
-                num, den = text.split("/")
-                lengths[e] = Fraction(int(num), int(den))
-            else:
-                lengths[e] = Fraction(text)
-        return MetricGraph.of(g, lengths)
+        return MetricGraph.of(g, {e: parse_rational(text) for e, text in raw.items()})
 
     @cached_property
     def length_map(self):
@@ -71,10 +65,7 @@ class MetricGraph:
 
     def to_json(self):
         data = self.graph.to_json()
-        data["lengths"] = {
-            e: f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-            for e, v in self.lengths
-        }
+        data["lengths"] = {e: format_rational(v) for e, v in self.lengths}
         return data
 
 
@@ -146,16 +137,11 @@ class AbelResult:
         return {
             "divisor": self.divisor.to_json(),
             "positions": {
-                x: {"edge": e, "offset": _frac_str(o)} for x, (e, o) in self.positions
+                x: {"edge": e, "offset": format_rational(o)} for x, (e, o) in self.positions
             },
             "pair": self.pair.to_json(),
-            "splits": {e: _frac_str(v) for e, v in self.split_values},
+            "splits": {e: format_rational(v) for e, v in self.split_values},
         }
-
-
-def _frac_str(v):
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
 
 
 def abel_eval(metric, inp, reverse=False):
@@ -184,9 +170,7 @@ def abel_eval(metric, inp, reverse=False):
     if mu.degree() != d0_full.degree():
         raise ValidationError("polarization degree must match the divisor degree")
     # push the divisor to the intermediate model; lift the polarization there
-    d0_hat = Divisor.of(
-        hat, _pushed_values(red, d0_full, hat)
-    )
+    d0_hat = d0_full.pushforward(red)
     mu_hat = Polarization.of(
         hat,
         {v: (mu[v] if v in mu.graph.weight else Fraction(0)) for v in hat.vertex_ids},
@@ -212,13 +196,6 @@ def abel_eval(metric, inp, reverse=False):
         split_values=tuple(sorted(split.items())),
         free_lengths=free,
     )
-
-
-def _pushed_values(red, d, hat):
-    vals = {v: 0 for v in hat.vertex_ids}
-    for v in red.source.vertex_ids:
-        vals[red(v)] += d[v]
-    return vals
 
 
 def _place_on_stable_model(st, refinement, metric, pair, split):

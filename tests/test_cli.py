@@ -302,6 +302,15 @@ def test_validation_exit_code(capsys, theta_file):
     assert "negative" in err
 
 
+@pytest.mark.parametrize("point", ["0.5,1,1", "1/0,1,1", "x,1,1", "1/2/3,1,1"])
+def test_bad_rational_point_exit_code(capsys, theta_file, point):
+    code, out, err = _run(
+        capsys, ["locate", "--graph", theta_file, "--D0", "4,-4", "--mu", "0", "--point", point]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: bad rational {point.split(',')[0]!r}\n"
+
+
 def test_cap_exit_code(capsys, theta_file):
     code, _, err = _run(
         capsys,
@@ -334,8 +343,7 @@ def test_locate_cap_counts_candidates_and_lattice_points(capsys, theta_file):
     code, out, err = _run(capsys, argv + ["--cap", "5"])
     assert (code, out) == (2, "")
     assert err == (
-        "desk-scale cap: quasistable enumeration exceeded 5 candidate checks; "
-        "instance is beyond desk scale\n"
+        "desk-scale cap: quasistable pseudo-divisors: 6 candidate checks exceed the cap of 5\n"
     )
 
 

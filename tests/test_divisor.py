@@ -151,6 +151,21 @@ def test_pushforward_preserves_quasistability():
         done += 1
 
 
+def test_divisor_pushforward_sums_fibers():
+    """Divisor.pushforward against the definition: the value at a target
+    vertex is the sum over the source vertices mapped to it."""
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_edges=5)
+        d = Divisor.of(g, {v: rng.randint(-4, 4) for v in g.vertex_ids})
+        s = contract(g, {e for e in g.edge_ids if rng.random() < 0.4})
+        out = d.pushforward(s)
+        assert out.graph == s.target
+        for w in s.target.vertex_ids:
+            assert out[w] == sum(d[v] for v in g.vertex_ids if s(v) == w)
+        assert out.degree() == d.degree()
+
+
 def test_theta_poset_figure_content(theta):
     """The labeled theta poset: 12 elements in layers 3/6/3, containing the
     six drawn elements with exactly the drawn covering arrows."""
@@ -278,8 +293,9 @@ def test_quasistable_on_refinement_has_sparse_exceptional_values(theta):
 
 def test_enumeration_cap(theta):
     mu = Polarization.zero(theta)
-    with pytest.raises(DeskScaleError, match="desk scale"):
+    with pytest.raises(DeskScaleError) as exc:
         enumerate_quasistable(theta, "v0", mu, cap=3)
+    assert str(exc.value) == "quasistable pseudo-divisors: 4 candidate checks exceed the cap of 3"
 
 
 def test_polarization_rejects_non_integer_degree(theta):

@@ -6,7 +6,6 @@ import pytest
 
 from tropabel.abelfan import (
     AbelFan,
-    _push_divisor,
     _specialize_pair,
     build_fan,
     classify_ray,
@@ -403,7 +402,7 @@ def contraction_loop_fan(g, v0, pol, d0):
         for cset in combinations(amb, r):
             spec = contract(g, cset)
             pairs = enumerate_admissible(
-                spec.target, spec(v0), pol.pushforward(spec), _push_divisor(spec, d0)
+                spec.target, spec(v0), pol.pushforward(spec), d0.pushforward(spec)
             )
             for pair in pairs:
                 ac = merged_cone(spec.target, pair, ambient_edges=amb, spec_contracted=frozenset(cset))

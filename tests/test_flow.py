@@ -375,12 +375,6 @@ def test_admissible_specialization_stability(theta):
     """Pushing a pair along an edge contraction with acyclic image flow stays
     admissible for the pushed divisor."""
 
-    def push_divisor(s, d):
-        vals = {v: 0 for v in s.target.vertex_ids}
-        for v in s.source.vertex_ids:
-            vals[s(v)] += d[v]
-        return Divisor.of(s.target, vals)
-
     rng = random.Random(53)
     cases = [(theta, Divisor.of(theta, {"v0": 1, "v1": -1}), Polarization.zero(theta))]
     for _ in range(8):
@@ -406,7 +400,7 @@ def test_admissible_specialization_stability(theta):
                 if not is_acyclic_flow(fa):
                     continue
                 target_pairs = enumerate_admissible(
-                    s.target, s(v0), mu.pushforward(s), push_divisor(s, d0)
+                    s.target, s(v0), mu.pushforward(s), d0.pushforward(s)
                 )
                 target_keys = {q.canonical_key() for q in target_pairs}
                 assert (tuple(sorted(new_e)), fa.canonical_key()) in target_keys

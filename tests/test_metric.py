@@ -26,6 +26,16 @@ def test_metric_graph_json_roundtrip(theta):
     assert again.graph == theta
 
 
+@pytest.mark.parametrize("bad", [0.1, "1/0", "x", "1/2/3", True, "0.5"])
+def test_metric_graph_json_rejects_bad_lengths(theta, bad):
+    """Lengths go through the rational codec: a float, a zero denominator,
+    a malformed string and a bool are rejected as input, not crashes."""
+    data = MetricGraph.of(theta, {"e0": 1, "e1": 2, "e2": 3}).to_json()
+    data["lengths"]["e1"] = bad
+    with pytest.raises(ValidationError, match="bad rational"):
+        MetricGraph.from_json(data)
+
+
 def test_metric_graph_requires_positive_lengths(theta):
     with pytest.raises(ValidationError, match="positive"):
         MetricGraph.of(theta, {"e0": 1, "e1": 0, "e2": 1})
