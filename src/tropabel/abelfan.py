@@ -9,8 +9,10 @@ integral isomorphism; its inverse is assembled from the fundamental cycles
 through the subdivided edges and provides both the H-representation of the
 merged cone and the split of a located point back into half-lengths.
 
-Point location does not go through the pairs.  For each quasistable
-pseudo-divisor (E, D) it solves the tropical Abel-Jacobi condition exactly:
+Point location goes through neither the pairs nor the whole quasistable
+poset.  It walks the nondisconnecting edge sets E from the largest down,
+and for each quasistable pseudo-divisor (E, D) of the walk it solves the
+tropical Abel-Jacobi condition exactly:
 the flows with divisor D - D0 differ by integer combinations of the
 fundamental cycles, and the cycle equations at the point are linear in
 those integers and in the half-lengths, so the candidates are the lattice
@@ -23,8 +25,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cone import Cone, face_lattice_rayset
-from .divisor import Divisor, Polarization, PseudoDivisor, enumerate_quasistable
-from .errors import DeskScaleError, ValidationError
+from .divisor import (
+    Divisor,
+    Polarization,
+    PseudoDivisor,
+    nondisconnecting_edge_sets,
+    quasistable_with_edge_set,
+)
+from .errors import ValidationError, WorkCap
 from .flow import (
     AdmissiblePair,
     FlowAssignment,
@@ -572,16 +580,12 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     maximal_keys = list(cones)
     faces = {}
     frontier = list(cones.values())
-    work = 0
+    work = WorkCap("fan faces", cap, "face specializations")
     while frontier:
         ac = frontier.pop()
         mine = faces[ac.key()] = {}
         for key, pair, contracted in _lattice_faces(ac):
-            work += 1
-            if work > cap:
-                raise DeskScaleError(
-                    f"fan faces: {work} face specializations exceed the cap of {cap}"
-                )
+            work.charge("face specializations")
             mine[key] = pair.resulting_pd.canonical_key()
             if key not in cones:
                 face = merged_cone(
@@ -797,22 +801,40 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     split values) where the split values place the exceptional points on
     the subdivided edges.
 
-    No admissible pair is enumerated.  The quasistable pseudo-divisors
-    (E, D) are taken in canonical order (reversed with `reverse`), and for
-    each nondisconnecting E the lattice solve (_EdgeSetSolve, built once per
-    E) yields the flows with divisor D - D0 whose cone holds the point; each
-    is certified against its pair's rows (pair_rows) and only the hit's
-    merged cone is built.  The lattice points tested per (E, D) are bounded
-    by the graph alone, whatever D0 and the scale of the point.  With `check_unique` every (E, D) is tested and a
-    second hit raises.  `cap` bounds the quasistable candidate checks plus
-    the lattice points tested.
+    No admissible pair is enumerated and no quasistable poset is built.  The
+    nondisconnecting edge sets E are walked from the largest to the
+    smallest (the smallest first with `reverse`, which also reverses the
+    order within each E).  A generic point lies in a cone of full
+    dimension, whose E has b1(G) edges, so the walk usually stops at its
+    first size.  Each E's quasistable pseudo-divisors (E, D) come from the
+    per-edge-set kernel quasistable_with_edge_set, built only when the walk
+    reaches E, and so is E's lattice solve (_EdgeSetSolve), at the first D.
+    The solve yields the flows with divisor D - D0 whose cone holds the
+    point; each is certified against its pair's rows (pair_rows).  The walk
+    stops at the first certified hit, or, with `check_unique`, tests every
+    (E, D) and raises on a second hit.  Only the hit's merged cone is
+    built.  The lattice points tested per (E, D) are bounded by the graph
+    alone, whatever D0 and the scale of the point.  `cap` bounds the
+    candidate checks of the kernels the walk builds plus the lattice points
+    tested.
     """
-    cone, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
+    pair, rows, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
+    zeros = frozenset(g.edge_ids) - frozenset(pair.base.edge_ids)
+    cone = merged_cone(pair.base, pair, ambient_edges=g.edge_ids, spec_contracted=zeros, rows=rows)
     return cone, split
 
 
+def locate_pair(g, v0, pol, d0, point, reverse=False):
+    """locate_point (at its default cap, stopping at the first hit) without
+    building the cone: the hit's admissible pair, on g with the point's
+    zero edges contracted, and the split values."""
+    pair, _, split, _ = _locate(g, v0, pol, d0, point, reverse, False, 1 << 20)
+    return pair, split
+
+
 def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
-    """locate_point, also returning the number of lattice points tested."""
+    """locate_pair, also returning the hit's rows and the work done (the
+    candidate checks and the lattice points tested)."""
     point = {e: point[e] for e in g.edge_ids}
     for e, x in point.items():
         if x < 0:
@@ -825,42 +847,35 @@ def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
         v0, pol, d0 = spec(v0), pol.pushforward(spec), d0.pushforward(spec)
     # scale to integers: cone membership is invariant under positive scaling
     ipoint, denom = clear_denominators(point[e] for e in live_g.edge_ids)
-    _check_instance(live_g, pol, d0)
-    poset = enumerate_quasistable(live_g, v0, pol, cap=cap)
-    solves = {}
-    tested = 0
-    hit = None
-    for pd in reversed(poset.elements) if reverse else poset.elements:
-        if pd.eset not in solves:
-            nondisconnecting = live_g.is_nondisconnecting(pd.eset)
-            solves[pd.eset] = (
-                _EdgeSetSolve(live_g, pd.subdivision, ipoint) if nondisconnecting else None
-            )
-        solve = solves[pd.eset]
-        if solve is None:
-            continue
-        target = {v: pd.divisor[v] - d0[v] for v in live_g.vertex_ids}
-        target.update((x, -1) for x in pd.subdivision.exceptional)
-        for flow in solve.flows(target):
-            tested += 1
-            if poset.checks + tested > cap:
-                raise DeskScaleError(
-                    f"locate: {poset.checks} candidate checks and {tested} lattice points "
-                    f"exceed the cap of {cap}"
-                )
-            if flow is None:
-                continue
-            found = _certified_pair(live_g, pd, solve.basis, flow, d0, ipoint)
-            if hit is not None:
-                raise AssertionError("point lies in two open cones")
-            hit = found
-            if not check_unique:
-                break
-        if hit is not None and not check_unique:
-            break
+    _check_instance(live_g, v0, pol, d0)
+    work = WorkCap("locate", cap, "candidate checks", "lattice points")
+    hits = _lattice_hits(live_g, v0, pol, d0, ipoint, reverse, work)
+    hit = next(hits, None)
     if hit is None:
         raise ValidationError("point not located in any open cone")
+    if check_unique and next(hits, None) is not None:
+        raise AssertionError("point lies in two open cones")
     pair, rows = hit
-    cone = merged_cone(live_g, pair, ambient_edges=g.edge_ids, spec_contracted=zeros, rows=rows)
     split = {e: Fraction(v, denom) for e, v in rows.split_point(ipoint).items()}
-    return cone, split, tested
+    return pair, rows, split, work.count
+
+
+def _lattice_hits(g, v0, pol, d0, ipoint, reverse, work):
+    """Every certified (pair, rows) whose open cone holds the integer point,
+    in the walk of locate_point; the kernels and solves are built as it goes,
+    and `work` is charged for each candidate check and lattice point."""
+    esets = list(nondisconnecting_edge_sets(g))
+    for eset in esets if reverse else reversed(esets):
+        pds = quasistable_with_edge_set(g, eset, v0, pol, work)
+        if reverse:
+            pds = reversed(list(pds))
+        solve = None
+        for pd in pds:
+            if solve is None:
+                solve = _EdgeSetSolve(g, pd.subdivision, ipoint)
+            target = {v: pd.divisor[v] - d0[v] for v in g.vertex_ids}
+            target.update((x, -1) for x in pd.subdivision.exceptional)
+            for flow in solve.flows(target):
+                work.charge("lattice points")
+                if flow is not None:
+                    yield _certified_pair(g, pd, solve.basis, flow, d0, ipoint)

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import DeskScaleError, ValidationError
+from .errors import ValidationError, WorkCap
 from .graph import Graph, Subdivision, exceptional_id, subdivide
-from .linalg import format_rational
+from .linalg import exact_value, format_rational
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
@@ -25,7 +25,11 @@ class Divisor:
     values: tuple  # sorted (vertex, int)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(sorted((str(v), int(c)) for v, c in self.values)))
+        object.__setattr__(
+            self,
+            "values",
+            tuple(sorted((str(v), exact_value(c, integral=True)) for v, c in self.values)),
+        )
         vm = dict(self.values)
         for v in vm:
             if v not in self.graph.weight:
@@ -84,10 +88,7 @@ class Polarization:
     values: tuple  # sorted (vertex, Fraction)
 
     def __post_init__(self):
-        vals = []
-        for v, c in self.values:
-            c = Fraction(c)
-            vals.append((str(v), c))
+        vals = ((str(v), exact_value(c)) for v, c in self.values)
         object.__setattr__(self, "values", tuple(sorted(vals)))
         vm = dict(self.values)
         for v in vm:
@@ -475,54 +476,79 @@ class QuasistablePoset:
         }
 
 
+def edge_sets(g):
+    """Every edge set E, by size and then in the order of
+    itertools.combinations over the edge ids."""
+    for r in range(len(g.edge_ids) + 1):
+        for eset in combinations(g.edge_ids, r):
+            yield frozenset(eset)
+
+
+def nondisconnecting_edge_sets(g):
+    """The edge sets E with G - E connected, in the order of edge_sets.
+    G - E keeps at least |V| - 1 edges, so |E| <= b1(G) and the walk stops
+    at the first larger set."""
+    b1 = g.b1()
+    for eset in edge_sets(g):
+        if len(eset) > b1:
+            return
+        if g.is_nondisconnecting(eset):
+            yield eset
+
+
+def quasistable_with_edge_set(g, eset, v0, pol, work):
+    """The quasistable pseudo-divisors (E, D) of degree deg(mu) with the
+    one edge set E, in canonical order, one at a time.
+
+    Only E's cut tests (_QuasistableRoutes), its subdivision and its value
+    windows mu(v) +- delta_v/2 are built.  Each candidate of the right total
+    is charged to the WorkCap `work` as one "candidate checks" unit and then
+    goes through both cut tests, which must agree.  The windows are walked
+    in the sorted vertex order, values ascending, and every exceptional
+    vertex carries -1, so the divisors come in the order of their values.
+    """
+    routes = _QuasistableRoutes(g, eset, v0, pol)
+    sub = routes.sub
+    base_verts = g.vertex_ids
+    windows = _value_windows(sub, routes.lifted, base_verts)
+    target_total = pol.degree() + len(eset)
+    vals = {x: -1 for x in sub.exceptional}
+    for combo in product(*(windows[v] for v in base_verts)):
+        if sum(combo) != target_total:
+            continue
+        work.charge("candidate checks")
+        vals.update(zip(base_verts, combo))
+        if routes.accepts(vals):
+            yield PseudoDivisor(g, eset, Divisor.of(sub.result, vals), sub)
+
+
 def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     """The full poset of quasistable pseudo-divisors of degree deg(mu).
 
-    Per-vertex values are pruned to the window mu(v) +- delta_v/2; each
-    remaining candidate goes through both cut tests of its edge set E
-    (_QuasistableRoutes, built once per E), and only the candidates that
-    pass become PseudoDivisors.  Raises DeskScaleError past `cap` candidate
-    checks.
+    Runs the per-edge-set kernel quasistable_with_edge_set on every one of
+    the 2^|E| edge sets, disconnecting ones included (their candidates are
+    all rejected by the direct cut route), then links each element to its
+    single-edge pushforwards.  The candidate checks of all edge sets count
+    against `cap`, and DeskScaleError is raised past it.
     """
     if pol.graph != g:
         raise ValidationError("polarization lives on the wrong graph")
     if v0 not in g.weight:
         raise ValidationError(f"unknown base vertex {v0}")
-    d = pol.degree()
-    checks = 0
+    work = WorkCap("quasistable pseudo-divisors", cap, "candidate checks")
     found = []
-    subs = {}
-    edge_ids = list(g.edge_ids)
-    base_verts = list(g.vertex_ids)
-    for r in range(len(edge_ids) + 1):
-        for eset in combinations(edge_ids, r):
-            eset = frozenset(eset)
-            routes = _QuasistableRoutes(g, eset, v0, pol)
-            sub = subs[eset] = routes.sub
-            windows = _value_windows(sub, routes.lifted, base_verts)
-            target_total = d + len(eset)
-            vals = {x: -1 for x in sub.exceptional}
-            for combo in product(*(windows[v] for v in base_verts)):
-                if sum(combo) != target_total:
-                    continue
-                checks += 1
-                if checks > cap:
-                    raise DeskScaleError(
-                        f"quasistable pseudo-divisors: {cap + 1} candidate checks "
-                        f"exceed the cap of {cap}"
-                    )
-                vals.update(zip(base_verts, combo))
-                if routes.accepts(vals):
-                    found.append(PseudoDivisor(g, eset, Divisor.of(sub.result, vals), sub))
+    for eset in edge_sets(g):
+        found.extend(quasistable_with_edge_set(g, eset, v0, pol, work))
     found.sort(key=lambda p: p.canonical_key())
     index = {pd.canonical_key(): i for i, pd in enumerate(found)}
+    subs = {pd.eset: pd.subdivision for pd in found}
     covers = set()
     for i, pd in enumerate(found):
         for e in sorted(pd.eset):
             for half in pd.subdivision.halves[e]:
-                smaller = compatible_pushforward(pd, e, half, subs[pd.eset - {e}])
+                smaller = compatible_pushforward(pd, e, half, subs.get(pd.eset - {e}))
                 j = index.get(smaller.canonical_key())
                 if j is None:
                     raise AssertionError("pushforward left the quasistable poset")
                 covers.add((i, j))
-    return QuasistablePoset(tuple(found), tuple(sorted(covers)), checks)
+    return QuasistablePoset(tuple(found), tuple(sorted(covers)), work.count["candidate checks"])

@@ -15,8 +15,8 @@ quasistable divisor, and its cap counts the pairs produced.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .divisor import Divisor, PseudoDivisor
-from .errors import DeskScaleError, ValidationError
+from .divisor import Divisor, PseudoDivisor, nondisconnecting_edge_sets, quasistable_with_edge_set
+from .errors import ValidationError, WorkCap
 from .graph import Graph
 
 DEFAULT_PAIR_CAP = 1 << 20
@@ -347,10 +347,12 @@ class AdmissiblePair:
         return data
 
 
-def _check_instance(g, pol, d0):
-    """The checks on (g, mu, D0) shared by every search for D0's pairs."""
+def _check_instance(g, v0, pol, d0):
+    """The checks on (g, v0, mu, D0) shared by every search for D0's pairs."""
     if d0.graph != g or pol.graph != g:
         raise ValidationError("divisor or polarization lives on the wrong graph")
+    if v0 not in g.weight:
+        raise ValidationError(f"unknown base vertex {v0}")
     if d0.degree() != pol.degree():
         raise ValidationError(
             f"deg D0 = {d0.degree()} differs from deg mu = {pol.degree()}"
@@ -360,31 +362,25 @@ def _check_instance(g, pol, d0):
 def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
     """All admissible pairs for the base divisor d0, sorted by canonical key.
 
-    For each nondisconnecting E and each quasistable divisor D on the
-    E-subdivision, acyclic_flows yields every acyclic flow with divisor
-    D - D0 once.  Raises DeskScaleError once more than `cap` pairs have
-    been produced (the quasistable poset counts its candidate checks
-    against the same cap).
+    Only the nondisconnecting edge sets E are visited, and no poset covers
+    are built: the per-edge-set kernel quasistable_with_edge_set yields
+    each quasistable divisor D on the E-subdivision, and acyclic_flows
+    yields every acyclic flow with divisor D - D0 once.  `cap` bounds the
+    candidate checks of the kernels and, separately, the pairs produced;
+    DeskScaleError is raised past either.
     """
-    _check_instance(g, pol, d0)
-    from .divisor import enumerate_quasistable
-
-    poset = enumerate_quasistable(g, v0, pol, cap=cap)
-    by_eset = {}
-    for pd in poset.elements:
-        by_eset.setdefault(pd.eset, []).append(pd)
+    _check_instance(g, v0, pol, d0)
+    checks = WorkCap("quasistable pseudo-divisors", cap, "candidate checks")
+    produced = WorkCap("admissible pairs", cap, "pairs")
     pairs = []
-    for eset, pds in by_eset.items():
-        if not g.is_nondisconnecting(eset):
-            continue
-        sub = pds[0].subdivision
-        lifted_d0 = d0.lift_to_subdivision(sub)
-        for pd in pds:
+    for eset in nondisconnecting_edge_sets(g):
+        lifted_d0 = None
+        for pd in quasistable_with_edge_set(g, eset, v0, pol, checks):
+            sub = pd.subdivision
+            if lifted_d0 is None:
+                lifted_d0 = d0.lift_to_subdivision(sub)
             for fa in acyclic_flows(sub.result, pd.divisor.sub(lifted_d0)):
-                if len(pairs) == cap:
-                    raise DeskScaleError(
-                        f"admissible pairs: {cap + 1} pairs exceed the cap of {cap}"
-                    )
+                produced.charge("pairs")
                 pairs.append(AdmissiblePair(g, eset, fa, pd))
     keys = [p.canonical_key() for p in pairs]
     order = sorted(range(len(pairs)), key=keys.__getitem__)

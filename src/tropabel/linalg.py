@@ -7,7 +7,8 @@ Rational elimination has one kernel, `_eliminate` (Gauss-Jordan on Fraction
 rows); rank, nullspace, solve, inverse, the determinant and the greedy
 independent-row choice all read its pivots.  Rationals cross the program's
 boundary through one codec: `format_rational` writes "n" or "p/q", and
-`parse_rational` reads an int or such a string back.
+`parse_rational` reads an int or such a string back.  Values enter the
+divisor, polarization and metric types through one gate, `exact_value`.
 """
 
 from fractions import Fraction
@@ -85,6 +86,22 @@ def parse_rational(text):
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad rational {text!r}") from exc
     raise ValidationError(f"bad rational {text!r}")
+
+
+def exact_value(x, integral=False):
+    """The gate of every value a Divisor (integral), a Polarization or a
+    MetricGraph is built from: an int, or unless `integral` a Fraction or a
+    parse_rational string, returned as an int (integral) or a Fraction.
+    bools, floats and anything else raise ValidationError, so a float never
+    enters as its binary expansion or truncated to an int."""
+    if type(x) is int:  # not a bool
+        return x if integral else Fraction(x)
+    if not integral:
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, str):
+            return parse_rational(x)
+    raise ValidationError(f"bad {'integer' if integral else 'rational'} {x!r}")
 
 
 def _eliminate(m, ncols):

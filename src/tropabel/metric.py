@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .abelfan import locate_point, merged_cone
+from .abelfan import locate_pair, merged_cone
 from .divisor import Divisor, Polarization, PseudoDivisor
-from .errors import DeskScaleError, ValidationError
+from .errors import ValidationError, WorkCap
 from .flow import AdmissiblePair, FlowAssignment, acyclic_flows, div_flow
 from .graph import Graph, stable_reduction
-from .linalg import format_rational, parse_rational
+from .linalg import exact_value, format_rational
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class MetricGraph:
     lengths: tuple  # sorted (edge, Fraction)
 
     def __post_init__(self):
-        lm = {e: Fraction(v) for e, v in self.lengths}
+        lm = {e: exact_value(v) for e, v in self.lengths}
         for e in self.graph.edge_ids:
             if e not in lm:
                 raise ValidationError(f"edge {e} has no length")
@@ -51,14 +51,14 @@ class MetricGraph:
         raw = data.get("lengths")
         if not isinstance(raw, dict):
             raise ValidationError("metric graph JSON needs a lengths object")
-        return MetricGraph.of(g, {e: parse_rational(text) for e, text in raw.items()})
+        return MetricGraph.of(g, raw)
 
     @cached_property
     def length_map(self):
         return dict(self.lengths)
 
     def scaled(self, factor):
-        factor = Fraction(factor)
+        factor = exact_value(factor)
         if factor <= 0:
             raise ValidationError("scale factor must be positive")
         return MetricGraph.of(self.graph, {e: v * factor for e, v in self.lengths})
@@ -149,8 +149,9 @@ def abel_eval(metric, inp, reverse=False):
 
     The model keeps leg 0 only, is stable-reduced, and the base divisor (the
     weighted canonical-plus-legs target computed before reduction) is pushed
-    to the intermediate model; location in the cone partition gives the
-    unique quasistable answer, whose exceptional points are then placed on
+    to the intermediate model; locating the lengths in the cone partition
+    (locate_pair, which builds no cone) gives the unique admissible pair
+    and its quasistable answer, whose exceptional points are then placed on
     the stable model with suppressed valence-2 vertices contributing their
     chain offsets.
     """
@@ -177,8 +178,7 @@ def abel_eval(metric, inp, reverse=False):
     )
     v0_hat = hat.leg_map[0]
     point = {e: metric.length_map[e] for e in hat.edge_ids}
-    cone, split = locate_point(hat, v0_hat, mu_hat, d0_hat, point, reverse=reverse)
-    pair = cone.provenance
+    pair, split = locate_pair(hat, v0_hat, mu_hat, d0_hat, point, reverse=reverse)
     # certificate: located divisor differs from the base one by the flow
     sub = pair.resulting_pd.subdivision
     lifted = d0_hat.lift_to_subdivision(sub)
@@ -249,10 +249,10 @@ def double_ramification_cones(g, weights, cap=1 << 20):
     if d.degree() != 0:
         raise ValidationError("target divisor must have degree 0")
     target = Divisor.of(g, {v: -d[v] for v in g.vertex_ids})
+    work = WorkCap("DR flows", cap, "flows")
     flows = []
     for fa in acyclic_flows(g, target):
-        if len(flows) == cap:
-            raise DeskScaleError(f"DR flows: {cap + 1} flows exceed the cap of {cap}")
+        work.charge("flows")
         flows.append(fa)
     flows.sort(key=FlowAssignment.canonical_key)
     pd = PseudoDivisor.of(g, frozenset(), {v: 0 for v in g.vertex_ids})

@@ -130,6 +130,23 @@ def parallel_instance(n_edges, k, m):
     return g, "v0", Polarization.of(g, {"v0": m, "v1": -m}), Divisor.of(g, {"v0": k, "v1": -k})
 
 
+def pendant_cycle_instance(rng):
+    """The shape of the `abel` benchmark cases: a 5-cycle of weight-1
+    vertices v0..v4 with a weight-0 vertex w0 hung from v3 by the bridge
+    e5, D0 = a v0 - a v2 with a in 1..3, and a seeded degree-0 polarization
+    that is 0 at w0 and mixes integer and half-odd values on the cycle."""
+    cycle = [f"v{i}" for i in range(5)]
+    edges = [(f"e{i}", (cycle[i], cycle[(i + 1) % 5])) for i in range(5)]
+    edges.append(("e5", ("v3", "w0")))
+    g = Graph(tuple((v, 1) for v in cycle) + (("w0", 0),), tuple(edges), ((0, "v0"),)).validate()
+    from fractions import Fraction
+
+    vals = {v: Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for v in cycle}
+    vals["v0"] -= sum(vals.values())
+    a = rng.randint(1, 3)
+    return g, "v0", Polarization.of(g, vals), Divisor.of(g, {"v0": a, "v2": -a})
+
+
 def cycle_instance(n, k):
     """The n-cycle with mu = 0 and D0 = k v0 - k v(n-1)."""
     g = build_graph(cycle_json(n))

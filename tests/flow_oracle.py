@@ -56,7 +56,8 @@ def flows_with_divisor(graph, orient, target):
     incoming edges in every nonnegative way, remove the sink and recurse.
     Returns flows as edge -> value dicts over the digraph's full edge set.
     The earlier library version, with each vertex's in- and out-edges
-    listed once instead of rescanned at every step.
+    listed once instead of rescanned at every step, and with a branch
+    dropped only where `feasible` proves that no flow completes it.
     """
     orient = {e: tuple(p) for e, p in orient.items()}
     if set(orient) != set(graph.edge_ids):
@@ -72,7 +73,36 @@ def flows_with_divisor(graph, orient, target):
         tails[orient[e][0]].add(e)
         heads[orient[e][1]].append(e)
 
+    def feasible(vertices, edges, dvals):
+        """False only when no flow on the remaining digraph meets dvals.
+        A vertex's value is its inflow minus its outflow over the remaining
+        edges, so one with positive demand needs an incoming edge; and the
+        values over a component sum to 0, each of its edges adding as much
+        at its head as it takes at its tail."""
+        for v in vertices:
+            if dvals[v] > 0 and edges.isdisjoint(heads[v]):
+                return False
+        seen = set()
+        for start in vertices:
+            if start in seen:
+                continue
+            seen.add(start)
+            stack, total = [start], 0
+            while stack:
+                v = stack.pop()
+                total += dvals[v]
+                for e in tails[v].union(heads[v]) & edges:
+                    w = orient[e][orient[e][0] == v]
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if total:
+                return False
+        return True
+
     def rec(vertices, edges, dvals):
+        if not feasible(vertices, edges, dvals):
+            return []
         if len(vertices) == 1:
             v = next(iter(vertices))
             return [dict()] if dvals[v] == 0 else []

@@ -332,18 +332,19 @@ def test_admissible_cap_counts_emitted_pairs(capsys, theta_file):
 
 
 def test_locate_cap_counts_candidates_and_lattice_points(capsys, theta_file):
-    """Locating a point enumerates no pairs: theta (64,-64) fits under a cap
-    of 1000 (its 12 candidate checks and a few lattice points), while a cap
-    below the 12 candidate checks stops the quasistable stage."""
+    """Locating a point enumerates no pairs: on theta (64,-64) the walk
+    stops in the second edge set it tries, after 2 candidate checks and 2
+    lattice points, so a cap of 4 gives the default-cap bytes and a cap of 3
+    stops the locate stage, which names both counts."""
     argv = ["locate", "--graph", theta_file, "--mu", "0", "--D0", "64,-64", "--point", "3,5,7"]
-    code, out, err = _run(capsys, argv + ["--cap", "1000"])
+    code, out, err = _run(capsys, argv + ["--cap", "4"])
     assert (code, err) == (0, "")
     assert json.loads(out)["pair"]["E"] == ["e0", "e2"]
     assert _run(capsys, argv) == (0, out, "")
-    code, out, err = _run(capsys, argv + ["--cap", "5"])
+    code, out, err = _run(capsys, argv + ["--cap", "3"])
     assert (code, out) == (2, "")
     assert err == (
-        "desk-scale cap: quasistable pseudo-divisors: 6 candidate checks exceed the cap of 5\n"
+        "desk-scale cap: locate: 2 candidate checks and 2 lattice points exceed the cap of 3\n"
     )
 
 

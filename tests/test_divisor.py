@@ -18,14 +18,23 @@ from tropabel.divisor import (
     _quasistable_on_graph,
     _value_windows,
     beta,
+    edge_sets,
     enumerate_quasistable,
     is_quasistable,
+    nondisconnecting_edge_sets,
     pushforward,
+    quasistable_with_edge_set,
 )
-from tropabel.errors import DeskScaleError, ValidationError
+from tropabel.errors import DeskScaleError, ValidationError, WorkCap
 from tropabel.graph import Graph, contract, identity_specialization, subdivide
 
-from conftest import random_connected_graph, random_polarization
+from conftest import (
+    parallel_instance,
+    pendant_cycle_instance,
+    random_connected_graph,
+    random_instance,
+    random_polarization,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -352,36 +361,34 @@ def test_cut_tester_matches_subset_oracle_on_both_routes():
         seen["loop"] += any(g.is_loop(e) for e in g.edge_ids)
         seen["parallel"] += len({pair for _, pair in g.edges}) < len(g.edges)
         seen["single"] += len(g.vertex_ids) == 1
-        for r in range(len(g.edge_ids) + 1):
-            for eset in combinations(g.edge_ids, r):
-                eset = frozenset(eset)
-                routes = _QuasistableRoutes(g, eset, v0, pol)
-                seen["scale"].add(routes.direct.scale)
-                sub = routes.sub
-                windows = _value_windows(sub, routes.lifted, g.vertex_ids)
-                ends = {
-                    v: (w.start - 1, w.start, w.stop - 1, w.stop) if len(w) else (w.start,)
-                    for v, w in windows.items()
-                }
-                disconnecting = not g.is_nondisconnecting(eset)
-                seen["disconnecting"] += disconnecting
-                reduced_pol = pol.removed_edges_shift(eset)
-                reduced_tester = _CutTester(reduced_pol.graph, reduced_pol, v0)
-                for _ in range(3):
-                    vals = {v: rng.choice(ends[v]) for v in g.vertex_ids}
-                    vals[g.vertex_ids[0]] += pol.degree() + len(eset) - sum(vals.values())
-                    vals.update({x: -1 for x in sub.exceptional})
-                    div = Divisor.of(sub.result, vals)
-                    direct = _check_tester(routes.direct, div, v0, routes.lifted)
-                    # G - E is tested even when disconnected; the route
-                    # itself then rejects
-                    reduced_div = div.restrict_to(reduced_pol.graph)
-                    via_removal = _check_tester(reduced_tester, reduced_div, v0, reduced_pol)
-                    via_removal = via_removal and not disconnecting
-                    assert direct == via_removal
-                    assert routes.accepts(vals) == direct
-                    assert (routes.reduced is None) == disconnecting
-                    seen["kept"] += direct
+        for eset in edge_sets(g):
+            routes = _QuasistableRoutes(g, eset, v0, pol)
+            seen["scale"].add(routes.direct.scale)
+            sub = routes.sub
+            windows = _value_windows(sub, routes.lifted, g.vertex_ids)
+            ends = {
+                v: (w.start - 1, w.start, w.stop - 1, w.stop) if len(w) else (w.start,)
+                for v, w in windows.items()
+            }
+            disconnecting = not g.is_nondisconnecting(eset)
+            seen["disconnecting"] += disconnecting
+            reduced_pol = pol.removed_edges_shift(eset)
+            reduced_tester = _CutTester(reduced_pol.graph, reduced_pol, v0)
+            for _ in range(3):
+                vals = {v: rng.choice(ends[v]) for v in g.vertex_ids}
+                vals[g.vertex_ids[0]] += pol.degree() + len(eset) - sum(vals.values())
+                vals.update({x: -1 for x in sub.exceptional})
+                div = Divisor.of(sub.result, vals)
+                direct = _check_tester(routes.direct, div, v0, routes.lifted)
+                # G - E is tested even when disconnected; the route
+                # itself then rejects
+                reduced_div = div.restrict_to(reduced_pol.graph)
+                via_removal = _check_tester(reduced_tester, reduced_div, v0, reduced_pol)
+                via_removal = via_removal and not disconnecting
+                assert direct == via_removal
+                assert routes.accepts(vals) == direct
+                assert (routes.reduced is None) == disconnecting
+                seen["kept"] += direct
     assert seen["loop"] and seen["parallel"] and seen["single"]
     assert seen["disconnecting"] and seen["kept"]
     assert seen["scale"] == {1, 2, 3, 4}
@@ -503,3 +510,78 @@ def test_certificates_survive_optimize():
         "graph_stats rejected: contraction Betti numbers break the partition identity",
         "cycle_basis rejected: fundamental cycles are linearly dependent",
     ]
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, Fraction(1), "3"])
+def test_divisor_rejects_values_that_are_not_ints(theta, bad):
+    """Divisor.of(theta, {"v0": 0.5, "v1": -0.5}) was the zero divisor."""
+    with pytest.raises(ValidationError, match="bad integer"):
+        Divisor.of(theta, {"v0": bad, "v1": 0})
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, "0.5", None])
+def test_polarization_rejects_floats_and_non_rationals(theta, bad):
+    """Polarization.of(theta, {"v0": 0.1, ...}) read 0.1 as its binary
+    expansion 3602879701896397/36028797018963968."""
+    with pytest.raises(ValidationError, match="bad rational"):
+        Polarization.of(theta, {"v0": bad, "v1": 0})
+
+
+def test_divisor_and_polarization_accept_exact_values(theta):
+    assert Divisor.of(theta, {"v0": 2, "v1": -2})["v1"] == -2
+    pol = Polarization.of(theta, {"v0": "1/3", "v1": Fraction(-1, 3)})
+    assert pol["v0"] == Fraction(1, 3) and pol.degree() == 0
+
+
+def _kernel_instances():
+    """(g, v0, mu) on parallel-edge graphs, the `abel` cycle-with-pendant
+    shape and seeded random graphs with loops."""
+    rng = random.Random(1101)
+    out = [
+        parallel_instance(n, 0, m)[:3]
+        for n, m in ((3, 0), (4, Fraction(1, 3)), (4, Fraction(-1, 5)), (2, Fraction(1, 2)))
+    ]
+    out += [pendant_cycle_instance(rng)[:3] for _ in range(4)]
+    out += [random_instance(rng, max_edges=5)[:3] for _ in range(60)]
+    return out
+
+
+def test_kernel_union_over_nondisconnecting_sets_is_the_poset():
+    """The per-edge-set kernel, run on the nondisconnecting E only, yields
+    each E's elements in canonical order, and together they are the whole
+    poset, with fewer candidate checks."""
+    for g, v0, mu in _kernel_instances():
+        esets = list(nondisconnecting_edge_sets(g))
+        assert esets == [e for e in edge_sets(g) if g.is_nondisconnecting(e)]
+        work = WorkCap("kernel", 1 << 20, "candidate checks")
+        union = []
+        for eset in esets:
+            got = list(quasistable_with_edge_set(g, eset, v0, mu, work))
+            keys = [pd.canonical_key() for pd in got]
+            assert keys == sorted(keys)
+            assert all(pd.eset == eset for pd in got)
+            union += got
+        poset = enumerate_quasistable(g, v0, mu)
+        assert sorted(union, key=PseudoDivisor.canonical_key) == list(poset.elements)
+        assert work.count["candidate checks"] <= poset.checks
+
+
+def test_direct_route_rejects_every_candidate_on_disconnecting_sets():
+    """On a disconnecting E the direct cut route of the E-subdivision finds
+    a violated set for every candidate in the value windows, so location
+    and the admissible pairs may skip those edge sets."""
+    rejected = 0
+    for g, v0, mu in _kernel_instances():
+        for eset in edge_sets(g):
+            if g.is_nondisconnecting(eset):
+                continue
+            routes = _QuasistableRoutes(g, eset, v0, mu)
+            windows = _value_windows(routes.sub, routes.lifted, g.vertex_ids)
+            vals = {x: -1 for x in routes.sub.exceptional}
+            for combo in product(*(windows[v] for v in g.vertex_ids)):
+                if sum(combo) != mu.degree() + len(eset):
+                    continue
+                vals.update(zip(g.vertex_ids, combo))
+                assert routes.direct.violation(vals) is not None, (g, eset, vals)
+                rejected += 1
+    assert rejected > 1000

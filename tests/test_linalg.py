@@ -14,6 +14,7 @@ from tropabel.errors import ValidationError
 from tropabel.linalg import (
     _det_int,
     clear_denominators,
+    exact_value,
     format_rational,
     independent_rows,
     inverse,
@@ -158,6 +159,29 @@ def test_rational_codec_roundtrip():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValidationError, match="bad rational"):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, True, False, Fraction(3), "3", None])
+def test_exact_value_rejects_non_integers(bad):
+    """A divisor value is an int: a float is not truncated, a bool, a
+    Fraction or a string is not converted."""
+    with pytest.raises(ValidationError, match="bad integer"):
+        exact_value(bad, integral=True)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, None, "0.5", "1/0", "x", [1, 2]])
+def test_exact_value_rejects_non_rationals(bad):
+    """A rational value is an int, a Fraction or a codec string; a float
+    never enters as its binary expansion."""
+    with pytest.raises(ValidationError, match="bad rational"):
+        exact_value(bad)
+
+
+def test_exact_value_accepts_exact_values():
+    assert exact_value(-4, integral=True) == -4
+    assert type(exact_value(3)) is Fraction and exact_value(3) == 3
+    assert exact_value(Fraction(-2, 6)) == Fraction(-1, 3)
+    assert exact_value("-2/6") == Fraction(-1, 3)
 
 
 def _kernel_lines():

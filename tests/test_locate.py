@@ -29,7 +29,7 @@ from tropabel.graph import build_graph, contract, cycle_basis
 from tropabel.linalg import inverse
 from tropabel.metric import abel_eval
 
-from conftest import abel_instances, parallel_instance, random_instance
+from conftest import abel_instances, parallel_instance, pendant_cycle_instance, random_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -223,7 +223,12 @@ def test_abel_eval_matches_pair_scan_on_acceptance_instances(monkeypatch):
     solve and through the pair scan give the same answer and split."""
     instances = list(abel_instances(random.Random(1111), 500))
     fast = [abel_eval(metric, inp) for metric, inp, _ in instances]
-    monkeypatch.setattr(metric_mod, "locate_point", pair_scan_locate)
+
+    def pair_scan_locate_pair(*args, **kwargs):
+        cone, split = pair_scan_locate(*args, **kwargs)
+        return cone.provenance, split
+
+    monkeypatch.setattr(metric_mod, "locate_pair", pair_scan_locate_pair)
     for res, (metric, inp, _) in zip(fast, instances):
         slow = abel_eval(metric, inp)
         assert res.answer_key() == slow.answer_key()
@@ -266,6 +271,32 @@ def test_locate_matches_pair_scan_on_seeded_instances():
     assert zeros > 60
 
 
+def test_lazy_walk_matches_pair_scan_in_every_mode():
+    """The walk from the largest edge set down, its reverse and the full
+    walk of check_unique all find the pair-scan oracle's cone and split, on
+    parallel-edge graphs, the `abel` cycle-with-pendant shape and seeded
+    random graphs, at positive points and points with zero coordinates."""
+    rng = random.Random(1102)
+    instances = [
+        parallel_instance(3, 4, 0),
+        parallel_instance(4, 2, Fraction(1, 3)),
+        parallel_instance(4, 2, Fraction(-1, 5)),
+    ]
+    instances += [pendant_cycle_instance(rng) for _ in range(3)]
+    instances += [random_instance(rng, max_edges=5) for _ in range(40)]
+    zeros = 0
+    for g, v0, mu, d0 in instances:
+        for j in range(3):
+            point = {e: Fraction(rng.randint(1, 12), rng.randint(1, 3)) for e in g.edge_ids}
+            if j == 2:
+                point.update((e, 0) for e in g.edge_ids if rng.random() < 0.4)
+            zeros += 0 in point.values()
+            want = pair_scan_locate(g, v0, mu, d0, point, check_unique=True)
+            for mode in ({}, {"reverse": True}, {"check_unique": True}):
+                assert locate_point(g, v0, mu, d0, point, **mode) == want, (g, point, mode)
+    assert zeros > 15
+
+
 def _lattice_bound(g, v0, mu, lengths):
     """An upper bound, from the lengths alone, on the lattice points tested
     at a positive point.  Per nondisconnecting E, lam on E lies in an open
@@ -304,7 +335,7 @@ def test_lattice_work_is_bounded_by_the_lengths(point):
     tested = {}
     for k in (2, 8, 64):
         g, v0, mu, d0 = parallel_instance(3, k, 0)
-        tested[k] = _locate(g, v0, mu, d0, point, False, True, 1 << 20)[2]
+        tested[k] = _locate(g, v0, mu, d0, point, False, True, 1 << 20)[3]["lattice points"]
     bound = _lattice_bound(g, v0, mu, point)
     assert bound < 20
     assert all(0 < n <= bound for n in tested.values()), (tested, bound)
@@ -341,18 +372,24 @@ def test_check_unique_tests_every_pseudo_divisor_and_rejects_a_second_hit(monkey
 
 
 def test_locate_cap_counts_candidate_checks_and_lattice_points():
+    """The cap counts the candidate checks of the kernels the walk builds
+    plus the lattice points tested.  On theta (8,-8) the largest edge set
+    tried first holds the point, so the default walk does one of each; with
+    check_unique every nondisconnecting edge set is checked."""
     g, v0, mu, d0 = parallel_instance(3, 8, 0)
     point = {"e0": 3, "e1": 5, "e2": 7}
-    checks = enumerate_quasistable(g, v0, mu).checks
-    tested = _locate(g, v0, mu, d0, point, False, False, 1 << 20)[2]
-    assert (checks, tested) == (12, 9)
-    locate_point(g, v0, mu, d0, point, cap=checks + tested)
-    with pytest.raises(DeskScaleError) as exc:
-        locate_point(g, v0, mu, d0, point, cap=checks + tested - 1)
-    assert str(exc.value) == "locate: 12 candidate checks and 9 lattice points exceed the cap of 20"
-    with pytest.raises(DeskScaleError) as exc:
-        locate_point(g, v0, mu, d0, point, cap=checks - 1)
-    assert str(exc.value) == "quasistable pseudo-divisors: 12 candidate checks exceed the cap of 11"
+    for check_unique, checks, points in ((False, 1, 1), (True, 12, 11)):
+        work = _locate(g, v0, mu, d0, point, False, check_unique, 1 << 20)[3]
+        assert work == {"candidate checks": checks, "lattice points": points}
+        got = locate_point(g, v0, mu, d0, point, check_unique=check_unique)
+        cap = checks + points
+        assert locate_point(g, v0, mu, d0, point, check_unique=check_unique, cap=cap) == got
+        with pytest.raises(DeskScaleError) as exc:
+            locate_point(g, v0, mu, d0, point, check_unique=check_unique, cap=cap - 1)
+        assert str(exc.value) == (
+            f"locate: {checks} candidate checks and {points} lattice points "
+            f"exceed the cap of {cap - 1}"
+        )
 
 
 def test_corrupted_lattice_candidate_rejected_under_optimize():

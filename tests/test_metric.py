@@ -36,6 +36,16 @@ def test_metric_graph_json_rejects_bad_lengths(theta, bad):
         MetricGraph.from_json(data)
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, None])
+def test_metric_graph_rejects_float_and_bool_lengths(theta, bad):
+    """MetricGraph.of(theta, {"e0": 0.1, ...}) read 0.1 as its binary
+    expansion; a scale factor goes through the same gate."""
+    with pytest.raises(ValidationError, match="bad rational"):
+        MetricGraph.of(theta, {"e0": bad, "e1": 2, "e2": 3})
+    with pytest.raises(ValidationError, match="bad rational"):
+        MetricGraph.of(theta, {"e0": 1, "e1": 2, "e2": 3}).scaled(bad)
+
+
 def test_metric_graph_requires_positive_lengths(theta):
     with pytest.raises(ValidationError, match="positive"):
         MetricGraph.of(theta, {"e0": 1, "e1": 0, "e2": 1})
