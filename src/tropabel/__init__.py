@@ -11,7 +11,6 @@ from .abelfan import (
     expected_dim,
     locate_point,
     merged_cone,
-    split_cone,
     verify_fan,
 )
 from .cone import Cone, dual_and_hilbert, semigroup_generators

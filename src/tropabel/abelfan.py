@@ -7,7 +7,9 @@ fundamental cycle; the merged cone is its image under the coordinate-summing
 map that collapses the two halves of each subdivided edge.  The merge is an
 integral isomorphism; its inverse is assembled from the fundamental cycles
 through the subdivided edges and provides both the H-representation of the
-merged cone and the split of a located point back into half-lengths.
+merged cone and the split of a located point back into half-lengths.  The
+split cone is only ever read through that inverse (PairRows), never built
+by a second double description.
 
 Point location goes through neither the pairs nor the whole quasistable
 poset.  It walks the nondisconnecting edge sets E from the largest down,
@@ -20,7 +22,7 @@ points of a small parallelepiped (_EdgeSetSolve).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,18 +45,6 @@ from .flow import (
 )
 from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, subdivide
 from .linalg import clear_denominators, dot, inverse
-
-
-def _cycle_on_subdivision(cyc, sub):
-    """Lift a signed cycle vector of the base graph to the subdivision: each
-    half inherits the parent's sign (reference directions are aligned)."""
-    out = {}
-    for e in sub.result.edge_ids:
-        base = sub.over_map[e]
-        s = cyc.get(base, 0)
-        if s:
-            out[e] = s
-    return out
 
 
 def _sub_of(pair):
@@ -101,92 +91,6 @@ def _subdivision_data(sub, flow):
     return _signed_flow(sub, flow)
 
 
-def _split_halfspaces(sub, basis, sflow):
-    order = sub.result.edge_ids
-    eqs = []
-    for _, vec in basis.cycles:
-        cyc = _cycle_on_subdivision(dict(vec), sub)
-        eqs.append(tuple(cyc.get(e, 0) * sflow[e] for e in order))
-    ineqs = [tuple(1 if i == j else 0 for i in range(len(order))) for j in range(len(order))]
-    return tuple(eqs), tuple(ineqs)
-
-
-def _split_image(rows, cone, amb_idx):
-    """The split cone as the image of the merged cone under the inverse
-    rows, with no double description.  The merge is a linear isomorphism,
-    so the images of the merged rays are the split cone's extremal rays;
-    they are primitive because merge and inverse are both integral.  Each
-    image is checked against the split H-representation."""
-    eqs, ineqs = _split_halfspaces(rows.sub, rows.basis, rows.sflow)
-    cols = [amb_idx[e] for e in rows.live_edges]
-    rays = [tuple(rows.split_point([ray[i] for i in cols]).values()) for ray in cone.rays]
-    split = Cone(len(rows.sub.result.edge_ids), eqs, ineqs, tuple(rays))
-    if not all(split.contains(r) for r in split.rays):
-        raise AssertionError("inverse rows map a merged ray out of the split cone")
-    return split
-
-
-def split_cone(g, eset, flow):
-    """The cone of subdivision edge lengths compatible with the flow.
-
-    Cut from the nonnegative orthant of the E-subdivision's edge space by
-    one equality per fundamental cycle of a spanning tree avoiding E; the
-    coefficient of an edge is its cycle sign times its flow value.
-    """
-    eset = frozenset(eset)
-    sub, basis = subdivide(g, eset), cycle_basis(g, avoid=eset)
-    sflow = _subdivision_data(sub, flow)
-    cone = Cone.from_halfspaces(len(sub.result.edge_ids), *_split_halfspaces(sub, basis, sflow))
-    return cone, sub, basis
-
-
-@dataclass(frozen=True)
-class AbelCone:
-    """A merged-cone member of the fan, with its provenance.
-
-    cone lives in the edge space of the ambient base graph; provenance is
-    the admissible pair on the (possibly contracted) graph, spec_contracted
-    names the edges contracted away from the ambient graph, and split is the
-    subdivision-space cone together with the integral inverse rows mapping
-    merged coordinates back to half-lengths.
-    """
-
-    ambient_edges: tuple
-    cone: Cone
-    provenance: AdmissiblePair
-    spec_contracted: frozenset
-    split: Cone
-    split_edge_order: tuple
-    inverse_rows: tuple  # one integer row per subdivision edge, over live edges
-    live_edges: tuple  # edges of the provenance graph, canonical order
-
-    def key(self):
-        return (
-            tuple(sorted(self.spec_contracted)),
-            tuple(sorted(self.provenance.eset)),
-            self.provenance.flow.canonical_key(),
-        )
-
-    def split_point(self, point):
-        """Map a merged point (over ambient edges) to subdivision lengths."""
-        live = {e: point[self.ambient_edges.index(e)] for e in self.live_edges}
-        vec = [live[e] for e in self.live_edges]
-        return {
-            e: sum(c * v for c, v in zip(row, vec))
-            for e, row in zip(self.split_edge_order, self.inverse_rows)
-        }
-
-    def to_json(self):
-        data = self.provenance.to_json()
-        data["contracted"] = sorted(self.spec_contracted)
-        return {
-            "provenance": data,
-            "equalities": [list(r) for r in self.cone.equalities],
-            "inequalities": [list(r) for r in self.cone.inequalities],
-            "rays": [list(r) for r in self.cone.rays],
-        }
-
-
 @dataclass(frozen=True)
 class PairRows:
     """The H-representation of a pair's merged cone over its own edges,
@@ -200,7 +104,9 @@ class PairRows:
 
     sub: Subdivision
     basis: CycleBasis
-    sflow: dict  # reference-signed flow value per subdivision edge
+    # reference-signed flow value per subdivision edge: a dict, left out of
+    # equality and hashing (the pair's flow fixes it) so AbelCone hashes
+    sflow: dict = field(compare=False)
     live_edges: tuple
     inverse_rows: tuple
     equalities: tuple
@@ -223,6 +129,56 @@ class PairRows:
         return {
             e: dot(row, point)
             for e, row in zip(self.sub.result.edge_ids, self.inverse_rows)
+        }
+
+    def split_equalities(self):
+        """The split cone's equalities over the subdivision edges, one per
+        fundamental cycle: each half inherits its parent's cycle sign (the
+        reference directions are aligned), times its signed flow value."""
+        over = self.sub.over_map
+        return tuple(
+            tuple(dict(vec).get(over[e], 0) * self.sflow[e] for e in self.sub.result.edge_ids)
+            for _, vec in self.basis.cycles
+        )
+
+
+@dataclass(frozen=True)
+class AbelCone:
+    """A merged-cone member of the fan, with its provenance.
+
+    cone lives in the edge space of the ambient base graph; provenance is
+    the admissible pair on the (possibly contracted) graph, spec_contracted
+    names the edges contracted away from the ambient graph, and rows are the
+    pair's rows, whose integral inverse rows map merged coordinates back to
+    half-lengths (the split cone is the image of the cone under them).
+    """
+
+    ambient_edges: tuple
+    cone: Cone
+    provenance: AdmissiblePair
+    spec_contracted: frozenset
+    rows: PairRows
+
+    def key(self):
+        return (
+            tuple(sorted(self.spec_contracted)),
+            tuple(sorted(self.provenance.eset)),
+            self.provenance.flow.canonical_key(),
+        )
+
+    def split_point(self, point):
+        """Map a merged point (over ambient edges) to subdivision lengths."""
+        amb = self.ambient_edges
+        return self.rows.split_point([point[amb.index(e)] for e in self.rows.live_edges])
+
+    def to_json(self):
+        data = self.provenance.to_json()
+        data["contracted"] = sorted(self.spec_contracted)
+        return {
+            "provenance": data,
+            "equalities": [list(r) for r in self.cone.equalities],
+            "inequalities": [list(r) for r in self.cone.inequalities],
+            "rays": [list(r) for r in self.cone.rays],
         }
 
 
@@ -300,8 +256,9 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset(), rows=N
     Built from the pair's rows (pair_rows, or `rows` when the caller already
     has them): the inverse rows are the inequalities and the cycles avoiding
     E the equalities; edges of the ambient space missing from g are pinned
-    to zero.  The merged cone runs one double description, and the split
-    cone is its image under the inverse rows.
+    to zero.  The merged cone runs one double description; the split cone
+    is its image under the inverse rows, read through the AbelCone's rows
+    and never built.
     """
     if rows is None:
         rows = pair_rows(g, pair)
@@ -330,10 +287,7 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset(), rows=N
         cone=cone,
         provenance=pair,
         spec_contracted=frozenset(spec_contracted),
-        split=_split_image(rows, cone, amb_idx),
-        split_edge_order=rows.sub.result.edge_ids,
-        inverse_rows=rows.inverse_rows,
-        live_edges=live,
+        rows=rows,
     )
 
 
@@ -406,7 +360,7 @@ def _lattice_faces(abcone):
     for ray in abcone.cone.rays:
         lengths = abcone.split_point(ray)
         vanish.append(frozenset(e for e, x in lengths.items() if x == 0))
-    every = frozenset(abcone.split_edge_order)
+    every = frozenset(abcone.rows.sub.result.edge_ids)
     for face in face_lattice_rayset(abcone.cone):
         zset = every.intersection(*(vanish[i] for i in face))
         spec = _specialize_pair(pair.base, pair, zset)

@@ -258,32 +258,23 @@ def cmd_drl(args):
 
 
 def _sample_partition(cones, n_edges, seed, count):
-    """Draw `count` integer points and count those not in exactly one open
-    cone."""
+    """Draw `count` integer points and count those not in exactly one of the
+    open cones (Cones)."""
     import random
 
     rng = random.Random(seed)
     failures = 0
     for _ in range(count):
         pt = tuple(rng.randint(1, 12) for _ in range(n_edges))
-        hits = sum(1 for c in cones if c.cone.contains_interior(pt))
+        hits = sum(1 for c in cones if c.contains_interior(pt))
         if hits != 1:
             failures += 1
     return failures
 
 
-def _verify_chunk(payload):
-    """Pool worker: build the cones, then sample like _sample_partition."""
-    graph_json, mu_text, d0_text, seed, count = payload
-    g = build_graph(graph_json)
-    mu = _parse_mu(mu_text, g)
-    d0 = _parse_d0(d0_text, g)
-    pairs = enumerate_admissible(g, _v0(g), mu, d0)
-    cones = [merged_cone(g, p) for p in pairs]
-    return _sample_partition(cones, len(g.edge_ids), seed, count)
-
-
 def cmd_verify(args):
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     g = _load_graph(args.graph)
     mu = _parse_mu(args.mu, g)
     d0 = _parse_d0(args.d0, g)
@@ -294,21 +285,21 @@ def cmd_verify(args):
     cones = [fan.cones[i] for i in fan.maximal]
     pairs = [c.provenance for c in cones]
     report["admissible_pairs"] = len(pairs)
-    # partition sampling, parallelizable by chunking the seed space
-    chunks = max(args.jobs, 1)
+    # partition sampling over the fan's maximal cones, in one chunk of the
+    # seed space per job; at most one process per CPU samples the chunks
+    maximal = [c.cone for c in cones]
+    n_edges, chunks = len(g.edge_ids), args.jobs
     if chunks > 1:
         import multiprocessing
 
         per = args.points // chunks
         counts = [per] * chunks
         counts[-1] += args.points - per * chunks
-        payloads = [
-            (g.to_json(), args.mu, args.d0, args.seed + i, counts[i]) for i in range(chunks)
-        ]
-        with multiprocessing.Pool(chunks) as pool:
-            failures = sum(pool.map(_verify_chunk, payloads))
+        work = [(maximal, n_edges, args.seed + i, counts[i]) for i in range(chunks)]
+        with multiprocessing.Pool(min(chunks, os.cpu_count() or 1)) as pool:
+            failures = sum(pool.starmap(_sample_partition, work))
     else:
-        failures = _sample_partition(cones, len(g.edge_ids), args.seed, args.points)
+        failures = _sample_partition(maximal, n_edges, args.seed, args.points)
     report["partition"] = {"points": args.points, "failures": failures}
     # dimension formula
     dim_bad = sum(1 for p, c in zip(pairs, cones) if c.cone.dim != expected_dim(p))
@@ -462,7 +453,9 @@ def _build_parser():
     add_common(p, mu=True, d0=True)
     p.add_argument("--points", type=int, default=200, help="sampled points for the partition check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sampling workers")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="sampling chunks, run on at most one process per CPU"
+    )
     p.add_argument("--skip-pairwise", action="store_true", help="skip pairwise fan intersections")
     p.set_defaults(func=cmd_verify)
 

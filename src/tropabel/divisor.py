@@ -525,10 +525,10 @@ def quasistable_with_edge_set(g, eset, v0, pol, work):
 def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     """The full poset of quasistable pseudo-divisors of degree deg(mu).
 
-    Runs the per-edge-set kernel quasistable_with_edge_set on every one of
-    the 2^|E| edge sets, disconnecting ones included (their candidates are
-    all rejected by the direct cut route), then links each element to its
-    single-edge pushforwards.  The candidate checks of all edge sets count
+    Runs the per-edge-set kernel quasistable_with_edge_set on the
+    nondisconnecting edge sets only (on a disconnecting one the direct cut
+    route rejects every candidate), then links each element to its
+    single-edge pushforwards.  The candidate checks of those edge sets count
     against `cap`, and DeskScaleError is raised past it.
     """
     if pol.graph != g:
@@ -537,7 +537,7 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
         raise ValidationError(f"unknown base vertex {v0}")
     work = WorkCap("quasistable pseudo-divisors", cap, "candidate checks")
     found = []
-    for eset in edge_sets(g):
+    for eset in nondisconnecting_edge_sets(g):
         found.extend(quasistable_with_edge_set(g, eset, v0, pol, work))
     found.sort(key=lambda p: p.canonical_key())
     index = {pd.canonical_key(): i for i, pd in enumerate(found)}

@@ -563,33 +563,21 @@ def model_ring(t):
     return MonomialRing(1, ((1,),), (t,))
 
 
-def model_symbolic_power(t, m, height_cap=None):
-    """Symbolic power of (y, u) in the model ring, by x-saturation of the
-    ordinary power: a monomial belongs iff x^k times it falls into the
-    ordinary power for some k."""
+def model_symbolic_power(t, m):
+    """Symbolic power of (y, u) in the model ring, the x-saturation of the
+    ordinary power (y, u)^m; returns (ideal, membership predicate).
+
+    A monomial has valuations w = (s + a t, s + b t) for x^a y^b u^s.  A
+    power of x raises only w[0], and y^i u^(m - i) has w[1] = m + i(t - 1)
+    >= m, so some x^k times the monomial lies in (y, u)^m iff w[1] >= m:
+    the minimal monomials of one threshold search (_minimal_search).  No
+    word of that search is longer than the deficit of 1, which is m, so the
+    bound m never stops it early.
+    """
     if t < 1:
         raise ValidationError(f"the model ring needs a relation exponent t >= 1, got {t}")
     if m < 0:
         raise ValidationError(f"a symbolic power needs an exponent n >= 0, got {m}")
     ring = model_ring(t)
-    y, u = ring.y(), ring.monomial((1,))
-    base = MonomialIdeal.of(ring, (y, u))
-    ordinary = base.power(m)
-    cap = height_cap if height_cap is not None else m * t + t
-
-    def member(mono):
-        probe = mono
-        for _ in range(cap + 1):
-            if ordinary.contains(probe):
-                return True
-            probe = probe * ring.x()
-        return False
-
-    cands = []
-    for b in range(m + 2):
-        for s in range(m * t + t + 1):
-            mono = ring.monomial((s,), b=b)
-            if member(mono):
-                cands.append(mono)
-    ideal = MonomialIdeal.of(ring, cands)
-    return ideal, member
+    gens = _minimal_search(ring.one(), [(1, m)], m, "model symbolic power")
+    return MonomialIdeal.of(ring, gens), lambda mono: mono.w[1] >= m

@@ -1,7 +1,7 @@
 """The bundled worked instance (two vertices joined by three strands) and the
 reports the golden-example runner replays against committed files."""
 
-from .abelfan import build_fan, locate_point, merged_cone, split_cone
+from .abelfan import build_fan, locate_point, merged_cone
 from .cone import dual_and_hilbert
 from .divisor import Divisor, Polarization, enumerate_quasistable
 from .flow import enumerate_admissible
@@ -83,11 +83,10 @@ def cone_report():
     """Split-cone equations and merged-cone facets/rays of the worked pair."""
     g, mu, d0 = theta_instance()
     pair = worked_pair(g, mu, d0)
-    c, sub, _ = split_cone(g, pair.eset, pair.flow)
     ac = merged_cone(g, pair)
     return {
-        "split_coordinates": list(sub.result.edge_ids),
-        "split_equalities": sorted([list(r) for r in c.equalities]),
+        "split_coordinates": list(ac.rows.sub.result.edge_ids),
+        "split_equalities": sorted([list(r) for r in ac.rows.split_equalities()]),
         "merged_coordinates": list(g.edge_ids),
         "merged_facets": sorted([list(r) for r in ac.cone.facet_rows]),
         "merged_rays": sorted([list(r) for r in ac.cone.rays]),

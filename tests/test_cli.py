@@ -274,6 +274,50 @@ def test_verify_serial_sampler_reuses_cones(capsys, theta_file, monkeypatch):
     assert len(calls) <= json.loads(out)["fan"]["cones"] == 62
 
 
+def test_verify_jobs_keeps_chunks_and_bounds_processes(capsys, theta_file, monkeypatch):
+    """--jobs N samples N chunks of the seed space, so the report does not
+    depend on the machine, but starts at most os.cpu_count() processes; the
+    chunks sample the Cones of the fan's maximal cones.  A --jobs below 1
+    is an input error."""
+    import multiprocessing
+    import os
+
+    from tropabel.cone import Cone
+
+    pools, chunks = [], []
+
+    class FakePool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, work):
+            chunks.extend(work)
+            return [fn(*args) for args in work]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["verify", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
+    argv += ["--points", "10", "--skip-pairwise", "--jobs"]
+    code, out, _ = _run(capsys, argv + ["64"])
+    assert (code, out) == (0, VERIFY_THETA_4)
+    assert [c[2:] for c in chunks] == [(i, 0) for i in range(63)] + [(63, 10)]
+    cones = chunks[0][0]
+    assert len(cones) == 55 and all(isinstance(c, Cone) for c in cones)
+    code, out, _ = _run(capsys, argv + ["2"])
+    assert (code, out) == (0, VERIFY_THETA_4)
+    assert pools == [3, 2]
+    for jobs in ("0", "-2"):
+        error = f"error: --jobs must be at least 1, got {jobs}\n"
+        assert _run(capsys, argv + [jobs]) == (1, "", error)
+    assert pools == [3, 2]
+
+
 def test_examples_command(capsys):
     code, out, _ = _run(capsys, ["paper-examples"])
     assert code == 0

@@ -29,6 +29,7 @@ from tropabel.errors import DeskScaleError, ValidationError, WorkCap
 from tropabel.graph import Graph, contract, identity_specialization, subdivide
 
 from conftest import (
+    cycle_instance,
     parallel_instance,
     pendant_cycle_instance,
     random_connected_graph,
@@ -305,6 +306,15 @@ def test_enumeration_cap(theta):
     with pytest.raises(DeskScaleError) as exc:
         enumerate_quasistable(theta, "v0", mu, cap=3)
     assert str(exc.value) == "quasistable pseudo-divisors: 4 candidate checks exceed the cap of 3"
+    # the poset walks the nondisconnecting edge sets only: on the 5-cycle
+    # that is 6 of the 32 edge sets and 276 candidate checks (752 over all)
+    g, v0, mu, _ = cycle_instance(5, 0)
+    assert enumerate_quasistable(g, v0, mu, cap=276).checks == 276
+    with pytest.raises(DeskScaleError) as exc:
+        enumerate_quasistable(g, v0, mu, cap=275)
+    assert str(exc.value) == (
+        "quasistable pseudo-divisors: 276 candidate checks exceed the cap of 275"
+    )
 
 
 def test_polarization_rejects_non_integer_degree(theta):
@@ -547,23 +557,29 @@ def _kernel_instances():
 
 
 def test_kernel_union_over_nondisconnecting_sets_is_the_poset():
-    """The per-edge-set kernel, run on the nondisconnecting E only, yields
-    each E's elements in canonical order, and together they are the whole
-    poset, with fewer candidate checks."""
+    """The per-edge-set kernel yields each E's elements in canonical order.
+    Run on every one of the 2^|E| edge sets, it finds nothing on the
+    disconnecting ones, so its union is the poset, which walks the
+    nondisconnecting E only and counts just their candidate checks."""
     for g, v0, mu in _kernel_instances():
         esets = list(nondisconnecting_edge_sets(g))
         assert esets == [e for e in edge_sets(g) if g.is_nondisconnecting(e)]
         work = WorkCap("kernel", 1 << 20, "candidate checks")
         union = []
-        for eset in esets:
+        for eset in edge_sets(g):
             got = list(quasistable_with_edge_set(g, eset, v0, mu, work))
             keys = [pd.canonical_key() for pd in got]
             assert keys == sorted(keys)
             assert all(pd.eset == eset for pd in got)
+            assert eset in esets or not got
             union += got
         poset = enumerate_quasistable(g, v0, mu)
         assert sorted(union, key=PseudoDivisor.canonical_key) == list(poset.elements)
-        assert work.count["candidate checks"] <= poset.checks
+        nondisconnecting = WorkCap("kernel", 1 << 20, "candidate checks")
+        for eset in esets:
+            list(quasistable_with_edge_set(g, eset, v0, mu, nondisconnecting))
+        assert nondisconnecting.count == {"candidate checks": poset.checks}
+        assert poset.checks <= work.count["candidate checks"]
 
 
 def test_direct_route_rejects_every_candidate_on_disconnecting_sets():

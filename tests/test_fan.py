@@ -13,7 +13,7 @@ from tropabel.abelfan import (
     expected_dim,
     locate_point,
     merged_cone,
-    split_cone,
+    pair_rows,
     verify_fan,
 )
 from tropabel.cone import face_lattice_rayset
@@ -29,6 +29,7 @@ from conftest import (
     random_connected_graph,
     random_polarization,
 )
+from split_oracle import split_cone, split_rays
 
 
 def figure_pair(theta):
@@ -54,26 +55,37 @@ def figure_pair(theta):
 
 def test_split_cone_equations(theta):
     pair, _, _ = figure_pair(theta)
-    c, sub, _ = split_cone(theta, pair.eset, pair.flow)
+    rows = pair_rows(theta, pair)
     # coordinates: (e0:a, e0:b, e1:a, e1:b, e2)
-    assert sub.result.edge_ids == ("e0:a", "e0:b", "e1:a", "e1:b", "e2")
-    assert set(c.equalities) == {(1, 2, 0, 0, -1), (0, 0, 1, 2, -1)}
+    assert rows.sub.result.edge_ids == ("e0:a", "e0:b", "e1:a", "e1:b", "e2")
+    assert set(rows.split_equalities()) == {(1, 2, 0, 0, -1), (0, 0, 1, 2, -1)}
+    c, _ = split_cone(theta, pair.eset, pair.flow)
     assert c.dim == 3
+    assert c.rays == split_rays(merged_cone(theta, pair))
 
 
 def test_split_cone_trivial_orthant(theta):
-    fa = FlowAssignment.zero(theta)
-    c, _, _ = split_cone(theta, frozenset(), fa)
-    assert not any(any(r) for r in c.equalities)
+    """With no subdivision and zero flow the split cone is the orthant."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": 0, "v1": 0})
+    pairs = enumerate_admissible(theta, "v0", mu, d0)
+    (pair,) = [p for p in pairs if not any(v for _, v in p.flow.flow)]
+    ac = merged_cone(theta, pair)
+    assert not any(any(r) for r in ac.rows.split_equalities())
+    assert set(split_rays(ac)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    c, _ = split_cone(theta, frozenset(), FlowAssignment.zero(theta))
     assert c.dim == 3
-    assert set(c.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert c.rays == split_rays(ac)
 
 
 def test_split_cone_tree_graph():
     g = Graph((("a", 0), ("b", 0)), (("e", ("a", "b")),), ((0, "a"),))
+    mu = Polarization.zero(g)
+    (pair,) = enumerate_admissible(g, "a", mu, Divisor.of(g, {"a": 2, "b": -2}))
+    assert pair.flow.flow == (("e", 2),)
+    assert split_rays(merged_cone(g, pair)) == ((1,),)
     fa = FlowAssignment.of(g, {"e": ("a", "b")}, {"e": 2})
-    c, _, _ = split_cone(g, frozenset(), fa)
-    assert c.rays == ((1,),)
+    assert split_cone(g, frozenset(), fa)[0].rays == ((1,),)
 
 
 def test_merged_cone_matches_worked_example(theta):
@@ -90,14 +102,15 @@ def test_merged_cone_empty_subdivision_is_split_cone(theta):
     pairs = [p for p in enumerate_admissible(theta, "v0", mu, d0) if not p.eset]
     for p in pairs:
         ac = merged_cone(theta, p)
-        assert ac.cone.rays == ac.split.rays
+        assert split_rays(ac) == ac.cone.rays
 
 
 def test_split_image_matches_double_description(theta, random_instances):
     """The split cone read off through the inverse rows is the cone that
-    double description finds from the split H-representation, on every
-    cone of the theta fan (contracted ones included) and on every pair of
-    the seeded instances."""
+    double description finds from the split equalities on the orthant, on
+    every cone of the theta fan (contracted ones included) and on every
+    pair of the seeded instances.  The equalities are those of the oracle's
+    own subdivision and cycle basis."""
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     cones = list(build_fan(theta, "v0", mu, d0).cones)
@@ -105,7 +118,10 @@ def test_split_image_matches_double_description(theta, random_instances):
         cones.extend(merged_cone(g, p) for p in pairs)
     for ac in cones:
         pair = ac.provenance
-        assert ac.split == split_cone(pair.base, pair.eset, pair.flow)[0], ac.key()
+        oracle, sub = split_cone(pair.base, pair.eset, pair.flow)
+        assert sub.result.edge_ids == ac.rows.sub.result.edge_ids
+        assert oracle.equalities == ac.rows.split_equalities(), ac.key()
+        assert split_rays(ac) == oracle.rays, ac.key()
 
 
 def test_dimension_formula_across_fan(theta):

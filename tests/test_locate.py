@@ -30,6 +30,7 @@ from tropabel.linalg import inverse
 from tropabel.metric import abel_eval
 
 from conftest import abel_instances, parallel_instance, pendant_cycle_instance, random_instance
+from split_oracle import split_cone, split_rays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -167,7 +168,8 @@ def test_locate_matches_exhaustive_scan(instances):
             )
             assert cone.key() == hit.key()
             assert cone.cone.rays == hit.cone.rays
-            assert cone.split == hit.split
+            pair = cone.provenance
+            assert split_rays(cone) == split_cone(pair.base, pair.eset, pair.flow)[0].rays
             assert cone == hit
             assert got == split
             assert pair_scan_locate(inst.g, inst.v0, inst.mu, inst.d0, point) == (cone, got)

@@ -1,9 +1,10 @@
 """The monomial layer against its predecessors and against exhaustive
 enumeration.
 
-The predecessors are kept here as oracles: the j-loop divisibility test
-and the breadth-first search that stopped two levels past its last new
-minimal generator.  The exhaustive check lists every lattice point of a
+The predecessors are kept here as oracles: the j-loop divisibility test,
+the breadth-first search that stopped two levels past its last new
+minimal generator, and the model-ring symbolic power by x-saturation of
+the ordinary power.  The exhaustive check lists every lattice point of a
 valuation box {m : w(m) <= B}.  A member m of an upward closed set is
 minimal iff no quotient of m by a ring generator is a member, and the
 box holds each such quotient of its points; a box only gives a lower
@@ -30,6 +31,8 @@ from tropabel.semigroup import (
     MonomialRing,
     intersect_ideals,
     localization_preimage,
+    model_ring,
+    model_symbolic_power,
     ray_power_intersection,
     symbolic_power_ideal,
     symbolic_power_membership,
@@ -151,6 +154,32 @@ def bfs_localization_preimage(ring, face_rays, target, bound=DEFAULT_SEARCH_BOUN
         if t.a or t.b or any(dot(t.u, r) != 0 for r in face_rays)
     ]
     return MonomialIdeal.of(ring, bfs_minimal(ring.one(), member, alphabet, bound, "")), member
+
+
+def saturation_model_symbolic_power(t, m):
+    """Symbolic power of (y, u) in the model ring, by x-saturation of the
+    ordinary power: a monomial belongs iff x^k times it falls into (y, u)^m
+    for some k <= m t + t, a cap that is a heuristic, not a proof.
+    Candidates are y^b u^s with b <= m + 1 and s <= m t + t."""
+    ring = model_ring(t)
+    ordinary = MonomialIdeal.of(ring, (ring.y(), ring.monomial((1,)))).power(m)
+    cap = m * t + t
+
+    def member(mono):
+        probe = mono
+        for _ in range(cap + 1):
+            if ordinary.contains(probe):
+                return True
+            probe = probe * ring.x()
+        return False
+
+    cands = [
+        ring.monomial((s,), b=b)
+        for b in range(m + 2)
+        for s in range(m * t + t + 1)
+        if member(ring.monomial((s,), b=b))
+    ]
+    return MonomialIdeal.of(ring, cands), member
 
 
 # ------------------------------------------------------------------- the rings
@@ -357,3 +386,21 @@ def test_localization_agrees_with_bfs_on_seeded_rings():
             assert new.equals(old)
             for m in _pool(ring, rng, 30):
                 assert member(m) == old_member(m)
+
+
+def test_model_symbolic_power_matches_saturation():
+    """The threshold search and the x-saturation route give the same
+    generators for t in 1..8 and m in 0..12, and the same membership on
+    every monomial x^a y^b u^s with a <= 1, b <= m + 1 and s <= m + 2."""
+    compared = 0
+    for t in range(1, 9):
+        ring = model_ring(t)
+        for m in range(13):
+            ideal, member = model_symbolic_power(t, m)
+            oracle, oracle_member = saturation_model_symbolic_power(t, m)
+            assert _keys(ideal) == _keys(oracle), (t, m)
+            for a, b, s in product(range(2), range(m + 2), range(m + 3)):
+                mono = ring.monomial((s,), a, b)
+                assert member(mono) == oracle_member(mono) == ideal.contains(mono), (t, m, a, b, s)
+                compared += 1
+    assert compared == 8 * sum(2 * (m + 2) * (m + 3) for m in range(13))
