@@ -19,9 +19,9 @@ from .divisor import (
     Polarization,
     PseudoDivisor,
     beta,
+    contract_pushforward,
     enumerate_quasistable,
     is_quasistable,
-    pushforward,
 )
 from .errors import DeskScaleError, GoldenMismatch, SearchBoundError, ValidationError
 from .flow import (

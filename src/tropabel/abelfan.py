@@ -30,7 +30,7 @@ from .cone import Cone, face_lattice_rayset
 from .divisor import (
     Divisor,
     Polarization,
-    PseudoDivisor,
+    contract_pushforward,
     nondisconnecting_edge_sets,
     quasistable_with_edge_set,
 )
@@ -38,12 +38,12 @@ from .errors import ValidationError, WorkCap
 from .flow import (
     AdmissiblePair,
     FlowAssignment,
-    _check_instance,
+    check_instance,
     div_flow,
     enumerate_admissible,
     is_acyclic_flow,
 )
-from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, subdivide
+from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis
 from .linalg import clear_denominators, dot, inverse
 
 
@@ -397,77 +397,43 @@ def _specialize_pair(g, pair, zset):
     """Specialize an admissible pair by contracting a set of edges of its
     E-subdivision; zset may hold plain edges as well as halves.
 
-    A base edge is contracted when all its parts are in zset (the plain
-    edge, or both halves).  A subdivided edge with one half in zset leaves
-    the subdivided set and carries the other half's flow; its exceptional
-    vertex merges into the far end of the contracted half.  The divisor is
-    pushed forward along the contraction.  Returns (contracted graph, face
-    pair, contracted base edges), or None when the image flow has a directed
-    cycle, which no face of the pair's cone gives.
+    The divisor and the vertex map come from contract_pushforward; this
+    function carries the flow only.  Surviving subdivision edges keep their
+    values, and a subdivided edge reduced to one half carries that half's
+    value on the un-subdivided edge; orientations go through the vertex
+    map.  Returns (contracted graph, face pair, contracted base edges), or
+    None when the image flow has a directed cycle, which no face of the
+    pair's cone gives.
     """
     sub = _sub_of(pair)
-    by_base = {}
-    for e in sub.result.edge_ids:
-        by_base.setdefault(sub.over_map[e], []).append(e)
-    full_gone = set()
-    half_gone = {}
-    for base, parts in by_base.items():
-        gone = [e for e in parts if e in zset]
-        if len(gone) == len(parts):
-            full_gone.add(base)
-        elif gone:
-            half_gone[base] = gone[0]
-    spec = contract(g, full_gone)
-    g2 = spec.target
-    new_e = frozenset(e for e in pair.eset if e not in full_gone and e not in half_gone)
-    sub2 = subdivide(g2, new_e)
-    # carry the flow: surviving subdivision edges keep their values; a
-    # subdivided edge reduced to one half keeps that half's value on the
-    # un-subdivided edge
-    vmap = dict(spec.vmap)
-    for base in pair.eset:
-        x = f"x:{base}"
-        if base in full_gone:
-            vmap[x] = spec(g.ends[base][0])
-        elif base in half_gone:
-            kept = next(e for e in by_base[base] if e != half_gone[base])
-            tail, head = sub.dir_map[half_gone[base]]
-            absorbed = tail if tail != x else head
-            vmap[x] = spec.vmap.get(absorbed, absorbed)
-        else:
-            vmap[x] = x
+    pd2, along = contract_pushforward(pair.resulting_pd, zset)
+    g2, sub2 = pd2.base, pd2.subdivision
     flow_vals = {}
     orient = {}
     for e2 in sub2.result.edge_ids:
         base2 = sub2.over_map[e2]
-        if base2 in half_gone:
-            src = next(e for e in by_base[base2] if e not in zset)
-        elif base2 in pair.eset:
+        if base2 not in pair.eset:
+            src = base2
+        elif base2 not in pd2.eset:
+            src = next(h for h in sub.halves[base2] if h not in zset)
+        else:
             # match the half by the image of its base endpoint: contraction
             # can rename the ends so that their sorted order flips
             ha, hb = sub.halves[base2]
-            if spec(g.ends[base2][0]) == g2.ends[base2][0]:
+            if along(g.ends[base2][0]) == g2.ends[base2][0]:
                 src = e2
             else:
                 src = hb if e2 == ha else ha
-        else:
-            src = base2
         v = pair.flow.flow_map[src]
         flow_vals[e2] = v
         if v > 0:
             s, t = pair.flow.orient_map[src]
-            orient[e2] = (vmap.get(s, s), vmap.get(t, t))
+            orient[e2] = (along(s), along(t))
     fa = FlowAssignment.of(sub2.result, orient, flow_vals)
     if not is_acyclic_flow(fa):
         return None
-    # divisor of the face pair: pushforward of the pair's divisor
-    vals = {v: 0 for v in sub2.result.vertex_ids}
-    for v in sub.result.vertex_ids:
-        tv = vmap.get(v, v)
-        vals[tv] += pair.resulting_pd.divisor[v]
-    pd2 = PseudoDivisor(g2, new_e, Divisor.of(sub2.result, vals), sub2)
-    pair2 = AdmissiblePair(g2, new_e, fa, pd2)
-    return g2, pair2, frozenset(full_gone)
+    pair2 = AdmissiblePair(g2, pd2.eset, fa, pd2)
+    return g2, pair2, frozenset(g.edge_ids).difference(g2.edge_ids)
 
 
 @dataclass(frozen=True)
@@ -801,7 +767,7 @@ def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
         v0, pol, d0 = spec(v0), pol.pushforward(spec), d0.pushforward(spec)
     # scale to integers: cone membership is invariant under positive scaling
     ipoint, denom = clear_denominators(point[e] for e in live_g.edge_ids)
-    _check_instance(live_g, v0, pol, d0)
+    check_instance(live_g, v0, pol, d0)
     work = WorkCap("locate", cap, "candidate checks", "lattice points")
     hits = _lattice_hits(live_g, v0, pol, d0, ipoint, reverse, work)
     hit = next(hits, None)

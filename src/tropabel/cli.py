@@ -286,7 +286,8 @@ def cmd_verify(args):
     pairs = [c.provenance for c in cones]
     report["admissible_pairs"] = len(pairs)
     # partition sampling over the fan's maximal cones, in one chunk of the
-    # seed space per job; at most one process per CPU samples the chunks
+    # seed space per job; the chunks with points go to at most one process
+    # per CPU
     maximal = [c.cone for c in cones]
     n_edges, chunks = len(g.edge_ids), args.jobs
     if chunks > 1:
@@ -295,9 +296,11 @@ def cmd_verify(args):
         per = args.points // chunks
         counts = [per] * chunks
         counts[-1] += args.points - per * chunks
-        work = [(maximal, n_edges, args.seed + i, counts[i]) for i in range(chunks)]
-        with multiprocessing.Pool(min(chunks, os.cpu_count() or 1)) as pool:
-            failures = sum(pool.starmap(_sample_partition, work))
+        work = [(maximal, n_edges, args.seed + i, n) for i, n in enumerate(counts) if n > 0]
+        failures = 0
+        if work:
+            with multiprocessing.Pool(min(len(work), os.cpu_count() or 1)) as pool:
+                failures = sum(pool.starmap(_sample_partition, work))
     else:
         failures = _sample_partition(maximal, n_edges, args.seed, args.points)
     report["partition"] = {"points": args.points, "failures": failures}

@@ -114,12 +114,8 @@ class Cone:
         rays = tuple(sorted(primitive(tuple(int(x) for x in r)) for r in rays))
         rays = tuple(r for r in rays if any(r))
         span_eqs = tuple(nullspace([list(r) for r in rays] or [[0] * ambient_dim], ambient_dim))
-        if not rays:
-            ineqs = ()
-        else:
-            ineqs = tuple(_facets_from_rays(rays, span_eqs, ambient_dim))
-        cone = Cone(ambient_dim, span_eqs, ineqs, rays)
-        return cone
+        ineqs = tuple(_rays_in_ambient(span_eqs, rays, ambient_dim)) if rays else ()
+        return Cone(ambient_dim, span_eqs, ineqs, rays)
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(sorted(tuple(r) for r in self.rays)))
@@ -211,48 +207,27 @@ class Cone:
 
 
 def _rays_in_ambient(equalities, inequalities, ambient_dim):
-    """Double description run inside the subspace cut by the equalities."""
+    """Double description run inside the subspace cut by the equalities
+    (the whole space when there are none).
+
+    Also the facets of cone(rays) inside its span: the facet normals are
+    the rays of the dual cone within the span, cut by the span's
+    equalities with the rays as inequalities.
+    """
     if ambient_dim == 0:
         return []
-    basis = nullspace([list(r) for r in equalities], ambient_dim) if equalities else [
-        tuple(1 if i == j else 0 for i in range(ambient_dim)) for j in range(ambient_dim)
-    ]
+    if equalities:
+        basis = nullspace([list(r) for r in equalities], ambient_dim)
+    else:
+        basis = [tuple(int(i == j) for i in range(ambient_dim)) for j in range(ambient_dim)]
     if not basis:
         return []
-    k = len(basis)
     restricted = [tuple(dot(row, b) for b in basis) for row in inequalities]
-    rays_y = rays_from_halfspaces(restricted, k)
-    out = []
-    for y in rays_y:
-        x = tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(ambient_dim))
-        out.append(primitive(x))
-    return sorted(set(out))
-
-
-def _facets_from_rays(rays, span_eqs, ambient_dim):
-    """Facet inequalities of cone(rays) inside its span.
-
-    The dual cone of cone(rays) within the span is computed by double
-    description in span coordinates; its rays are the facet normals.
-    """
-    basis = nullspace([list(r) for r in span_eqs], ambient_dim) if span_eqs else [
-        tuple(1 if i == j else 0 for i in range(ambient_dim)) for j in range(ambient_dim)
-    ]
-    k = len(basis)
-    if k == 0:
-        return []
-    # pairing matrix between span coordinates and rays
-    restricted = [tuple(dot(r, b) for b in basis) for r in rays]
-    try:
-        normals_y = rays_from_halfspaces(restricted, k)
-    except ValidationError:
-        # rays do not span: cannot happen since basis spans exactly span(rays)
-        raise
-    out = []
-    for y in normals_y:
-        row = tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(ambient_dim))
-        out.append(primitive(row))
-    return sorted(set(out))
+    out = {
+        primitive(tuple(sum(c * b[i] for c, b in zip(y, basis)) for i in range(ambient_dim)))
+        for y in rays_from_halfspaces(restricted, len(basis))
+    }
+    return sorted(out)
 
 
 def dual_rays(cone):

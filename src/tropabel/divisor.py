@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import ValidationError, WorkCap
-from .graph import Graph, Subdivision, exceptional_id, subdivide
+from .graph import Graph, Specialization, Subdivision, contract, exceptional_id, subdivide
 from .linalg import exact_value, format_rational
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
@@ -395,51 +395,50 @@ def is_quasistable(pd, v0, pol):
     return routes.accepts(pd.divisor._map)
 
 
-def compatible_pushforward(pd, e, half, subdivision=None):
-    """Push a pseudo-divisor along the contraction of one half of e in E.
+def contract_pushforward(pd, zset, subdivision=None):
+    """Push a pseudo-divisor forward along the contraction of a set `zset`
+    of edges of its E-subdivision, plain edges and halves alike.
 
-    `half` selects the endpoint absorbing the exceptional -1: one of the two
-    result edges over e.  Returns the pseudo-divisor with E' = E - {e};
-    `subdivision` is the E'-subdivision of the base, when already built.
+    A base edge is contracted when all its parts are in zset (the plain
+    edge, or both halves), and leaves E when it is subdivided.  A
+    subdivided edge with one half in zset leaves E uncontracted: its
+    exceptional vertex merges into the far end of the contracted half.
+    The vertex map between the two subdivisions is the Specialization
+    sending a base vertex to its image under contract, the exceptional
+    vertex of a contracted edge to the image of the edge's smaller end,
+    that of a half-contracted edge to the image of the absorbing end, and
+    every other exceptional vertex to itself.  The face divisor sums the
+    values over its fibers (Divisor.pushforward), so the degree is kept and
+    each surviving exceptional vertex keeps its -1.  `subdivision` is the
+    face's E'-subdivision of the contracted base, when already built.
+    Returns (face pseudo-divisor, vertex map).
     """
-    if e not in pd.eset:
-        raise ValidationError(f"{e} is not subdivided")
-    sub = pd.subdivision
-    ha, hb = sub.halves[e]
-    if half not in (ha, hb):
-        raise ValidationError(f"{half} is not a half of {e}")
-    x = exceptional_id(e)
-    tail, head = sub.dir_map[half]
-    absorbed = tail if tail != x else head
-    vals = {v: pd.divisor[v] for v in sub.result.vertex_ids if v != x}
-    vals[absorbed] += pd.divisor[x]
-    return PseudoDivisor.of(pd.base, pd.eset - {e}, vals, subdivision)
-
-
-def pushforward(spec, pd):
-    """Pseudo-divisor pushforward along a graph specialization.
-
-    E' = E minus the contracted edges; the induced map on subdivisions sends
-    surviving exceptional vertices to themselves and sums divisor values over
-    fibers.  Degree is preserved.
-    """
-    if spec.source != pd.base:
-        raise ValidationError("specialization source mismatch")
-    new_e = frozenset(pd.eset - spec.contracted)
-    newsub = subdivide(spec.target, new_e)
-    vals = {v: 0 for v in newsub.result.vertex_ids}
-    sub = pd.subdivision
-    for v in sub.result.vertex_ids:
-        if v in pd.base.weight:
-            vals[spec(v)] += pd.divisor[v]
+    g, sub = pd.base, pd.subdivision
+    parts = {}
+    for h in zset:
+        if h not in sub.over_map:
+            raise ValidationError(f"{h} is not an edge of the E-subdivision")
+        parts.setdefault(sub.over_map[h], []).append(h)
+    full = frozenset(e for e, hs in parts.items() if len(hs) == len(sub.halves.get(e, (e,))))
+    spec = contract(g, full)
+    new_e = pd.eset.difference(parts)
+    if subdivision is None:
+        subdivision = subdivide(spec.target, new_e)
+    vmap = dict(spec.vmap)
+    for e in pd.eset:
+        x = exceptional_id(e)
+        if e in full:
+            vmap[x] = spec(g.ends[e][0])
+        elif e in parts:
+            tail, head = sub.dir_map[parts[e][0]]
+            vmap[x] = spec(tail if tail != x else head)
         else:
-            e = v[2:]  # strip the "x:" prefix
-            if e in spec.contracted:
-                a, b = pd.base.ends[e]
-                vals[spec(a)] += pd.divisor[v]
-            else:
-                vals[v] += pd.divisor[v]
-    return PseudoDivisor.of(spec.target, new_e, vals, newsub)
+            vmap[x] = x
+    along = Specialization(
+        sub.result, subdivision.result, frozenset(zset), tuple(sorted(vmap.items()))
+    )
+    face = PseudoDivisor(spec.target, new_e, pd.divisor.pushforward(along), subdivision)
+    return face, along
 
 
 def _value_windows(sub, pol_lifted, base_vertices):
@@ -546,7 +545,7 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     for i, pd in enumerate(found):
         for e in sorted(pd.eset):
             for half in pd.subdivision.halves[e]:
-                smaller = compatible_pushforward(pd, e, half, subs.get(pd.eset - {e}))
+                smaller, _ = contract_pushforward(pd, {half}, subs.get(pd.eset - {e}))
                 j = index.get(smaller.canonical_key())
                 if j is None:
                     raise AssertionError("pushforward left the quasistable poset")

@@ -347,7 +347,7 @@ class AdmissiblePair:
         return data
 
 
-def _check_instance(g, v0, pol, d0):
+def check_instance(g, v0, pol, d0):
     """The checks on (g, v0, mu, D0) shared by every search for D0's pairs."""
     if d0.graph != g or pol.graph != g:
         raise ValidationError("divisor or polarization lives on the wrong graph")
@@ -369,7 +369,7 @@ def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
     candidate checks of the kernels and, separately, the pairs produced;
     DeskScaleError is raised past either.
     """
-    _check_instance(g, v0, pol, d0)
+    check_instance(g, v0, pol, d0)
     checks = WorkCap("quasistable pseudo-divisors", cap, "candidate checks")
     produced = WorkCap("admissible pairs", cap, "pairs")
     pairs = []

@@ -199,8 +199,9 @@ class Specialization:
     """Edge contraction data: source -> target = source/contracted.
 
     vertex_map is constant exactly on the connected components of the
-    contracted subgraph; non-contracted edges keep their ids, so the edge
-    embedding E(target) -> E(source) is the identity inclusion.
+    contracted subgraph.  contract keeps the ids of the edges it does not
+    contract; along a pseudo-divisor's subdivision (contract_pushforward) a
+    half whose partner is contracted becomes its base edge.
     """
 
     source: Graph
@@ -211,10 +212,6 @@ class Specialization:
     @cached_property
     def vmap(self):
         return dict(self.vertex_map)
-
-    @property
-    def edge_embed(self):
-        return {e: e for e in self.target.edge_ids}
 
     def __call__(self, v):
         return self.vmap[v]
@@ -369,10 +366,6 @@ class Refinement:
     @cached_property
     def chain_map(self):
         return dict(self.chains)
-
-
-def _stability_defect(g, v):
-    return g.valence(v) + 2 * g.weight[v] + sum(1 for _, u in g.legs if u == v)
 
 
 def stable_reduction(g):

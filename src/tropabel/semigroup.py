@@ -18,7 +18,6 @@ from functools import cached_property
 
 from .cone import Cone, semigroup_generators
 from .errors import SearchBoundError, ValidationError
-from .graph import cycle_basis
 from .linalg import dot, vec_add
 
 DEFAULT_SEARCH_BOUND = 12
@@ -47,10 +46,6 @@ class MonomialRing:
                         f"relation {tuple(self.relation)} pairs negatively with the ray "
                         f"{tuple(r)}: x*y would leave the monoid"
                     )
-
-    @staticmethod
-    def for_cone(cone, relation=None):
-        return MonomialRing(cone.ambient_dim, cone.rays, relation)
 
     @cached_property
     def generators(self):
@@ -385,7 +380,8 @@ def localization_preimage(ring, face_rays, target, bound=DEFAULT_SEARCH_BOUND):
 @dataclass(frozen=True)
 class BoundaryFunctionals:
     """The two dual covectors attached to a subdivided edge of an admissible
-    pair; their sum is the edge's coordinate functional, and on every
+    pair: the lengths of its downstream half (u') and of its upstream half
+    (u'').  Their sum is the edge's coordinate functional, and on every
     extremal ray at least one of them vanishes."""
 
     edge: str
@@ -396,81 +392,32 @@ class BoundaryFunctionals:
 
 
 def boundary_functionals(pair, e0, abel_cone=None):
-    """Covectors u' and u'' of a subdivided edge, from the fundamental cycle
-    through e0 of the spanning tree avoiding the subdivided set.
+    """Covectors u' and u'' of a subdivided edge e0, read from the pair's
+    rows: they are the inverse rows (pair_rows) of e0's downstream and
+    upstream halves, the upstream half carrying one unit of flow less.
 
-    The cycle is signed so that it traverses e0 along the flow direction.
-    The functionals are certified on the rays of the pair's merged cone;
-    pass `abel_cone` (merged_cone(pair.base, pair)) when it is at hand.
+    The rows certify that the two sum to e0's coordinate functional and
+    are nonnegative on the cone; what is certified here is that on every
+    ray of the pair's merged cone at least one of them vanishes.  Pass
+    `abel_cone` (merged_cone(pair.base, pair)) when it is at hand.
     """
-    from .abelfan import _signed_flow, _through_sign
-
-    g = pair.base
-    if e0 not in pair.eset:
-        raise ValidationError(f"{e0} is not in the subdivided set")
-    basis = cycle_basis(g, avoid=pair.eset)
-    gamma = dict(basis.cycle_map[e0])
-    sub = pair.resulting_pd.subdivision
-    ha, hb = sub.halves[e0]
-    fa, fb = pair.flow.flow_map[ha], pair.flow.flow_map[hb]
-    if fb == fa + 1:
-        s_half, t_half = ha, hb
-    elif fa == fb + 1:
-        s_half, t_half = hb, ha
-    else:  # pragma: no cover
-        raise ValidationError("half flows do not differ by one unit")
-    # re-sign the cycle so it traverses e0 along the flow, and pair it with
-    # flow-signed values on the tree edges
-    sflow = _signed_flow(sub, pair.flow)
-    if _through_sign(sub, pair.flow, e0) < 0:
-        gamma = {e: -s for e, s in gamma.items()}
-    phi_s, phi_t = pair.flow.flow_map[s_half], pair.flow.flow_map[t_half]
-    edges = g.edge_ids
-    idx = {e: i for i, e in enumerate(edges)}
-    u_prime = [0] * len(edges)
-    u_second = [0] * len(edges)
-    for f, sgn in gamma.items():
-        if f == e0:
-            continue
-        u_prime[idx[f]] = -sgn * sflow[f]
-        u_second[idx[f]] = sgn * sflow[f]
-    u_prime[idx[e0]] = -phi_s
-    u_second[idx[e0]] = phi_t
-    out = BoundaryFunctionals(e0, phi_s, phi_t, tuple(u_prime), tuple(u_second))
-    _assert_functionals(pair, out, abel_cone)
-    return out
-
-
-def _assert_functionals(pair, bf, ac=None):
     from .abelfan import merged_cone
 
-    g = pair.base
-    idx = {e: i for i, e in enumerate(g.edge_ids)}
-    e0vee = [0] * len(g.edge_ids)
-    e0vee[idx[bf.edge]] = 1
-    if vec_add(bf.u_prime, bf.u_second) != tuple(e0vee):
-        raise AssertionError("boundary functionals do not sum to the edge functional")
-    if ac is None:
-        ac = merged_cone(g, pair)
-    sub = pair.resulting_pd.subdivision
-    ha, hb = sub.halves[bf.edge]
-    fa, fb = pair.flow.flow_map[ha], pair.flow.flow_map[hb]
-    s_half, t_half = (ha, hb) if fb == fa + 1 else (hb, ha)
+    if e0 not in pair.eset:
+        raise ValidationError(f"{e0} is not in the subdivided set")
+    ac = abel_cone if abel_cone is not None else merged_cone(pair.base, pair)
+    if ac.provenance != pair or ac.ambient_edges != pair.base.edge_ids:
+        raise ValidationError("abel_cone is not merged_cone(pair.base, pair)")
+    rows = ac.rows
+    length = dict(zip(rows.sub.result.edge_ids, rows.inverse_rows))
+    ha, hb = rows.sub.halves[e0]
+    flow = pair.flow.flow_map
+    up, down = (ha, hb) if flow[hb] == flow[ha] + 1 else (hb, ha)
+    out = BoundaryFunctionals(e0, flow[up], flow[down], length[down], length[up])
     for r in ac.cone.rays:
-        vp, vs = dot(bf.u_prime, r), dot(bf.u_second, r)
-        if vp < 0 or vs < 0:
-            raise AssertionError("functional negative on a ray")
-        if vp != 0 and vs != 0:
+        if dot(out.u_prime, r) != 0 and dot(out.u_second, r) != 0:
             raise AssertionError("neither functional vanishes on a ray")
-        # contraction clauses: a vanishing downstream half kills u', a
-        # vanishing upstream half kills u''
-        split = ac.split_point(r)
-        if split[t_half] == 0 and vp != 0:
-            raise AssertionError("u' survives a vanishing downstream half")
-        if split[s_half] == 0 and vs != 0:
-            raise AssertionError("u'' survives a vanishing upstream half")
-        if vp == 0 and vs == 0 and r[idx[bf.edge]] != 0:
-            raise AssertionError("both functionals vanish on a ray that spans the edge")
+    return out
 
 
 def node_ring(pair, e0):

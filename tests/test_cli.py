@@ -276,7 +276,8 @@ def test_verify_serial_sampler_reuses_cones(capsys, theta_file, monkeypatch):
 
 def test_verify_jobs_keeps_chunks_and_bounds_processes(capsys, theta_file, monkeypatch):
     """--jobs N samples N chunks of the seed space, so the report does not
-    depend on the machine, but starts at most os.cpu_count() processes; the
+    depend on the machine; only the chunks with points are sent, to at most
+    os.cpu_count() processes and no more than there are such chunks.  The
     chunks sample the Cones of the fan's maximal cones.  A --jobs below 1
     is an input error."""
     import multiprocessing
@@ -306,16 +307,22 @@ def test_verify_jobs_keeps_chunks_and_bounds_processes(capsys, theta_file, monke
     argv += ["--points", "10", "--skip-pairwise", "--jobs"]
     code, out, _ = _run(capsys, argv + ["64"])
     assert (code, out) == (0, VERIFY_THETA_4)
-    assert [c[2:] for c in chunks] == [(i, 0) for i in range(63)] + [(63, 10)]
+    assert [c[2:] for c in chunks] == [(63, 10)]
     cones = chunks[0][0]
     assert len(cones) == 55 and all(isinstance(c, Cone) for c in cones)
     code, out, _ = _run(capsys, argv + ["2"])
     assert (code, out) == (0, VERIFY_THETA_4)
-    assert pools == [3, 2]
+    assert [c[2:] for c in chunks[1:]] == [(0, 5), (1, 5)]
+    code, out, _ = _run(capsys, argv + ["5"])
+    assert (code, out) == (0, VERIFY_THETA_4)
+    assert pools == [1, 2, 3]
+    # no chunk has points: no pool is started
+    code, out, _ = _run(capsys, argv[:-3] + ["0", "--skip-pairwise", "--jobs", "2"])
+    assert code == 0 and json.loads(out)["partition"] == {"points": 0, "failures": 0}
     for jobs in ("0", "-2"):
         error = f"error: --jobs must be at least 1, got {jobs}\n"
         assert _run(capsys, argv + [jobs]) == (1, "", error)
-    assert pools == [3, 2]
+    assert pools == [1, 2, 3]
 
 
 def test_examples_command(capsys):

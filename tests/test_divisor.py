@@ -18,15 +18,15 @@ from tropabel.divisor import (
     _quasistable_on_graph,
     _value_windows,
     beta,
+    contract_pushforward,
     edge_sets,
     enumerate_quasistable,
     is_quasistable,
     nondisconnecting_edge_sets,
-    pushforward,
     quasistable_with_edge_set,
 )
 from tropabel.errors import DeskScaleError, ValidationError, WorkCap
-from tropabel.graph import Graph, contract, identity_specialization, subdivide
+from tropabel.graph import Graph, contract, exceptional_id, subdivide
 
 from conftest import (
     cycle_instance,
@@ -118,14 +118,13 @@ def test_quasistable_rejects_disconnecting_eset(theta):
 def test_pushforward_identity(theta):
     mu = Polarization.zero(theta)
     pd = PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": 0, "x:e0": -1})
-    out = pushforward(identity_specialization(theta), pd)
+    out, _ = contract_pushforward(pd, set())
     assert out.canonical_key() == pd.canonical_key()
 
 
 def test_pushforward_contract_e2(theta):
     pd = PseudoDivisor.of(theta, {"e0", "e1"}, {"v0": 1, "v1": 1, "x:e0": -1, "x:e1": -1})
-    s = contract(theta, {"e2"})
-    out = pushforward(s, pd)
+    out, _ = contract_pushforward(pd, {"e2"})
     assert out.eset == {"e0", "e1"}
     assert out.degree() == pd.degree()
     v = out.base.vertex_ids[0]
@@ -135,10 +134,15 @@ def test_pushforward_contract_e2(theta):
 
 def test_pushforward_full_contraction(theta):
     pd = PseudoDivisor.of(theta, set(), {"v0": 3, "v1": -3})
-    s = contract(theta, set(theta.edge_ids))
-    out = pushforward(s, pd)
+    out, _ = contract_pushforward(pd, set(theta.edge_ids))
     assert out.eset == frozenset()
     assert out.degree() == 0
+
+
+def _whole(pd, eset):
+    """Every edge of pd's subdivision over the base edges in eset."""
+    halves = pd.subdivision.halves
+    return {h for e in eset for h in halves.get(e, (e,))}
 
 
 def test_pushforward_preserves_quasistability():
@@ -156,9 +160,96 @@ def test_pushforward_preserves_quasistability():
         pd = rng.choice(poset.elements)
         eset = {e for e in g.edge_ids if rng.random() < 0.4}
         s = contract(g, eset)
-        out = pushforward(s, pd)
+        out, _ = contract_pushforward(pd, _whole(pd, eset))
         assert is_quasistable(out, s(g.leg_map[0]), mu.pushforward(s))
         done += 1
+
+
+# --- the pseudo-divisor pushforwards contract_pushforward replaced, kept as
+# oracles: one along a single half, one along whole base edges
+
+
+def half_pushforward_oracle(pd, e, half):
+    """Contract one half of e in E: its exceptional -1 moves to the half's
+    other end, and E' = E - {e}."""
+    sub = pd.subdivision
+    assert e in pd.eset and half in sub.halves[e]
+    x = exceptional_id(e)
+    tail, head = sub.dir_map[half]
+    absorbed = tail if tail != x else head
+    vals = {v: pd.divisor[v] for v in sub.result.vertex_ids if v != x}
+    vals[absorbed] += pd.divisor[x]
+    return PseudoDivisor.of(pd.base, pd.eset - {e}, vals)
+
+
+def whole_pushforward_oracle(spec, pd):
+    """Contract whole base edges along a graph specialization: E' = E minus
+    the contracted edges, and the values are summed over the fibers of the
+    induced map on subdivisions, the exceptional vertex of a contracted
+    edge going where its smaller end goes."""
+    assert spec.source == pd.base
+    new_e = frozenset(pd.eset - spec.contracted)
+    newsub = subdivide(spec.target, new_e)
+    vals = {v: 0 for v in newsub.result.vertex_ids}
+    for v in pd.subdivision.result.vertex_ids:
+        if v in pd.base.weight:
+            vals[spec(v)] += pd.divisor[v]
+        else:
+            e = v[2:]  # strip the "x:" prefix
+            if e in spec.contracted:
+                vals[spec(pd.base.ends[e][0])] += pd.divisor[v]
+            else:
+                vals[v] += pd.divisor[v]
+    return PseudoDivisor.of(spec.target, new_e, vals, newsub)
+
+
+def test_contract_pushforward_matches_fiber_sums_and_former_routes():
+    """On quasistable pseudo-divisors of seeded random graphs, zsets mixing
+    whole base edges and single halves: the face divisor is the fiber sum
+    along the returned vertex map, of the same degree, with -1 at every
+    surviving exceptional vertex, and it equals the single-half oracle run
+    on each half followed by the whole-edge oracle."""
+    rng = random.Random(43)
+    done = mixed = 0
+    while done < 80:
+        g = random_connected_graph(rng, max_edges=5)
+        mu = random_polarization(rng, g, degree=rng.randint(-1, 2))
+        try:
+            poset = enumerate_quasistable(g, g.leg_map[0], mu, cap=20000)
+        except DeskScaleError:
+            continue
+        subdivided = [pd for pd in poset.elements if pd.eset]
+        for pd in rng.sample(subdivided, min(3, len(subdivided))):
+            sub = pd.subdivision
+            whole = {e for e in g.edge_ids if rng.random() < 0.3}
+            halves = {
+                e: rng.choice(sub.halves[e]) for e in sorted(pd.eset - whole) if rng.random() < 0.6
+            }
+            face, along = contract_pushforward(pd, _whole(pd, whole) | set(halves.values()))
+            assert along.source == sub.result and along.target == face.subdivision.result
+            for w in along.target.vertex_ids:
+                fiber = [v for v in sub.result.vertex_ids if along(v) == w]
+                assert face.divisor[w] == sum(pd.divisor[v] for v in fiber)
+            assert face.degree() == pd.degree()
+            assert face.eset == pd.eset - whole - set(halves)
+            assert all(face.divisor[x] == -1 for x in face.subdivision.exceptional)
+            step = pd
+            for e, h in sorted(halves.items()):
+                step = half_pushforward_oracle(step, e, h)
+            spec = contract(g, whole)
+            old = whole_pushforward_oracle(spec, step)
+            assert face.base == spec.target
+            assert all(along(v) == spec(v) for v in g.vertex_ids)
+            assert face.canonical_key() == old.canonical_key()
+            done += 1
+            mixed += bool(whole) and bool(halves)
+    assert mixed >= 15
+
+
+def test_contract_pushforward_rejects_foreign_edges(theta):
+    pd = PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": 0, "x:e0": -1})
+    with pytest.raises(ValidationError, match="not an edge of the E-subdivision"):
+        contract_pushforward(pd, {"e0"})
 
 
 def test_divisor_pushforward_sums_fibers():
@@ -461,10 +552,10 @@ def test_certificates_survive_optimize():
         attempt("routes", lambda: routes.accepts({"v0": 2, "v1": -2}))
 
         stray = PseudoDivisor.of(g, set(), {"v0": 9, "v1": -9})
-        real = divisor.compatible_pushforward
-        divisor.compatible_pushforward = lambda pd, e, half, subdivision=None: stray
+        real = divisor.contract_pushforward
+        divisor.contract_pushforward = lambda pd, zset, subdivision=None: (stray, None)
         attempt("pushforward", lambda: divisor.enumerate_quasistable(g, "v0", mu))
-        divisor.compatible_pushforward = real
+        divisor.contract_pushforward = real
 
         real_flows = flow.acyclic_flows
 

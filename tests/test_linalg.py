@@ -1,6 +1,7 @@
 """The exact linear-algebra kernel and the rational codec, checked against
-definitions on seeded random matrices, plus a guard that keeps floats and
-true division out of the library."""
+definitions on seeded random matrices, plus guards that keep floats and
+true division out of the library and its modules out of each other's
+private names."""
 
 import ast
 import random
@@ -212,3 +213,21 @@ def test_no_floats_and_one_division_in_the_library():
     ]
     assert offences == []
     assert len(divisions) == 1
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A name with a leading underscore is private to its module: no
+    module of the library imports one from another of its modules."""
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("tropabel"):
+                continue
+            offences += [
+                f"{path.name}:{node.lineno} imports {alias.name} from {node.module}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offences == []

@@ -272,6 +272,15 @@ def test_boundary_functionals_requires_subdivided_edge(worked_pair):
         boundary_functionals(worked_pair, "e2")
 
 
+def test_boundary_functionals_rejects_another_pairs_cone(worked_pair, theta):
+    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
+    pairs = enumerate_admissible(theta, "v0", Polarization.zero(theta), d0)
+    other = next(p for p in pairs if p.eset == {"e0"})
+    _, ac = node_ring(other, "e0")
+    with pytest.raises(ValidationError, match="is not merged_cone"):
+        boundary_functionals(worked_pair, "e0", abel_cone=ac)
+
+
 def test_ray_power_intersection_worked(worked_pair):
     lhs, rhs = ray_power_intersection(worked_pair, "e0")
     ring = lhs.ring

@@ -3,8 +3,9 @@ enumeration.
 
 The predecessors are kept here as oracles: the j-loop divisibility test,
 the breadth-first search that stopped two levels past its last new
-minimal generator, and the model-ring symbolic power by x-saturation of
-the ordinary power.  The exhaustive check lists every lattice point of a
+minimal generator, the model-ring symbolic power by x-saturation of the
+ordinary power, and the boundary functionals from a fundamental cycle
+(functional_oracle.py).  The exhaustive check lists every lattice point of a
 valuation box {m : w(m) <= B}.  A member m of an upward closed set is
 minimal iff no quotient of m by a ring generator is a member, and the
 box holds each such quotient of its points; a box only gives a lower
@@ -20,6 +21,7 @@ from itertools import product
 import pytest
 
 from tropabel import semigroup, worked
+from tropabel.abelfan import build_fan
 from tropabel.cone import Cone
 from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import SearchBoundError
@@ -29,6 +31,7 @@ from tropabel.semigroup import (
     DEFAULT_SEARCH_BOUND,
     MonomialIdeal,
     MonomialRing,
+    boundary_functionals,
     intersect_ideals,
     localization_preimage,
     model_ring,
@@ -38,6 +41,9 @@ from tropabel.semigroup import (
     symbolic_power_membership,
 )
 from tropabel.worked import ideal_report
+
+from conftest import parallel_instance
+from functional_oracle import functionals_by_cycle
 
 # ------------------------------------------------------------ the predecessors
 
@@ -404,3 +410,21 @@ def test_model_symbolic_power_matches_saturation():
                 assert member(mono) == oracle_member(mono) == ideal.contains(mono), (t, m, a, b, s)
                 compared += 1
     assert compared == 8 * sum(2 * (m + 2) * (m + 3) for m in range(13))
+
+
+def test_boundary_functionals_match_cycle_derivation(random_instances):
+    """The functionals read from the rows equal the fundamental-cycle
+    derivation on every subdivided edge of every pair of the theta (4,-4)
+    fan, face pairs on contracted graphs included, and of the pairs of the
+    seeded random instances."""
+    g, v0, mu, d0 = parallel_instance(3, 4, 0)
+    pairs = [c.provenance for c in build_fan(g, v0, mu, d0).cones]
+    pairs += [p for *_, instance_pairs in random_instances for p in instance_pairs]
+    cases = 0
+    for pair in pairs:
+        for e0 in sorted(pair.eset):
+            bf = boundary_functionals(pair, e0)
+            got = (bf.upstream_flow, bf.downstream_flow, bf.u_prime, bf.u_second)
+            assert got == functionals_by_cycle(pair, e0), (pair.to_json(), e0)
+            cases += 1
+    assert cases >= 800, cases
