@@ -13,12 +13,13 @@ by a second double description.
 
 Point location goes through neither the pairs nor the whole quasistable
 poset.  It walks the nondisconnecting edge sets E from the largest down,
-and for each quasistable pseudo-divisor (E, D) of the walk it solves the
+and for each candidate pseudo-divisor (E, D) of the walk it solves the
 tropical Abel-Jacobi condition exactly:
 the flows with divisor D - D0 differ by integer combinations of the
 fundamental cycles, and the cycle equations at the point are linear in
 those integers and in the half-lengths, so the candidates are the lattice
-points of a small parallelepiped (_EdgeSetSolve).
+points of a small parallelepiped (_EdgeSetSolve).  Only a D with a lattice
+hit is tested for quasistability.
 """
 
 import math
@@ -30,9 +31,9 @@ from .cone import Cone, face_lattice_rayset
 from .divisor import (
     Divisor,
     Polarization,
+    QuasistableRoutes,
     contract_pushforward,
     nondisconnecting_edge_sets,
-    quasistable_with_edge_set,
 )
 from .errors import ValidationError, WorkCap
 from .flow import (
@@ -637,8 +638,12 @@ class _EdgeSetSolve:
             tuple([-row[n] for row in db] + [row[n] for row in ds]) for n in range(len(on))
         ]
         self.dl = [d * length[self.basis.cycles[i][0]] for i in on]
-        # lam_on = ds^-1 (d t - dc) with d t in the open box (0, d l)
-        self.ds_inv = inverse(ds)
+        # lam_on = ds^-1 (d t - dc) with d t in the open box (0, d l); ds^-1
+        # is kept as integers over the common denominator m, and so is the
+        # spread of ds^-1 (d t) over the box
+        ds_inv = inverse(ds)
+        self.m = math.lcm(1, *(x.denominator for row in ds_inv for x in row))
+        self.ds_inv = [[int(x * self.m) for x in row] for row in ds_inv]
         self.spread = [
             (
                 sum(min(0, x * dl) for x, dl in zip(row, self.dl)),
@@ -674,10 +679,13 @@ class _EdgeSetSolve:
         d, off = self.d, self.off
         ar = [dot(row, [r[m] for m in off]) for row in self.a]
         dc = [dot(row, ar) - d * r[i] for row, i in zip(self.q_on_off, self.on)]
+        # lam_on runs over the integers strictly between (lo - centre) / m
+        # and (hi - centre) / m
+        m = self.m
         ranges = []
         for row, (lo, hi) in zip(self.ds_inv, self.spread):
             centre = dot(row, dc)
-            ranges.append(range(math.floor(lo - centre) + 1, math.ceil(hi - centre)))
+            ranges.append(range((lo - centre) // m + 1, -((centre - hi) // m)))
         n_off = len(off)
         for z, vec in _box_points(ranges, self.cols, ar + dc):
             if any(x % d for x in vec[:n_off]) or not all(
@@ -726,17 +734,19 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     smallest (the smallest first with `reverse`, which also reverses the
     order within each E).  A generic point lies in a cone of full
     dimension, whose E has b1(G) edges, so the walk usually stops at its
-    first size.  Each E's quasistable pseudo-divisors (E, D) come from the
-    per-edge-set kernel quasistable_with_edge_set, built only when the walk
-    reaches E, and so is E's lattice solve (_EdgeSetSolve), at the first D.
-    The solve yields the flows with divisor D - D0 whose cone holds the
-    point; each is certified against its pair's rows (pair_rows).  The walk
-    stops at the first certified hit, or, with `check_unique`, tests every
-    (E, D) and raises on a second hit.  Only the hit's merged cone is
-    built.  The lattice points tested per (E, D) are bounded by the graph
-    alone, whatever D0 and the scale of the point.  `cap` bounds the
-    candidate checks of the kernels the walk builds plus the lattice points
-    tested.
+    first size.  Each E's candidate pseudo-divisors (E, D), the divisors in
+    E's value windows, come in the order of the per-edge-set kernel
+    quasistable_with_edge_set, and E's lattice solve (_EdgeSetSolve) is
+    built at the first.  The solve yields the flows with divisor D - D0
+    whose cone holds the point.  Only then are D's two cut tests run, once
+    per candidate with a hit; a non-quasistable D's hits are dropped, and
+    each hit of a quasistable D is certified against its pair's rows
+    (pair_rows).  The walk stops at the first certified hit, or, with
+    `check_unique`, tests every candidate and raises on a second hit.
+    Only the hit's merged cone is built.  The lattice points tested per
+    (E, D) are bounded by the graph alone, whatever D0 and the scale of the
+    point.  `cap` bounds the candidate checks (the candidates whose lattice
+    points are tested) plus the lattice points tested.
     """
     pair, rows, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
     zeros = frozenset(g.edge_ids) - frozenset(pair.base.edge_ids)
@@ -782,20 +792,35 @@ def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
 
 def _lattice_hits(g, v0, pol, d0, ipoint, reverse, work):
     """Every certified (pair, rows) whose open cone holds the integer point,
-    in the walk of locate_point; the kernels and solves are built as it goes,
-    and `work` is charged for each candidate check and lattice point."""
+    in the walk of locate_point.
+
+    Each reached E's window candidates D (QuasistableRoutes.candidates)
+    come in the kernel's order, and E's lattice solve is built at the
+    first.  The solve runs first; the cut tests run once per candidate
+    with a lattice hit, and a hit is yielded only when they accept D, so a
+    non-quasistable D's hits are dropped.  `work` is charged for each
+    candidate and each lattice point tested.
+    """
     esets = list(nondisconnecting_edge_sets(g))
     for eset in esets if reverse else reversed(esets):
-        pds = quasistable_with_edge_set(g, eset, v0, pol, work)
+        routes = QuasistableRoutes(g, eset, v0, pol)
+        candidates = routes.candidates(work)
         if reverse:
-            pds = reversed(list(pds))
+            candidates = reversed(list(candidates))
         solve = None
-        for pd in pds:
+        for values in candidates:
             if solve is None:
-                solve = _EdgeSetSolve(g, pd.subdivision, ipoint)
-            target = {v: pd.divisor[v] - d0[v] for v in g.vertex_ids}
-            target.update((x, -1) for x in pd.subdivision.exceptional)
+                solve = _EdgeSetSolve(g, routes.sub, ipoint)
+            target = dict(values)
+            for v in g.vertex_ids:
+                target[v] -= d0[v]
+            pd = None
             for flow in solve.flows(target):
                 work.charge("lattice points")
-                if flow is not None:
-                    yield _certified_pair(g, pd, solve.basis, flow, d0, ipoint)
+                if flow is None:
+                    continue
+                if pd is None:
+                    if not routes.accepts(values):
+                        break
+                    pd = routes.pseudo_divisor(values)
+                yield _certified_pair(g, pd, solve.basis, flow, d0, ipoint)

@@ -272,6 +272,20 @@ def _sample_partition(cones, n_edges, seed, count):
     return failures
 
 
+# the maximal Cones of `verify --jobs N`, handed to each worker process once
+_WORKER_CONES = None
+
+
+def _init_sampler(cones):
+    global _WORKER_CONES
+    _WORKER_CONES = cones
+
+
+def _sample_chunk(n_edges, seed, count):
+    """_sample_partition over the worker's cones (_init_sampler)."""
+    return _sample_partition(_WORKER_CONES, n_edges, seed, count)
+
+
 def cmd_verify(args):
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
@@ -287,7 +301,7 @@ def cmd_verify(args):
     report["admissible_pairs"] = len(pairs)
     # partition sampling over the fan's maximal cones, in one chunk of the
     # seed space per job; the chunks with points go to at most one process
-    # per CPU
+    # per CPU, each of which receives the cones once
     maximal = [c.cone for c in cones]
     n_edges, chunks = len(g.edge_ids), args.jobs
     if chunks > 1:
@@ -296,11 +310,12 @@ def cmd_verify(args):
         per = args.points // chunks
         counts = [per] * chunks
         counts[-1] += args.points - per * chunks
-        work = [(maximal, n_edges, args.seed + i, n) for i, n in enumerate(counts) if n > 0]
+        work = [(n_edges, args.seed + i, n) for i, n in enumerate(counts) if n > 0]
         failures = 0
         if work:
-            with multiprocessing.Pool(min(len(work), os.cpu_count() or 1)) as pool:
-                failures = sum(pool.starmap(_sample_partition, work))
+            processes = min(len(work), os.cpu_count() or 1)
+            with multiprocessing.Pool(processes, _init_sampler, (maximal,)) as pool:
+                failures = sum(pool.starmap(_sample_chunk, work))
     else:
         failures = _sample_partition(maximal, n_edges, args.seed, args.points)
     report["partition"] = {"points": args.points, "failures": failures}

@@ -8,6 +8,7 @@ because stability is decided by strict comparison with 0.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import ValidationError, WorkCap
@@ -351,23 +352,51 @@ class _CutTester:
         return ok, Fraction(f, 2 * self.scale), vset
 
 
-class _QuasistableRoutes:
-    """The two quasistability tests of pseudo-divisors with one edge set E.
+class QuasistableRoutes:
+    """The candidates and the two quasistability tests of the
+    pseudo-divisors with one edge set E.
 
     The direct route cuts the E-subdivision against the lifted
     polarization; the reduction route demands E nondisconnecting and cuts
-    G - E against mu_E.  Both are built once per E and must agree on every
-    divisor they see.
+    G - E against mu_E.  Each route's _CutTester is built at the first
+    accepts, so a walk that tests no candidate of E builds neither; both
+    must agree on every divisor they see.
     """
 
     def __init__(self, g, eset, v0, pol, sub=None):
+        self.g, self.eset, self.v0, self.pol = g, eset, v0, pol
         self.sub = sub if sub is not None else subdivide(g, eset)
         self.lifted = pol.lift_to_subdivision(self.sub)
-        self.direct = _CutTester(self.sub.result, self.lifted, v0)
-        self.reduced = None
-        if g.is_nondisconnecting(eset):
-            reduced_pol = pol.removed_edges_shift(eset)
-            self.reduced = _CutTester(reduced_pol.graph, reduced_pol, v0)
+
+    @cached_property
+    def direct(self):
+        return _CutTester(self.sub.result, self.lifted, self.v0)
+
+    @cached_property
+    def reduced(self):
+        if not self.g.is_nondisconnecting(self.eset):
+            return None
+        reduced_pol = self.pol.removed_edges_shift(self.eset)
+        return _CutTester(reduced_pol.graph, reduced_pol, self.v0)
+
+    def candidates(self, work):
+        """The divisors (vertex -> int) on the E-subdivision of degree
+        deg(mu) + |E| with each base vertex v in its window
+        mu(v) +- delta_v/2 and -1 at every exceptional vertex, in the order
+        of their values: the windows are walked in the sorted vertex order,
+        values ascending.  Each one is charged to the WorkCap `work` as one
+        "candidate checks" unit before it is yielded."""
+        base_verts = self.g.vertex_ids
+        windows = _value_windows(self.sub, self.lifted, base_verts)
+        target_total = self.pol.degree() + len(self.eset)
+        exceptional = {x: -1 for x in self.sub.exceptional}
+        for combo in product(*(windows[v] for v in base_verts)):
+            if sum(combo) != target_total:
+                continue
+            work.charge("candidate checks")
+            vals = dict(zip(base_verts, combo))
+            vals.update(exceptional)
+            yield vals
 
     def accepts(self, values):
         """Quasistability of the divisor `values` on the subdivision."""
@@ -376,6 +405,9 @@ class _QuasistableRoutes:
         if direct != via_removal:
             raise AssertionError("quasistability cross-check failed")
         return direct
+
+    def pseudo_divisor(self, values):
+        return PseudoDivisor(self.g, self.eset, Divisor.of(self.sub.result, values), self.sub)
 
 
 def is_quasistable(pd, v0, pol):
@@ -391,7 +423,7 @@ def is_quasistable(pd, v0, pol):
         raise ValidationError("polarization lives on the wrong graph")
     if v0 not in pd.base.weight:
         raise ValidationError(f"unknown base vertex {v0}")
-    routes = _QuasistableRoutes(pd.base, pd.eset, v0, pol, sub=pd.subdivision)
+    routes = QuasistableRoutes(pd.base, pd.eset, v0, pol, sub=pd.subdivision)
     return routes.accepts(pd.divisor._map)
 
 
@@ -499,26 +531,16 @@ def quasistable_with_edge_set(g, eset, v0, pol, work):
     """The quasistable pseudo-divisors (E, D) of degree deg(mu) with the
     one edge set E, in canonical order, one at a time.
 
-    Only E's cut tests (_QuasistableRoutes), its subdivision and its value
-    windows mu(v) +- delta_v/2 are built.  Each candidate of the right total
-    is charged to the WorkCap `work` as one "candidate checks" unit and then
-    goes through both cut tests, which must agree.  The windows are walked
-    in the sorted vertex order, values ascending, and every exceptional
-    vertex carries -1, so the divisors come in the order of their values.
+    Only E's subdivision, value windows and cut tests (QuasistableRoutes)
+    are built.  Each candidate D of the windows is charged to the WorkCap
+    `work` as one "candidate checks" unit and then goes through both cut
+    tests, which must agree.  Point location walks the same candidates but
+    runs the cut tests only on those whose open cone holds its point.
     """
-    routes = _QuasistableRoutes(g, eset, v0, pol)
-    sub = routes.sub
-    base_verts = g.vertex_ids
-    windows = _value_windows(sub, routes.lifted, base_verts)
-    target_total = pol.degree() + len(eset)
-    vals = {x: -1 for x in sub.exceptional}
-    for combo in product(*(windows[v] for v in base_verts)):
-        if sum(combo) != target_total:
-            continue
-        work.charge("candidate checks")
-        vals.update(zip(base_verts, combo))
+    routes = QuasistableRoutes(g, eset, v0, pol)
+    for vals in routes.candidates(work):
         if routes.accepts(vals):
-            yield PseudoDivisor(g, eset, Divisor.of(sub.result, vals), sub)
+            yield routes.pseudo_divisor(vals)
 
 
 def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):

@@ -277,19 +277,23 @@ def test_verify_serial_sampler_reuses_cones(capsys, theta_file, monkeypatch):
 def test_verify_jobs_keeps_chunks_and_bounds_processes(capsys, theta_file, monkeypatch):
     """--jobs N samples N chunks of the seed space, so the report does not
     depend on the machine; only the chunks with points are sent, to at most
-    os.cpu_count() processes and no more than there are such chunks.  The
-    chunks sample the Cones of the fan's maximal cones.  A --jobs below 1
-    is an input error."""
+    os.cpu_count() processes and no more than there are such chunks.  Each
+    pool hands the Cones of the fan's maximal cones to its workers once,
+    through its initializer, and a chunk carries only (edges, seed, count).
+    A --jobs below 1 is an input error."""
     import multiprocessing
     import os
 
+    from tropabel import cli
     from tropabel.cone import Cone
 
-    pools, chunks = [], []
+    pools, inits, chunks = [], [], []
 
     class FakePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             pools.append(processes)
+            inits.append(initargs)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -303,16 +307,18 @@ def test_verify_jobs_keeps_chunks_and_bounds_processes(capsys, theta_file, monke
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_WORKER_CONES", None)
     argv = ["verify", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
     argv += ["--points", "10", "--skip-pairwise", "--jobs"]
     code, out, _ = _run(capsys, argv + ["64"])
     assert (code, out) == (0, VERIFY_THETA_4)
-    assert [c[2:] for c in chunks] == [(63, 10)]
-    cones = chunks[0][0]
+    assert chunks == [(3, 63, 10)]
+    ((cones,),) = inits
     assert len(cones) == 55 and all(isinstance(c, Cone) for c in cones)
     code, out, _ = _run(capsys, argv + ["2"])
     assert (code, out) == (0, VERIFY_THETA_4)
-    assert [c[2:] for c in chunks[1:]] == [(0, 5), (1, 5)]
+    assert chunks[1:] == [(3, 0, 5), (3, 1, 5)]
+    assert len(inits) == 2 and inits[1][0] == cones
     code, out, _ = _run(capsys, argv + ["5"])
     assert (code, out) == (0, VERIFY_THETA_4)
     assert pools == [1, 2, 3]

@@ -13,8 +13,8 @@ from tropabel.divisor import (
     Divisor,
     Polarization,
     PseudoDivisor,
+    QuasistableRoutes,
     _CutTester,
-    _QuasistableRoutes,
     _quasistable_on_graph,
     _value_windows,
     beta,
@@ -463,7 +463,7 @@ def test_cut_tester_matches_subset_oracle_on_both_routes():
         seen["parallel"] += len({pair for _, pair in g.edges}) < len(g.edges)
         seen["single"] += len(g.vertex_ids) == 1
         for eset in edge_sets(g):
-            routes = _QuasistableRoutes(g, eset, v0, pol)
+            routes = QuasistableRoutes(g, eset, v0, pol)
             seen["scale"].add(routes.direct.scale)
             sub = routes.sub
             windows = _value_windows(sub, routes.lifted, g.vertex_ids)
@@ -547,7 +547,7 @@ def test_certificates_survive_optimize():
             def violation(self, values):
                 return None
 
-        routes = divisor._QuasistableRoutes(g, frozenset(), "v0", mu)
+        routes = divisor.QuasistableRoutes(g, frozenset(), "v0", mu)
         routes.reduced = Accepts()
         attempt("routes", lambda: routes.accepts({"v0": 2, "v1": -2}))
 
@@ -682,7 +682,7 @@ def test_direct_route_rejects_every_candidate_on_disconnecting_sets():
         for eset in edge_sets(g):
             if g.is_nondisconnecting(eset):
                 continue
-            routes = _QuasistableRoutes(g, eset, v0, mu)
+            routes = QuasistableRoutes(g, eset, v0, mu)
             windows = _value_windows(routes.sub, routes.lifted, g.vertex_ids)
             vals = {x: -1 for x in routes.sub.exceptional}
             for combo in product(*(windows[v] for v in g.vertex_ids)):

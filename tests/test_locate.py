@@ -22,14 +22,21 @@ from tropabel.abelfan import (
     merged_cone,
     pair_rows,
 )
-from tropabel.divisor import Divisor, Polarization, enumerate_quasistable
-from tropabel.errors import DeskScaleError
+from tropabel.divisor import (
+    Divisor,
+    Polarization,
+    QuasistableRoutes,
+    enumerate_quasistable,
+    nondisconnecting_edge_sets,
+)
+from tropabel.errors import DeskScaleError, WorkCap
 from tropabel.flow import enumerate_admissible
 from tropabel.graph import build_graph, contract, cycle_basis
 from tropabel.linalg import inverse
 from tropabel.metric import abel_eval
 
 from conftest import abel_instances, parallel_instance, pendant_cycle_instance, random_instance
+from locate_oracle import oracle_locate
 from split_oracle import split_cone, split_rays
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -299,32 +306,47 @@ def test_lazy_walk_matches_pair_scan_in_every_mode():
     assert zeros > 15
 
 
-def _lattice_bound(g, v0, mu, lengths):
+def _lattice_boxes(g, lengths):
     """An upper bound, from the lengths alone, on the lattice points tested
-    at a positive point.  Per nondisconnecting E, lam on E lies in an open
-    box of width w_e = sum_f |(Q^-1)_ef| l_f along e (e, f in E, with
-    Q = C diag(l) C^T over the cycles avoiding E's tree), which holds at
-    most ceil(w_e) integers; w_e <= |E|, since l_f (Q^-1)_ef is a transfer
-    current.  Each quasistable D with that E moves the box."""
-    bound = 0
-    for pd in enumerate_quasistable(g, v0, mu).elements:
-        if not g.is_nondisconnecting(pd.eset):
-            continue
-        cycles = cycle_basis(g, avoid=pd.eset).cycles
+    per candidate at a positive point, for each nondisconnecting E.  lam on
+    E lies in an open box of width w_e = sum_f |(Q^-1)_ef| l_f along e
+    (e, f in E, with Q = C diag(l) C^T over the cycles avoiding E's tree),
+    which holds at most ceil(w_e) integers; w_e <= |E|, since
+    l_f (Q^-1)_ef is a transfer current.  Each candidate D with that E
+    moves the box."""
+    boxes = {}
+    for eset in nondisconnecting_edge_sets(g):
+        cycles = cycle_basis(g, avoid=eset).cycles
         vecs = [dict(vec) for _, vec in cycles]
         q = [
             [sum(a.get(f, 0) * b.get(f, 0) * lengths[f] for f in g.edge_ids) for b in vecs]
             for a in vecs
         ]
         q_inv = inverse(q)
-        on = [i for i, (e, _) in enumerate(cycles) if e in pd.eset]
+        on = [i for i, (e, _) in enumerate(cycles) if e in eset]
         count = 1
         for i in on:
             width = sum(abs(q_inv[i][j]) * lengths[cycles[j][0]] for j in on)
             assert width <= len(on)
             count *= math.ceil(width)
-        bound += count
-    return bound
+        boxes[eset] = count
+    return boxes
+
+
+def _lattice_bound(g, v0, mu, lengths):
+    """The bound on the lattice points tested at a positive point, summed
+    over every window candidate of every nondisconnecting E (the lattice is
+    solved before the cut tests), and the same sum over the quasistable
+    candidates only."""
+    boxes = _lattice_boxes(g, lengths)
+    candidates = 0
+    for eset, count in boxes.items():
+        work = WorkCap("bound", 1 << 20, "candidate checks")
+        candidates += count * sum(1 for _ in QuasistableRoutes(g, eset, v0, mu).candidates(work))
+    quasistable = sum(
+        boxes[pd.eset] for pd in enumerate_quasistable(g, v0, mu).elements if pd.eset in boxes
+    )
+    return candidates, quasistable
 
 
 @pytest.mark.parametrize(
@@ -333,17 +355,43 @@ def _lattice_bound(g, v0, mu, lengths):
 )
 def test_lattice_work_is_bounded_by_the_lengths(point):
     """On theta the lattice points tested (with check_unique, so every
-    (E, D)) stay under one bound computed from the lengths, whatever k."""
+    candidate) stay under one bound computed from the lengths, whatever k."""
     tested = {}
     for k in (2, 8, 64):
         g, v0, mu, d0 = parallel_instance(3, k, 0)
         tested[k] = _locate(g, v0, mu, d0, point, False, True, 1 << 20)[3]["lattice points"]
-    bound = _lattice_bound(g, v0, mu, point)
+    bound, _ = _lattice_bound(g, v0, mu, point)
     assert bound < 20
     assert all(0 < n <= bound for n in tested.values()), (tested, bound)
 
 
-def test_check_unique_tests_every_pseudo_divisor_and_rejects_a_second_hit(monkeypatch):
+def _pendant_case():
+    """A fixed `abel`-shaped case: the 5-cycle with a pendant vertex, mu
+    half-odd at v3 and v4, and D0 = 3 v0 - 3 v2."""
+    g, v0, _, _ = pendant_cycle_instance(random.Random(0))
+    mu = Polarization.of(
+        g, {"v0": -1, "v1": -1, "v2": 1, "v3": Fraction(1, 2), "v4": Fraction(1, 2)}
+    )
+    return g, v0, mu, Divisor.of(g, {"v0": 3, "v2": -3})
+
+
+def test_lattice_work_bound_counts_every_candidate_on_a_5_cycle():
+    """On a 5-cycle with half-odd mu most window candidates are not
+    quasistable, and many of them have a lattice hit: the lattice points
+    tested exceed the quasistable sum but stay under the candidate sum."""
+    g, v0, mu, d0 = _pendant_case()
+    for point in (
+        {"e0": 4, "e1": 9, "e2": 3, "e3": 5, "e4": 3, "e5": 2},
+        {"e0": 10, "e1": 5, "e2": 9, "e3": 12, "e4": 10, "e5": 3},
+    ):
+        bound, quasistable = _lattice_bound(g, v0, mu, point)
+        tested = _locate(g, v0, mu, d0, point, False, True, 1 << 20)[3]["lattice points"]
+        assert quasistable < tested <= bound, (quasistable, tested, bound)
+
+
+def test_check_unique_tests_every_candidate_and_rejects_a_second_hit(monkeypatch):
+    """With check_unique the lattice is solved for every window candidate
+    of every nondisconnecting E, the quasistable ones and the others."""
     g, v0, mu, d0 = parallel_instance(3, 8, 0)
     point = {"e0": 3, "e1": 5, "e2": 7}
     calls = []
@@ -356,7 +404,7 @@ def test_check_unique_tests_every_pseudo_divisor_and_rejects_a_second_hit(monkey
     monkeypatch.setattr(_EdgeSetSolve, "flows", counted)
     cone, split = locate_point(g, v0, mu, d0, point, check_unique=True)
     poset = enumerate_quasistable(g, v0, mu)
-    assert len(calls) == sum(g.is_nondisconnecting(pd.eset) for pd in poset.elements) == 12
+    assert len(calls) == poset.checks == 12
     calls.clear()
     assert locate_point(g, v0, mu, d0, point) == (cone, split)
     assert len(calls) <= 12
@@ -371,6 +419,68 @@ def test_check_unique_tests_every_pseudo_divisor_and_rejects_a_second_hit(monkey
     assert locate_point(g, v0, mu, d0, point) == (cone, split)
     with pytest.raises(AssertionError, match="point lies in two open cones"):
         locate_point(g, v0, mu, d0, point, check_unique=True)
+
+
+def test_lattice_first_walk_matches_quasistable_first_oracle():
+    """The walk that solves the lattice first and cut-tests only the hits
+    finds the same (pair, rows, split) and counts the same candidate checks
+    as the quasistable-first oracle, in the default, reverse and
+    check_unique modes: on seeded random graphs and on 5-cycles with
+    half-odd mu, whose candidates are mostly not quasistable, at positive
+    points and points with zero coordinates."""
+    rng = random.Random(1414)
+    instances = [pendant_cycle_instance(rng) for _ in range(6)]
+    instances += [random_instance(rng, max_edges=5) for _ in range(30)]
+    zeros = extra_points = 0
+    for g, v0, mu, d0 in instances:
+        for j in range(3):
+            point = {e: Fraction(rng.randint(1, 12), rng.randint(1, 3)) for e in g.edge_ids}
+            if j == 2:
+                point.update((e, 0) for e in g.edge_ids if rng.random() < 0.4)
+            zeros += 0 in point.values()
+            for reverse, check_unique in ((False, False), (True, False), (False, True)):
+                args = (g, v0, mu, d0, point, reverse, check_unique, 1 << 20)
+                *got, work = _locate(*args)
+                *want, oracle_work = oracle_locate(*args)
+                assert got == want, (g, point, reverse, check_unique)
+                assert work["candidate checks"] == oracle_work["candidate checks"]
+                assert work["lattice points"] >= oracle_work["lattice points"]
+                extra_points += work["lattice points"] > oracle_work["lattice points"]
+    assert zeros > 15 and extra_points > 10
+
+
+def test_cut_tests_run_once_per_candidate_with_a_lattice_hit(monkeypatch):
+    """On a fixed `abel`-shaped 5-cycle the cut tests run once for each
+    candidate whose lattice has a hit, on fewer candidates than the walk
+    charges, and refuse at least one hit: a non-quasistable D whose open
+    cone holds the point.  The answer is the pair scan's."""
+    g, v0, mu, d0 = _pendant_case()
+    point = {"e0": 4, "e1": 9, "e2": 3, "e3": 5, "e4": 3, "e5": 2}
+    verdicts, hit_candidates = [], []
+    accepts, flows = QuasistableRoutes.accepts, _EdgeSetSolve.flows
+
+    def spied_accepts(self, values):
+        verdicts.append(accepts(self, values))
+        return verdicts[-1]
+
+    def spied_flows(self, target):
+        hit = False
+        for flow in flows(self, target):
+            if flow is not None and not hit:
+                hit = True
+                hit_candidates.append(target)
+            yield flow
+
+    monkeypatch.setattr(QuasistableRoutes, "accepts", spied_accepts)
+    monkeypatch.setattr(_EdgeSetSolve, "flows", spied_flows)
+    for check_unique in (False, True):
+        verdicts.clear()
+        hit_candidates.clear()
+        pair, _, split, work = _locate(g, v0, mu, d0, point, False, check_unique, 1 << 20)
+        assert len(verdicts) == len(hit_candidates) < work["candidate checks"]
+        assert verdicts.count(True) == 1 and False in verdicts
+        cone, want = pair_scan_locate(g, v0, mu, d0, point)
+        assert (pair, split) == (cone.provenance, want)
 
 
 def test_locate_cap_counts_candidate_checks_and_lattice_points():
@@ -397,10 +507,16 @@ def test_locate_cap_counts_candidate_checks_and_lattice_points():
 def test_corrupted_lattice_candidate_rejected_under_optimize():
     """The lattice route's three certificates are explicit raises, so
     `python -O` still rejects a candidate whose flow has the wrong divisor,
-    one whose cone misses the point, and a second hit."""
+    one whose cone misses the point, and a second hit.  The cut tests still
+    refuse the hits of non-quasistable candidates on a 5-cycle; with them
+    forced to accept, such a hit comes out as a second open cone."""
     script = textwrap.dedent(
         """
-        from tropabel import abelfan
+        from fractions import Fraction
+
+        from tropabel import abelfan, divisor
+        from tropabel.divisor import Divisor, Polarization
+        from tropabel.graph import Graph
         from tropabel.worked import theta_instance
 
         if __debug__:
@@ -434,6 +550,36 @@ def test_corrupted_lattice_candidate_rejected_under_optimize():
                 print("rejected:", exc)
             else:
                 print("accepted")
+        abelfan._EdgeSetSolve.flows = genuine
+
+        cycle = [f"v{i}" for i in range(5)]
+        g = Graph(
+            tuple((v, 1) for v in cycle) + (("w0", 0),),
+            tuple((f"e{i}", tuple(sorted((cycle[i], cycle[(i + 1) % 5])))) for i in range(5))
+            + (("e5", ("v3", "w0")),),
+            ((0, "v0"),),
+        )
+        half = Fraction(1, 2)
+        mu = Polarization.of(g, {"v0": -1, "v1": -1, "v2": 1, "v3": half, "v4": half})
+        d0 = Divisor.of(g, {"v0": 3, "v2": -3})
+        point = {"e0": 4, "e1": 9, "e2": 3, "e3": 5, "e4": 3, "e5": 2}
+        cut_tests = divisor.QuasistableRoutes.accepts
+        verdicts = []
+
+        def spied(routes, values):
+            verdicts.append(cut_tests(routes, values))
+            return verdicts[-1]
+
+        divisor.QuasistableRoutes.accepts = spied
+        abelfan.locate_point(g, "v0", mu, d0, point, check_unique=True)
+        print("refused hits:", verdicts.count(False) > 0, "accepted:", verdicts.count(True))
+        divisor.QuasistableRoutes.accepts = lambda routes, values: True
+        try:
+            abelfan.locate_point(g, "v0", mu, d0, point, check_unique=True)
+        except AssertionError as exc:
+            print("forced:", exc)
+        else:
+            print("forced: accepted")
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -445,4 +591,6 @@ def test_corrupted_lattice_candidate_rejected_under_optimize():
         "rejected: a lattice candidate's flow has the wrong divisor\n"
         "rejected: a lattice candidate lies outside its open cone\n"
         "rejected: point lies in two open cones\n"
+        "refused hits: True accepted: 1\n"
+        "forced: point lies in two open cones\n"
     )
