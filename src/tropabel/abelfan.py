@@ -148,24 +148,24 @@ class AbelCone:
     """A merged-cone member of the fan, with its provenance.
 
     cone lives in the edge space of the ambient base graph; provenance is
-    the admissible pair on the (possibly contracted) graph, spec_contracted
-    names the edges contracted away from the ambient graph, and rows are the
+    the admissible pair on the (possibly contracted) graph, and rows are the
     pair's rows, whose integral inverse rows map merged coordinates back to
-    half-lengths (the split cone is the image of the cone under them).
+    half-lengths (the split cone is the image of the cone under them).  The
+    pair fixes the contracted edges too (spec_contracted), since contraction
+    keeps edge ids.
     """
 
     ambient_edges: tuple
     cone: Cone
     provenance: AdmissiblePair
-    spec_contracted: frozenset
     rows: PairRows
 
+    @property
+    def spec_contracted(self):
+        return contracted_edges(self.ambient_edges, self.provenance)
+
     def key(self):
-        return (
-            tuple(sorted(self.spec_contracted)),
-            tuple(sorted(self.provenance.eset)),
-            self.provenance.flow.canonical_key(),
-        )
+        return _cone_key(self.ambient_edges, self.provenance)
 
     def split_point(self, point):
         """Map a merged point (over ambient edges) to subdivision lengths."""
@@ -181,6 +181,22 @@ class AbelCone:
             "inequalities": [list(r) for r in self.cone.inequalities],
             "rays": [list(r) for r in self.cone.rays],
         }
+
+
+def contracted_edges(ambient_edges, pair):
+    """The ambient edges a pair has contracted away: those missing from the
+    pair's graph, since contraction keeps edge ids."""
+    return frozenset(ambient_edges).difference(pair.base.edge_ids)
+
+
+def _cone_key(ambient_edges, pair):
+    """The fan key of a pair's cone over the ambient edges: the contracted
+    edges, E and the flow's canonical key."""
+    return (
+        tuple(sorted(contracted_edges(ambient_edges, pair))),
+        tuple(sorted(pair.eset)),
+        pair.flow.canonical_key(),
+    )
 
 
 def pair_rows(g, pair, basis=None):
@@ -251,7 +267,7 @@ def pair_rows(g, pair, basis=None):
     return PairRows(sub, basis, sflow, live, tuple(inverse_rows), tuple(eqs))
 
 
-def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset(), rows=None):
+def merged_cone(g, pair, ambient_edges=None, rows=None):
     """The fan cone of an admissible pair, embedded in ambient edge space.
 
     Built from the pair's rows (pair_rows, or `rows` when the caller already
@@ -283,13 +299,7 @@ def merged_cone(g, pair, ambient_edges=None, spec_contracted=frozenset(), rows=N
             emb_eqs.append(tuple(pin))
     emb_ineqs = [embed(r) for r in rows.inverse_rows]
     cone = Cone.from_halfspaces(n_amb, tuple(emb_eqs), tuple(emb_ineqs))
-    return AbelCone(
-        ambient_edges=amb,
-        cone=cone,
-        provenance=pair,
-        spec_contracted=frozenset(spec_contracted),
-        rows=rows,
-    )
+    return AbelCone(ambient_edges=amb, cone=cone, provenance=pair, rows=rows)
 
 
 def _check_inverse(inverse_rows, order, sub, live):
@@ -350,11 +360,13 @@ def classify_ray(abcone):
 
 def _lattice_faces(abcone):
     """Every face of a fan cone, read from its face lattice and specialized
-    from the cone's pair: yields (face key, face pair, contracted base edges)
+    from the cone's pair: yields (face ray-index set, face key, face pair)
     once per face.
 
     A face's zero set is the set of subdivision edges whose inverse row
     vanishes on all of the face's rays; contracting it specializes the pair.
+    The face pair lives on the contracted graph, and its key is taken over
+    the cone's ambient edges.
     """
     pair = abcone.provenance
     vanish = []
@@ -364,16 +376,10 @@ def _lattice_faces(abcone):
     every = frozenset(abcone.rows.sub.result.edge_ids)
     for face in face_lattice_rayset(abcone.cone):
         zset = every.intersection(*(vanish[i] for i in face))
-        spec = _specialize_pair(pair.base, pair, zset)
-        if spec is None:
+        pair2 = _specialize_pair(pair, zset)
+        if pair2 is None:
             raise AssertionError("a face of a fan cone specializes to a cyclic flow")
-        _, pair2, contracted = spec
-        key = (
-            tuple(sorted(abcone.spec_contracted | contracted)),
-            tuple(sorted(pair2.eset)),
-            pair2.flow.canonical_key(),
-        )
-        yield key, pair2, contracted
+        yield face, _cone_key(abcone.ambient_edges, pair2), pair2
 
 
 def cone_faces(abcone):
@@ -384,17 +390,12 @@ def cone_faces(abcone):
     ambient space.
     """
     out = {}
-    for key, pair, contracted in _lattice_faces(abcone):
-        out[key] = merged_cone(
-            pair.base,
-            pair,
-            ambient_edges=abcone.ambient_edges,
-            spec_contracted=abcone.spec_contracted | contracted,
-        )
+    for _, key, pair in _lattice_faces(abcone):
+        out[key] = merged_cone(pair.base, pair, ambient_edges=abcone.ambient_edges)
     return [out[k] for k in sorted(out)]
 
 
-def _specialize_pair(g, pair, zset):
+def _specialize_pair(pair, zset):
     """Specialize an admissible pair by contracting a set of edges of its
     E-subdivision; zset may hold plain edges as well as halves.
 
@@ -402,11 +403,10 @@ def _specialize_pair(g, pair, zset):
     function carries the flow only.  Surviving subdivision edges keep their
     values, and a subdivided edge reduced to one half carries that half's
     value on the un-subdivided edge; orientations go through the vertex
-    map.  Returns (contracted graph, face pair, contracted base edges), or
-    None when the image flow has a directed cycle, which no face of the
-    pair's cone gives.
+    map.  Returns the face pair, on the contracted graph, or None when the
+    image flow has a directed cycle, which no face of the pair's cone gives.
     """
-    sub = _sub_of(pair)
+    g, sub = pair.base, _sub_of(pair)
     pd2, along = contract_pushforward(pair.resulting_pd, zset)
     g2, sub2 = pd2.base, pd2.subdivision
     flow_vals = {}
@@ -433,35 +433,30 @@ def _specialize_pair(g, pair, zset):
     fa = FlowAssignment.of(sub2.result, orient, flow_vals)
     if not is_acyclic_flow(fa):
         return None
-    pair2 = AdmissiblePair(g2, pd2.eset, fa, pd2)
-    return g2, pair2, frozenset(g.edge_ids).difference(g2.edge_ids)
+    return AdmissiblePair(g2, pd2.eset, fa, pd2)
 
 
 @dataclass(frozen=True)
 class AbelFan:
-    """The complete fan: the cones of the admissible pairs and of all their
-    specializations, embedded in the base edge space."""
+    """The complete fan: the cones of the admissible pairs (the maximal
+    cones) and of all their faces, embedded in the base edge space.
+
+    faces holds each cone's faces, in cone order: face key -> the face
+    pair's divisor (PseudoDivisor.canonical_key), as build_fan read them
+    from a maximal cone's face lattice.
+    """
 
     graph: Graph
     base_divisor: Divisor
     polarization: Polarization
     cones: tuple  # AbelCone, sorted by key
     maximal: tuple  # indices of cones with empty contraction
+    faces: tuple  # per cone: face key -> face divisor
 
     @cached_property
     def index(self):
         """Cone index by key."""
         return {c.key(): i for i, c in enumerate(self.cones)}
-
-    @cached_property
-    def faces(self):
-        """Each cone's faces, in cone order: face key -> the face pair's
-        divisor (PseudoDivisor.canonical_key), read from the cone's face
-        lattice.  build_fan seeds this with the faces it walked."""
-        return tuple(
-            {key: pair.resulting_pd.canonical_key() for key, pair, _ in _lattice_faces(c)}
-            for c in self.cones
-        )
 
     def cone_by_key(self, key):
         return self.cones[self.index[key]]
@@ -484,12 +479,17 @@ class AbelFan:
 def build_fan(g, v0, pol, d0, cap=1 << 20):
     """Assemble the fan as the face closure of the admissible pairs of g.
 
-    The pairs' merged cones are the maximal cones.  Each cone's faces are
-    read from its face lattice and specialized from its pair
-    (_lattice_faces); a face key not seen before gets its merged cone, whose
-    faces are walked in turn.  Cones are embedded into the edge space of g,
-    contracted coordinates pinned to zero.  `cap` bounds the pair
-    enumeration and, separately, the number of face specializations.
+    The pairs' merged cones are the maximal cones, and every cone of the
+    fan is a face of one of them, so only their face lattices are walked,
+    each face specialized from the maximal cone's pair (_lattice_faces).  A
+    face key not seen before gets its merged cone, with its own double
+    description.  A cone's face map comes from the first maximal cone that
+    holds it: that cone's faces whose ray sets lie in its own.  Cones are
+    embedded into the edge space of g, contracted coordinates pinned to
+    zero.  `cap` bounds the pair enumeration and, separately, the face
+    work: one specialization per face of each maximal cone, and for each
+    cone one containment test per face of the maximal cone its face map
+    comes from.
     """
     if d0.degree() != pol.degree():
         raise ValidationError("deg D0 must equal deg mu")
@@ -500,30 +500,24 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
         cones[ac.key()] = ac
     maximal_keys = list(cones)
     faces = {}
-    frontier = list(cones.values())
-    work = WorkCap("fan faces", cap, "face specializations")
-    while frontier:
-        ac = frontier.pop()
-        mine = faces[ac.key()] = {}
-        for key, pair, contracted in _lattice_faces(ac):
+    work = WorkCap("fan faces", cap, "face specializations", "face containment tests")
+    for top in maximal_keys:
+        walked = []
+        for rayset, key, pair in _lattice_faces(cones[top]):
             work.charge("face specializations")
-            mine[key] = pair.resulting_pd.canonical_key()
+            walked.append((rayset, key, pair.resulting_pd.canonical_key()))
             if key not in cones:
-                face = merged_cone(
-                    pair.base,
-                    pair,
-                    ambient_edges=amb,
-                    spec_contracted=ac.spec_contracted | contracted,
-                )
-                cones[key] = face
-                frontier.append(face)
+                cones[key] = merged_cone(pair.base, pair, ambient_edges=amb)
+        for rayset, key, _ in walked:
+            if key not in faces:
+                work.charge("face containment tests", len(walked))
+                faces[key] = {k: div for rs, k, div in walked if rs <= rayset}
     keys = sorted(cones)
     index = {k: i for i, k in enumerate(keys)}
     maximal = tuple(sorted(index[k] for k in maximal_keys))
-    fan = AbelFan(g, d0, pol, tuple(cones[k] for k in keys), maximal)
-    object.__setattr__(fan, "index", index)
-    object.__setattr__(fan, "faces", tuple(faces[k] for k in keys))
-    return fan
+    return AbelFan(
+        g, d0, pol, tuple(cones[k] for k in keys), maximal, tuple(faces[k] for k in keys)
+    )
 
 
 def verify_fan(fan, pairwise=True):
@@ -749,16 +743,15 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     points are tested) plus the lattice points tested.
     """
     pair, rows, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
-    zeros = frozenset(g.edge_ids) - frozenset(pair.base.edge_ids)
-    cone = merged_cone(pair.base, pair, ambient_edges=g.edge_ids, spec_contracted=zeros, rows=rows)
-    return cone, split
+    return merged_cone(pair.base, pair, ambient_edges=g.edge_ids, rows=rows), split
 
 
-def locate_pair(g, v0, pol, d0, point, reverse=False):
-    """locate_point (at its default cap, stopping at the first hit) without
-    building the cone: the hit's admissible pair, on g with the point's
-    zero edges contracted, and the split values."""
-    pair, _, split, _ = _locate(g, v0, pol, d0, point, reverse, False, 1 << 20)
+def locate_pair(g, v0, pol, d0, point, reverse=False, cap=1 << 20):
+    """locate_point, stopping at the first hit, without building the cone:
+    the hit's admissible pair, on g with the point's zero edges contracted
+    (the edges of g missing from the pair's graph), and the split values.
+    `cap` bounds the same work as in locate_point."""
+    pair, _, split, _ = _locate(g, v0, pol, d0, point, reverse, False, cap)
     return pair, split
 
 

@@ -11,7 +11,15 @@ import os
 import re
 import sys
 
-from .abelfan import build_fan, classify_ray, expected_dim, locate_point, merged_cone, verify_fan
+from .abelfan import (
+    build_fan,
+    classify_ray,
+    contracted_edges,
+    expected_dim,
+    locate_pair,
+    merged_cone,
+    verify_fan,
+)
 from .cone import Cone, dual_and_hilbert
 from .divisor import Divisor, Polarization, enumerate_quasistable
 from .errors import DeskScaleError, GoldenMismatch, ValidationError
@@ -87,6 +95,20 @@ def _parse_point(text, g):
     return dict(zip(g.edge_ids, map(parse_rational, parts)))
 
 
+def _parse_rays(text):
+    """The cone spanned by semicolon-separated rays of comma-separated
+    integers, all of one length."""
+    try:
+        rows = [tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";") if chunk.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"ray coordinates must be integers: {exc}") from exc
+    if not rows:
+        raise ValidationError("no rays given")
+    if len({len(r) for r in rows}) != 1:
+        raise ValidationError("rays must all have the same number of coordinates")
+    return Cone.from_rays(len(rows[0]), rows)
+
+
 def _parse_weights(text):
     try:
         return tuple(int(p.strip()) for p in text.split(","))
@@ -143,11 +165,11 @@ def cmd_locate(args):
     mu = _parse_mu(args.mu, g)
     d0 = _parse_d0(args.d0, g)
     point = _parse_point(args.point, g)
-    cone, split = locate_point(g, _v0(g), mu, d0, point, cap=_cap(args))
+    pair, split = locate_pair(g, _v0(g), mu, d0, point, cap=_cap(args))
     out = {
-        "pair": cone.provenance.to_json(),
-        "contracted": sorted(cone.spec_contracted),
-        "divisor": cone.provenance.resulting_pd.to_json(),
+        "pair": pair.to_json(),
+        "contracted": sorted(contracted_edges(g.edge_ids, pair)),
+        "divisor": pair.resulting_pd.to_json(),
         "splits": {e: format_rational(v) for e, v in split.items()},
     }
     _dump(out, args.out)
@@ -155,23 +177,13 @@ def cmd_locate(args):
 
 
 def cmd_dual_hilbert(args):
-    if args.rays:
-        rows = [
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.rays.split(";")
-            if chunk.strip()
-        ]
-        if not rows:
-            raise ValidationError("no rays given")
-        cone = Cone.from_rays(len(rows[0]), rows)
+    if args.rays is not None:
+        cone = _parse_rays(args.rays)
     else:
-        g = _load_graph(args.graph)
-        mu = _parse_mu(args.mu, g)
-        d0 = _parse_d0(args.d0, g)
-        pairs = enumerate_admissible(g, _v0(g), mu, d0, cap=_cap(args))
-        if not 0 <= args.pair < len(pairs):
-            raise ValidationError(f"pair index out of range 0..{len(pairs) - 1}")
-        cone = merged_cone(g, pairs[args.pair]).cone
+        if None in (args.graph, args.mu, args.d0):
+            raise ValidationError("dual-hilbert needs --rays, or --graph, --mu and --D0")
+        g, pair = _pick_pair(args)
+        cone = merged_cone(g, pair).cone
     dual, hb = dual_and_hilbert(cone)
     _dump(
         {
@@ -289,6 +301,8 @@ def _sample_chunk(n_edges, seed, count):
 def cmd_verify(args):
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.points < 0:
+        raise ValidationError(f"--points must be at least 0, got {args.points}")
     g = _load_graph(args.graph)
     mu = _parse_mu(args.mu, g)
     d0 = _parse_d0(args.d0, g)

@@ -299,14 +299,15 @@ class _CutTester:
                 cap[src][i] = -c
         return cap, sum(cap[src])
 
-    def _pinned_cuts(self, values, stop):
-        """Yield (holds v0, f, set) per pinned pair: first v0 on the source
-        side with each t on the sink side, then each s with v0 on the sink
-        side.  f is the minimum of 2L beta over the sets holding the source
-        pin and missing the sink pin, and set attains it.  With `stop` a flow
-        halts at the strict (first family) or weak (second family) bound on
-        f, and a pair that reaches it yields (holds v0, None, None); every
-        set yielded then violates quasistability.
+    def violation(self, values):
+        """A set violating quasistability of `values`, or None: beta < 0, or
+        beta <= 0 on a set holding v0.  Stops at the first one found.
+
+        One minimum cut per pinned pair: first v0 on the source side with
+        each t on the sink side, then each s with v0 on the sink side.  Each
+        flow halts at the strict (first family) or weak (second family)
+        bound on f, so a pair whose minimum cut stays below it names a
+        violating set: the source side of that cut.
         """
         n = len(self.vertices)
         src, snk = n, n + 1
@@ -322,34 +323,10 @@ class _CutTester:
                 res = [row[:] for row in cap]
                 res[src][s] = big
                 res[t][snk] = big
-                value, side = _max_flow(res, self.nbrs, src, snk, limit if stop else big)
-                if side is None:
-                    yield first, None, None
-                else:
-                    yield first, value - offset, frozenset(self.vertices[i] for i in side if i < n)
-
-    def violation(self, values):
-        """A set violating quasistability of `values`, or None: beta < 0, or
-        beta <= 0 on a set holding v0.  Stops at the first one found."""
-        for _, _, vset in self._pinned_cuts(values, stop=True):
-            if vset is not None:
-                return vset
+                _, side = _max_flow(res, self.nbrs, src, snk, limit)
+                if side is not None:
+                    return frozenset(self.vertices[i] for i in side if i < n)
         return None
-
-    def minimum(self, values):
-        """(quasistable, beta, vset): vset attains the minimum of beta over
-        proper nonempty subsets, a set holding v0 preferred on ties, so it is
-        the most violated set whenever one exists."""
-        best = None
-        # the sets holding v0 come first, so they win ties
-        for first, f, vset in self._pinned_cuts(values, stop=False):
-            if best is None or f < best[0]:
-                best = f, first, vset
-        if best is None:  # a single vertex has no proper nonempty subset
-            return True, None, None
-        f, holds_root, vset = best
-        ok = f > 0 or (f == 0 and not holds_root)
-        return ok, Fraction(f, 2 * self.scale), vset
 
 
 class QuasistableRoutes:

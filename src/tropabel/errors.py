@@ -17,16 +17,16 @@ class WorkCap:
     """Work counted against one desk-scale cap.
 
     `units` names the kinds of work a stage does, in the order its error
-    reports them.  `charge(unit)` counts one more unit of that kind and
-    raises DeskScaleError once the total passes the cap, naming the stage
-    and every count."""
+    reports them.  `charge(unit, amount)` counts that many more units of
+    that kind (one by default) and raises DeskScaleError once the total passes the cap,
+    naming the stage and every count."""
 
     def __init__(self, stage, cap, *units):
         self.stage, self.cap = stage, cap
         self.count = dict.fromkeys(units, 0)
 
-    def charge(self, unit):
-        self.count[unit] += 1
+    def charge(self, unit, amount=1):
+        self.count[unit] += amount
         if sum(self.count.values()) > self.cap:
             spent = " and ".join(f"{n} {u}" for u, n in self.count.items())
             raise DeskScaleError(f"{self.stage}: {spent} exceed the cap of {self.cap}")

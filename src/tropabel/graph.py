@@ -12,7 +12,7 @@ from functools import cached_property
 import warnings
 
 from .errors import ValidationError
-from .linalg import rank
+from .linalg import exact_value, rank
 
 SOFT_EDGE_CAP = 16
 
@@ -178,11 +178,19 @@ class Graph:
 def build_graph(spec):
     """Validated Graph from its JSON description (see Graph JSON format)."""
     try:
-        vertices = tuple((d["id"], d.get("weight", 0)) for d in spec["vertices"])
+        vertices = tuple(
+            (d["id"], exact_value(d.get("weight", 0), integral=True)) for d in spec["vertices"]
+        )
         edges = tuple((d["id"], tuple(d["ends"])) for d in spec["edges"])
-        legs = tuple((int(i), v) for i, v in spec.get("legs", {}).items())
+        legs = spec.get("legs", {})
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed graph description: {exc}") from exc
+    if not isinstance(legs, dict):
+        raise ValidationError("legs must be an object from leg index to vertex id")
+    try:
+        legs = tuple((int(i), v) for i, v in legs.items())
+    except ValueError as exc:
+        raise ValidationError(f"leg indices must be integers: {exc}") from exc
     for e, ends in edges:
         if len(ends) != 2:
             raise ValidationError(f"edge {e} must have exactly two endpoints")

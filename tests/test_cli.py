@@ -129,6 +129,61 @@ def test_dual_hilbert_command(capsys):
     assert len(data["hilbert_basis"]) == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rays", "1,1;1"], "same number of coordinates"),
+        (["--rays", "1,x"], "must be integers"),
+        (["--rays", ""], "no rays given"),
+        ([], "needs --rays, or --graph, --mu and --D0"),
+        (["--graph", "GRAPH"], "needs --rays, or --graph, --mu and --D0"),
+        (["--graph", "GRAPH", "--mu", "0"], "needs --rays, or --graph, --mu and --D0"),
+    ],
+)
+def test_dual_hilbert_rejects_bad_input(capsys, theta_file, argv, message):
+    argv = [theta_file if a == "GRAPH" else a for a in argv]
+    code, out, err = _run(capsys, ["dual-hilbert"] + argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+def test_dual_hilbert_of_a_pair(capsys, theta_file):
+    """The graph route reads the pair's merged cone; a pair index outside
+    the pair list is an input error."""
+    base = ["dual-hilbert", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
+    code, out, err = _run(capsys, base + ["--pair", "20"])
+    assert code == 0, err
+    assert len(json.loads(out)["rays"]) == 3
+    code, out, err = _run(capsys, base + ["--pair", "99"])
+    assert (code, out) == (1, "")
+    assert err == "error: pair index out of range 0..54\n"
+
+
+@pytest.mark.parametrize(
+    "vertex, legs, message",
+    [
+        ({"id": "v0", "weight": 1.5}, {"0": "v0"}, "error: bad integer 1.5\n"),
+        ({"id": "v0", "weight": "x"}, {"0": "v0"}, "error: bad integer 'x'\n"),
+        ({"id": "v0", "weight": "2"}, {"0": "v0"}, "error: bad integer '2'\n"),
+        (
+            {"id": "v0", "weight": 0},
+            {"a": "v0"},
+            "error: leg indices must be integers: invalid literal for int() with base 10: 'a'\n",
+        ),
+        (
+            {"id": "v0", "weight": 0},
+            ["v0"],
+            "error: legs must be an object from leg index to vertex id\n",
+        ),
+    ],
+)
+def test_quasistable_poset_rejects_malformed_graph(capsys, tmp_path, vertex, legs, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": [vertex], "edges": [], "legs": legs}))
+    code, out, err = _run(capsys, ["quasistable-poset", "--graph", str(path), "--mu", "0"])
+    assert (code, out, err) == (1, "", message)
+
+
 def test_symbolic_power_model_command(capsys):
     code, out, _ = _run(capsys, ["symbolic-power", "--model-t", "2", "-n", "2"])
     assert code == 0
@@ -201,6 +256,11 @@ def test_verify_command(capsys, theta_file):
     assert data["ok"] is True
     assert data["partition"]["failures"] == 0
     assert data["ray_shapes"] == {"loop": 3, "proportional": 10}
+
+
+def test_verify_rejects_negative_points(capsys, theta_file):
+    argv = ["verify", "--graph", theta_file, "--mu", "0", "--D0", "4,-4", "--points", "-5"]
+    assert _run(capsys, argv) == (1, "", "error: --points must be at least 0, got -5\n")
 
 
 def test_verify_parallel_jobs(capsys, theta_file):
@@ -407,8 +467,8 @@ def test_locate_cap_counts_candidates_and_lattice_points(capsys, theta_file):
 
 def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
     """On theta (8,-8) the pair enumeration fits under a cap of 500, but the
-    fan's face specializations do not: the command stops at the stage that
-    passed the cap and says how far it got."""
+    fan's face work does not: the command stops at the stage that passed
+    the cap and says how far it got."""
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(theta.to_json()))
     argv = ["build-fan", "--graph", str(path), "--mu", "0", "--D0", "8,-8"]
@@ -416,7 +476,21 @@ def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
     capsys.readouterr()
     code, out, err = _run(capsys, argv + ["--cap", "500"])
     assert (code, out) == (2, "")
-    assert err == "desk-scale cap: fan faces: 501 face specializations exceed the cap of 500\n"
+    assert err == (
+        "desk-scale cap: fan faces: 251 face specializations and 250 face containment tests"
+        " exceed the cap of 500\n"
+    )
+    # only the maximal cones' faces are specialized (1,478), and each cone's
+    # face map takes one containment test per face of its maximal cone (2,036)
+    code, out, err = _run(capsys, argv + ["--cap", "3514"])
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, argv)[1]
+    code, out, err = _run(capsys, argv + ["--cap", "3513"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "desk-scale cap: fan faces: 1478 face specializations and 2036 face containment tests"
+        " exceed the cap of 3513\n"
+    )
 
 
 def test_env_cap_override(capsys, theta_file, monkeypatch):

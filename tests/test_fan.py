@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,6 +7,8 @@ import pytest
 
 from tropabel.abelfan import (
     AbelFan,
+    _cone_key,
+    _lattice_faces,
     _specialize_pair,
     build_fan,
     classify_ray,
@@ -18,7 +21,7 @@ from tropabel.abelfan import (
 )
 from tropabel.cone import face_lattice_rayset
 from tropabel.divisor import Divisor, Polarization
-from tropabel.errors import ValidationError
+from tropabel.errors import DeskScaleError, ValidationError
 from tropabel.flow import FlowAssignment, enumerate_admissible
 from tropabel.graph import Graph, contract, subdivide
 
@@ -265,13 +268,18 @@ def test_fan_axioms_small_instances():
 
 
 def test_verify_fan_catches_missing_face(theta):
-    from tropabel.abelfan import AbelFan
-
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     fan = build_fan(theta, "v0", mu, d0)
-    keep = [c for c in fan.cones if c.cone.dim != 1 or c.spec_contracted]
-    broken = AbelFan(theta, d0, mu, tuple(keep), fan.maximal[:10])
+    kept = [i for i, c in enumerate(fan.cones) if c.cone.dim != 1 or c.spec_contracted]
+    broken = AbelFan(
+        theta,
+        d0,
+        mu,
+        tuple(fan.cones[i] for i in kept),
+        fan.maximal[:10],
+        tuple(fan.faces[i] for i in kept),
+    )
     with pytest.raises(AssertionError, match="missing from the fan"):
         verify_fan(broken, pairwise=False)
 
@@ -421,15 +429,14 @@ def contraction_loop_fan(g, v0, pol, d0):
                 spec.target, spec(v0), pol.pushforward(spec), d0.pushforward(spec)
             )
             for pair in pairs:
-                ac = merged_cone(spec.target, pair, ambient_edges=amb, spec_contracted=frozenset(cset))
+                ac = merged_cone(spec.target, pair, ambient_edges=amb)
                 cones[ac.key()] = ac
                 if not cset:
                     maximal_keys.append(ac.key())
     ordered = tuple(cones[k] for k in sorted(cones))
     index = {c.key(): i for i, c in enumerate(ordered)}
-    fan = AbelFan(g, d0, pol, ordered, tuple(sorted(index[k] for k in maximal_keys)))
-    object.__setattr__(fan, "faces", tuple(subset_loop_faces(c) for c in ordered))
-    return fan
+    maximal = tuple(sorted(index[k] for k in maximal_keys))
+    return AbelFan(g, d0, pol, ordered, maximal, tuple(subset_loop_faces(c) for c in ordered))
 
 
 def subset_loop_faces(abcone):
@@ -440,18 +447,22 @@ def subset_loop_faces(abcone):
     out = {}
     for r in range(len(sub_edges) + 1):
         for zset in combinations(sub_edges, r):
-            face = _specialize_pair(pair.base, pair, frozenset(zset))
-            if face is None:
+            pair2 = _specialize_pair(pair, frozenset(zset))
+            if pair2 is None:
                 continue
-            _, pair2, contracted = face
-            key = (
-                tuple(sorted(abcone.spec_contracted | contracted)),
-                tuple(sorted(pair2.eset)),
-                pair2.flow.canonical_key(),
-            )
+            key = _cone_key(abcone.ambient_edges, pair2)
             divisor = pair2.resulting_pd.canonical_key()
             assert out.setdefault(key, divisor) == divisor, key
     return out
+
+
+def per_cone_faces(fan):
+    """Each cone's face map from a walk of its own face lattice, the route
+    the walk of the maximal cones alone replaced."""
+    return tuple(
+        {key: pair.resulting_pd.canonical_key() for _, key, pair in _lattice_faces(c)}
+        for c in fan.cones
+    )
 
 
 def _assert_matches_oracles(g, v0, mu, d0):
@@ -478,16 +489,44 @@ def _assert_matches_oracles(g, v0, mu, d0):
 )
 def test_face_closure_matches_exhaustive_routes(instance):
     """The face closure of the uncontracted pairs gives the fan of the
-    contraction loop; the face map derived from the cones alone is the one
-    build_fan seeded."""
+    contraction loop; the face maps build_fan read from the maximal cones
+    are those of each cone's own face lattice."""
     fan = _assert_matches_oracles(*instance())
-    rebuilt = AbelFan(fan.graph, fan.base_divisor, fan.polarization, fan.cones, fan.maximal)
-    assert rebuilt.faces == fan.faces
+    assert fan.faces == per_cone_faces(fan)
 
 
 def test_face_closure_matches_exhaustive_routes_on_seeded_instances(random_instances):
     for g, v0, mu, d0, _ in random_instances:
-        _assert_matches_oracles(g, v0, mu, d0)
+        fan = _assert_matches_oracles(g, v0, mu, d0)
+        assert fan.faces == per_cone_faces(fan)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_build_fan_cap_charges_the_face_work(theta, d):
+    """The fan-faces cap counts the work build_fan does: one specialization
+    per face of each maximal cone, and for each cone one containment test
+    per face of the first maximal cone (in pair order) holding it."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": d, "v1": -d})
+    fan = build_fan(theta, "v0", mu, d0)
+    walks = [
+        [key for _, key, _ in _lattice_faces(fan.cone_by_key(_cone_key(theta.edge_ids, pair)))]
+        for pair in enumerate_admissible(theta, "v0", mu, d0)
+    ]
+    first = {}
+    for walk in walks:
+        for key in walk:
+            first.setdefault(key, len(walk))
+    assert sorted(first) == sorted(fan.index)
+    specs, tests = sum(map(len, walks)), sum(first.values())
+    assert build_fan(theta, "v0", mu, d0, cap=specs + tests) == fan
+    cap = specs + tests - 1
+    with pytest.raises(DeskScaleError) as exc:
+        build_fan(theta, "v0", mu, d0, cap=cap)
+    assert str(exc.value) == (
+        f"fan faces: {specs} face specializations and {tests} face containment tests"
+        f" exceed the cap of {cap}"
+    )
 
 
 def test_verify_fan_catches_wrong_face_divisor(theta):
@@ -498,6 +537,5 @@ def test_verify_fan_catches_wrong_face_divisor(theta):
     top = fan.maximal[0]
     key = next(k for k in faces[top] if k != fan.cones[top].key())
     faces[top][key] = ((), (("v0", 9), ("v1", -9)))
-    object.__setattr__(fan, "faces", tuple(faces))
     with pytest.raises(AssertionError, match="another divisor"):
-        verify_fan(fan, pairwise=False)
+        verify_fan(dataclasses.replace(fan, faces=tuple(faces)), pairwise=False)

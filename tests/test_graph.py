@@ -65,6 +65,31 @@ def test_build_rejects_disconnected():
         )
 
 
+@pytest.mark.parametrize(
+    "weight, message",
+    [(1.5, "bad integer 1.5"), ("x", "bad integer 'x'"), ("2", "bad integer '2'"), (True, "bad integer True")],
+)
+def test_build_rejects_non_integer_weight(weight, message):
+    """A weight goes through the integer value gate: a float is not
+    truncated and a string, even of digits, is not converted."""
+    with pytest.raises(ValidationError, match=message):
+        build_graph({"vertices": [{"id": "v", "weight": weight}], "edges": [], "legs": {}})
+
+
+@pytest.mark.parametrize(
+    "legs, message",
+    [
+        ({"a": "v"}, "leg indices must be integers"),
+        ({"1.5": "v"}, "leg indices must be integers"),
+        (["v"], "legs must be an object"),
+        ("v", "legs must be an object"),
+    ],
+)
+def test_build_rejects_malformed_legs(legs, message):
+    with pytest.raises(ValidationError, match=message):
+        build_graph({"vertices": [{"id": "v", "weight": 0}], "edges": [], "legs": legs})
+
+
 def test_contract_single_edge_of_theta(theta):
     s = contract(theta, {"e0"})
     t = s.target

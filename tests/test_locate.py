@@ -18,9 +18,11 @@ from tropabel import metric as metric_mod
 from tropabel.abelfan import (
     _EdgeSetSolve,
     _locate,
+    build_fan,
     locate_point,
     merged_cone,
     pair_rows,
+    verify_fan,
 )
 from tropabel.divisor import (
     Divisor,
@@ -69,7 +71,7 @@ def pair_scan_locate(g, v0, pol, d0, point, reverse=False, check_unique=False):
                 break
     assert hit is not None, f"{point} lies in no open cone"
     pair, rows = hit
-    cone = merged_cone(live_g, pair, ambient_edges=g.edge_ids, spec_contracted=zeros)
+    cone = merged_cone(live_g, pair, ambient_edges=g.edge_ids)
     return cone, {e: Fraction(v, denom) for e, v in rows.split_point(ipoint).items()}
 
 
@@ -105,7 +107,7 @@ class Instance:
                 Divisor.of(spec.target, d2),
             )
             self.fans[zeros] = [
-                merged_cone(spec.target, p, ambient_edges=self.g.edge_ids, spec_contracted=zeros)
+                merged_cone(spec.target, p, ambient_edges=self.g.edge_ids)
                 for p in pairs
             ]
         return self.fans[zeros]
@@ -225,6 +227,33 @@ def test_corrupted_inverse_row_rejected_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected: inverse rows do not merge to the identity\n"
+
+
+def _rebuilt(x):
+    return type(x)(**x.__dict__)
+
+
+def test_answers_rebuild_from_their_fields(theta):
+    """The benchmark's answer checks rebuild a cone or an Abel result as
+    type(x)(**x.__dict__) with one field replaced, so an instance's
+    __dict__ must hold its fields and nothing derived: on every cone of the
+    theta (4,-4) fan after its JSON and its checks, on a located cone and on
+    an abel_eval result, the rebuild is equal to the original."""
+    mu = Polarization.zero(theta)
+    fan = build_fan(theta, "v0", mu, Divisor.of(theta, {"v0": 4, "v1": -4}))
+    fan.to_json()
+    verify_fan(fan, pairwise=False)
+    for cone in fan.cones:
+        assert _rebuilt(cone) == cone
+    d0 = Divisor.of(theta, {"v0": 8, "v1": -8})
+    for point in ({"e0": 5, "e1": 3, "e2": 4}, {"e0": 0, "e1": 3, "e2": 4}):
+        cone, _ = locate_point(theta, "v0", mu, d0, point)
+        cone.key(), cone.to_json()
+        assert _rebuilt(cone) == cone
+    for metric, inp, _ in abel_instances(random.Random(1111), 3):
+        res = abel_eval(metric, inp)
+        res.answer_key(), res.to_json()
+        assert _rebuilt(res) == res
 
 
 def test_abel_eval_matches_pair_scan_on_acceptance_instances(monkeypatch):
