@@ -41,7 +41,6 @@ from .graph import (
     build_graph,
     contract,
     cycle_basis,
-    graph_stats,
     stable_reduction,
     subdivide,
 )
@@ -63,7 +62,6 @@ from .semigroup import (
     intersect_ideals,
     localization_preimage,
     model_symbolic_power,
-    monomial_in_principal,
     ray_power_intersection,
     symbolic_power_ideal,
     symbolic_power_membership,

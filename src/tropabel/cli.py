@@ -8,6 +8,7 @@ The environment variable TAK_CAP overrides enumeration caps.
 import argparse
 import json
 import os
+import random
 import re
 import sys
 
@@ -25,7 +26,7 @@ from .divisor import Divisor, Polarization, enumerate_quasistable
 from .errors import DeskScaleError, GoldenMismatch, ValidationError
 from .flow import enumerate_admissible
 from .graph import build_graph
-from .linalg import format_rational, parse_rational
+from .linalg import dot, format_rational, parse_rational
 from .metric import double_ramification_cones
 from .semigroup import node_ring, model_symbolic_power, ray_power_intersection, symbolic_power_ideal
 
@@ -123,15 +124,19 @@ def _v0(g):
 
 
 def _cap(args):
-    if getattr(args, "cap", None):
-        return args.cap
-    env = os.environ.get("TAK_CAP")
-    if env:
+    """--cap, else TAK_CAP, else DEFAULT_CAP; a cap below 1 is an input error."""
+    cap, source = getattr(args, "cap", None), "--cap"
+    if cap is None:
+        env = os.environ.get("TAK_CAP")
+        if not env:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            cap, source = int(env), "TAK_CAP"
         except ValueError as exc:
             raise ValidationError(f"TAK_CAP must be an integer: {env!r}") from exc
-    return DEFAULT_CAP
+    if cap < 1:
+        raise ValidationError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def cmd_quasistable_poset(args):
@@ -271,31 +276,32 @@ def cmd_drl(args):
 
 def _sample_partition(cones, n_edges, seed, count):
     """Draw `count` integer points and count those not in exactly one of the
-    open cones (Cones)."""
-    import random
-
+    open cones (Cones).  A cone's interior test is two bit masks over the
+    distinct rows of all the tests (zero rows, positive rows), met by none
+    of a point's masks of nonzero and of nonpositive rows; each distinct
+    point is tested once."""
+    rows = {}
+    masks = [
+        [sum(1 << rows.setdefault(r, len(rows)) for r in part) for part in cone.interior_rows]
+        for cone in cones
+    ]
     rng = random.Random(seed)
+    failed = {}  # distinct point -> whether it misses "exactly one cone"
     failures = 0
     for _ in range(count):
         pt = tuple(rng.randint(1, 12) for _ in range(n_edges))
-        hits = sum(1 for c in cones if c.contains_interior(pt))
-        if hits != 1:
-            failures += 1
+        if pt not in failed:
+            nonzero = notpositive = 0
+            for bit, r in enumerate(rows):
+                v = dot(r, pt)
+                if v:
+                    nonzero |= 1 << bit
+                if v <= 0:
+                    notpositive |= 1 << bit
+            hits = sum(1 for zero, positive in masks if not (zero & nonzero or positive & notpositive))
+            failed[pt] = hits != 1
+        failures += failed[pt]
     return failures
-
-
-# the maximal Cones of `verify --jobs N`, handed to each worker process once
-_WORKER_CONES = None
-
-
-def _init_sampler(cones):
-    global _WORKER_CONES
-    _WORKER_CONES = cones
-
-
-def _sample_chunk(n_edges, seed, count):
-    """_sample_partition over the worker's cones (_init_sampler)."""
-    return _sample_partition(_WORKER_CONES, n_edges, seed, count)
 
 
 def cmd_verify(args):
@@ -314,32 +320,21 @@ def cmd_verify(args):
     pairs = [c.provenance for c in cones]
     report["admissible_pairs"] = len(pairs)
     # partition sampling over the fan's maximal cones, in one chunk of the
-    # seed space per job; the chunks with points go to at most one process
-    # per CPU, each of which receives the cones once
+    # seed space per job: chunk i draws its points with seed + i, and the
+    # last chunk takes the remainder; only chunks with points are listed
     maximal = [c.cone for c in cones]
-    n_edges, chunks = len(g.edge_ids), args.jobs
-    if chunks > 1:
-        import multiprocessing
-
-        per = args.points // chunks
-        counts = [per] * chunks
-        counts[-1] += args.points - per * chunks
-        work = [(n_edges, args.seed + i, n) for i, n in enumerate(counts) if n > 0]
-        failures = 0
-        if work:
-            processes = min(len(work), os.cpu_count() or 1)
-            with multiprocessing.Pool(processes, _init_sampler, (maximal,)) as pool:
-                failures = sum(pool.starmap(_sample_chunk, work))
-    else:
-        failures = _sample_partition(maximal, n_edges, args.seed, args.points)
+    per, rest = divmod(args.points, args.jobs)
+    chunks = [(i, per) for i in range(args.jobs - 1)] if per else []
+    chunks.append((args.jobs - 1, per + rest))
+    failures = sum(
+        _sample_partition(maximal, len(g.edge_ids), args.seed + i, n) for i, n in chunks if n
+    )
     report["partition"] = {"points": args.points, "failures": failures}
     # dimension formula
     dim_bad = sum(1 for p, c in zip(pairs, cones) if c.cone.dim != expected_dim(p))
     report["dimension_formula"] = {"cones": len(cones), "failures": dim_bad}
     # split/merge roundtrip on integer ray combinations
-    import random as _random
-
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     round_bad = 0
     for p, c in zip(pairs, cones):
         for _ in range(20):
@@ -425,7 +420,7 @@ def _build_parser():
         if d0:
             p.add_argument("--D0", dest="d0", required=True, help="base divisor values")
         if cap:
-            p.add_argument("--cap", type=int, help="enumeration cap (default 2^20; env TAK_CAP)")
+            p.add_argument("--cap", type=int, help="enumeration cap, at least 1 (default 2^20; env TAK_CAP)")
         p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("quasistable-poset", help="poset of quasistable pseudo-divisors")
@@ -486,7 +481,7 @@ def _build_parser():
     p.add_argument("--points", type=int, default=200, help="sampled points for the partition check")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--jobs", type=int, default=1, help="sampling chunks, run on at most one process per CPU"
+        "--jobs", type=int, default=1, help="sampling chunks (chunk i uses seed + i), run one after another"
     )
     p.add_argument("--skip-pairwise", action="store_true", help="skip pairwise fan intersections")
     p.set_defaults(func=cmd_verify)

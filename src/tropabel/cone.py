@@ -91,7 +91,7 @@ class Cone:
 
     equalities/inequalities are integer covector rows; rays are primitive
     integer generators.  The two representations certify each other through
-    the double-description construction; verify() reruns the bipolar check.
+    the double-description construction.
     """
 
     ambient_dim: int
@@ -149,26 +149,27 @@ class Cone:
             dot(row, point) >= 0 for row in self.inequalities
         )
 
-    def contains_interior(self, point):
-        """Relative-interior membership: equalities hold, span-nontrivial
-        inequalities are strict, span-trivial ones vanish."""
-        if not all(dot(row, point) == 0 for row in self.equalities):
-            return False
+    @cached_property
+    def interior_rows(self):
+        """(zero rows, positive rows) of the relative interior, each row once.
+
+        The equalities and the span-trivial inequalities vanish there, and
+        so do the rows cutting the span (relevant when the inequalities
+        alone do not cut it, e.g. zero-dimensional cones); the strict rows
+        are positive there.
+        """
         strict = set(self.strict_rows)
-        for row in self.inequalities:
-            v = dot(row, point)
-            if row in strict:
-                if v <= 0:
-                    return False
-            elif v != 0:
-                return False
-        # the point must also lie in the span (relevant when inequalities
-        # alone do not cut the span, e.g. zero-dimensional cones)
+        zero = self.equalities + tuple(r for r in self.inequalities if r not in strict)
         if self.dim < self.ambient_dim:
-            for row in self.span_cut_rows:
-                if dot(row, point) != 0:
-                    return False
-        return True
+            zero += self.span_cut_rows
+        return tuple(dict.fromkeys(zero)), tuple(dict.fromkeys(self.strict_rows))
+
+    def contains_interior(self, point):
+        """Relative-interior membership (interior_rows)."""
+        zero, positive = self.interior_rows
+        return all(dot(row, point) == 0 for row in zero) and all(
+            dot(row, point) > 0 for row in positive
+        )
 
     @cached_property
     def span_cut_rows(self):
@@ -185,17 +186,6 @@ class Cone:
                 if any(dot(row, r) > 0 for r in self.rays):
                     out.append(row)
         return tuple(dict.fromkeys(out))
-
-    def verify(self):
-        """Bipolar roundtrip: rays satisfy the H-rep, and regenerating rays
-        from the facets of cone(rays) reproduces them exactly."""
-        for r in self.rays:
-            if not self.contains(r):
-                raise AssertionError("ray violates the H-representation")
-        again = Cone.from_rays(self.ambient_dim, self.rays)
-        if again.rays != self.rays:
-            raise AssertionError("double-description roundtrip changed the rays")
-        return True
 
     def to_json(self):
         return {

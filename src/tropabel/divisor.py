@@ -73,10 +73,6 @@ class Divisor:
             vals[spec(v)] += self[v]
         return Divisor.of(spec.target, vals)
 
-    def restrict_to(self, graph):
-        """Forget vertices not present in `graph` (values there must exist)."""
-        return Divisor.of(graph, {v: self._map.get(v, 0) for v in graph.vertex_ids})
-
     def to_json(self):
         return {v: c for v, c in self.values if c != 0}
 
@@ -191,24 +187,6 @@ def beta(div, pol, vset):
         if v not in div.graph.weight:
             raise ValidationError(f"unknown vertex id {v}")
     return div.restricted_degree(vset) - pol.restricted(vset) + Fraction(div.graph.delta(vset), 2)
-
-
-def _quasistable_on_graph(div, v0, pol):
-    """Direct definition: beta >= 0 on proper subsets, strict when v0 inside.
-
-    Exhaustive over all 2^|V| subsets; kept as the oracle of the cut test."""
-    g = div.graph
-    verts = g.vertex_ids
-    n = len(verts)
-    for r in range(1, n):
-        for subset in combinations(verts, r):
-            b = beta(div, pol, subset)
-            if v0 in subset:
-                if b <= 0:
-                    return False
-            elif b < 0:
-                return False
-    return True
 
 
 def _max_flow(cap, nbrs, s, t, limit):
@@ -469,13 +447,6 @@ class QuasistablePoset:
     elements: tuple  # PseudoDivisor, canonically sorted
     covers: tuple  # (i, j) index pairs: element i covers element j
     checks: int = field(default=0, compare=False)
-
-    def index(self, pd):
-        key = pd.canonical_key()
-        for i, el in enumerate(self.elements):
-            if el.canonical_key() == key:
-                return i
-        raise KeyError(key)
 
     def to_json(self):
         return {

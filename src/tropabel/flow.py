@@ -78,9 +78,6 @@ class FlowAssignment:
     def value(self, e):
         return self.flow_map[e]
 
-    def support(self):
-        return tuple(e for e, v in self.flow if v > 0)
-
     def canonical_key(self):
         return (self.orientation, self.flow)
 

@@ -23,8 +23,8 @@ class Graph:
 
     vertices: tuple of (id, weight); edges: tuple of (id, (end, end)) with the
     endpoint pair sorted; legs: tuple of (index, vertex id).  Use build_graph
-    (or Graph.from_json) for validated construction; `connected=False` is only
-    for internal subgraph manipulation.
+    for validated construction; `connected=False` is only for internal
+    subgraph manipulation.
     """
 
     vertices: tuple
@@ -32,13 +32,16 @@ class Graph:
     legs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(sorted((str(v), int(w)) for v, w in self.vertices)))
+        # weights and leg indices pass the integer gate: no float, bool or string
+        vertices = ((str(v), exact_value(w, integral=True)) for v, w in self.vertices)
+        legs = ((exact_value(i, integral=True), str(v)) for i, v in self.legs)
+        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
         object.__setattr__(
             self,
             "edges",
             tuple(sorted((str(e), tuple(sorted((str(a), str(b))))) for e, (a, b) in self.edges)),
         )
-        object.__setattr__(self, "legs", tuple(sorted((int(i), str(v)) for i, v in self.legs)))
+        object.__setattr__(self, "legs", tuple(sorted(legs)))
 
     @cached_property
     def weight(self):
@@ -154,15 +157,6 @@ class Graph:
             self.legs,
         )
 
-    def relabel(self, vmap=None, emap=None):
-        vmap = vmap or {}
-        emap = emap or {}
-        return Graph(
-            tuple((vmap.get(v, v), w) for v, w in self.vertices),
-            tuple((emap.get(e, e), (vmap.get(a, a), vmap.get(b, b))) for e, (a, b) in self.edges),
-            tuple((i, vmap.get(v, v)) for i, v in self.legs),
-        )
-
     def to_json(self):
         return {
             "vertices": [{"id": v, "weight": w} for v, w in self.vertices],
@@ -170,17 +164,11 @@ class Graph:
             "legs": {str(i): v for i, v in self.legs},
         }
 
-    @staticmethod
-    def from_json(data):
-        return build_graph(data)
-
 
 def build_graph(spec):
     """Validated Graph from its JSON description (see Graph JSON format)."""
     try:
-        vertices = tuple(
-            (d["id"], exact_value(d.get("weight", 0), integral=True)) for d in spec["vertices"]
-        )
+        vertices = tuple((d["id"], d.get("weight", 0)) for d in spec["vertices"])
         edges = tuple((d["id"], tuple(d["ends"])) for d in spec["edges"])
         legs = spec.get("legs", {})
     except (KeyError, TypeError) as exc:
@@ -463,45 +451,6 @@ def stable_reduction(g):
 
 
 @dataclass(frozen=True)
-class GraphStats:
-    """Per-query invariants for a (vertex set, edge set) pair."""
-
-    b0_removed: int
-    b1_contracted: int
-    delta_v: int
-    val_e: tuple  # sorted (vertex, valence in E)
-    nondisconnecting: bool
-
-
-def graph_stats(g, vset, eset):
-    """delta, valences, Betti data for V and E, with the partition identity
-    b1(g/E) = |F| - b0(g_F) + 1 asserted for both orientations of the split."""
-    vset = set(vset)
-    eset = set(eset)
-    for v in vset:
-        if v not in g.weight:
-            raise ValidationError(f"unknown vertex id {v}")
-    for e in eset:
-        if e not in g.ends:
-            raise ValidationError(f"unknown edge id {e}")
-    fset = set(g.edge_ids) - eset
-    b1_contract_e = contract(g, eset).target.b1()
-    b1_contract_f = contract(g, fset).target.b1()
-    if (
-        b1_contract_e != len(fset) - g.b0(fset) + 1
-        or b1_contract_f != len(eset) - g.b0(eset) + 1
-    ):
-        raise AssertionError("contraction Betti numbers break the partition identity")
-    return GraphStats(
-        b0_removed=g.b0(eset),
-        b1_contracted=b1_contract_e,
-        delta_v=g.delta(vset),
-        val_e=tuple((v, g.valence(v, eset)) for v in sorted(vset)),
-        nondisconnecting=g.b0(eset) == 1,
-    )
-
-
-@dataclass(frozen=True)
 class CycleBasis:
     """Fundamental cycles of a spanning tree, as signed edge vectors.
 
@@ -524,12 +473,6 @@ class CycleBasis:
             tuple(self.cycle_map[e].get(f, 0) for f in order)
             for e, _ in self.cycles
         ]
-
-
-def reference_direction(g, e):
-    """(tail, head) of e read from the smaller endpoint."""
-    a, b = g.ends[e]
-    return (a, b)
 
 
 def cycle_basis(g, avoid=()):
@@ -598,19 +541,3 @@ def cycle_basis(g, avoid=()):
     if rows and rank(rows) != g.b1():
         raise AssertionError("fundamental cycles are linearly dependent")
     return basis
-
-
-def incidence_rows(g, edge_order=None):
-    """Signed incidence vectors d*(e) = head - tail per reference direction."""
-    order = tuple(edge_order) if edge_order is not None else g.edge_ids
-    vs = g.vertex_ids
-    vidx = {v: i for i, v in enumerate(vs)}
-    rows = []
-    for e in order:
-        a, b = reference_direction(g, e)
-        row = [0] * len(vs)
-        if a != b:
-            row[vidx[b]] += 1
-            row[vidx[a]] -= 1
-        rows.append(tuple(row))
-    return rows

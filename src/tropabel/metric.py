@@ -43,16 +43,6 @@ class MetricGraph:
     def of(graph, mapping):
         return MetricGraph(graph, tuple(mapping.items()))
 
-    @staticmethod
-    def from_json(data):
-        from .graph import build_graph
-
-        g = build_graph(data)
-        raw = data.get("lengths")
-        if not isinstance(raw, dict):
-            raise ValidationError("metric graph JSON needs a lengths object")
-        return MetricGraph.of(g, raw)
-
     @cached_property
     def length_map(self):
         return dict(self.lengths)

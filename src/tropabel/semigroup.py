@@ -59,9 +59,6 @@ class MonomialRing:
         """c_r = <relation, r> for each ray r (all >= 0)."""
         return tuple(dot(self.relation, r) for r in self.rays)
 
-    def in_monoid(self, u):
-        return all(dot(u, r) >= 0 for r in self.rays)
-
     def monomial(self, u, a=0, b=0):
         u = tuple(int(x) for x in u)
         a, b = int(a), int(b)
@@ -174,30 +171,6 @@ class Monomial:
         parts.append("χ{" + body + "}")
         return " ".join(parts)
 
-    @staticmethod
-    def parse(ring, text):
-        """Inverse of format: 'x^a y^b chi{c1,c2,...}' with chi = U+03C7."""
-        a = b = 0
-        u = None
-        for tok in text.split():
-            if tok.startswith("x"):
-                a = int(tok[2:]) if tok.startswith("x^") else 1
-            elif tok.startswith("y"):
-                b = int(tok[2:]) if tok.startswith("y^") else 1
-            elif tok.startswith("χ{") and tok.endswith("}"):
-                body = tok[2:-1]
-                u = tuple(int(c) for c in body.split(",")) if body else ()
-            else:
-                raise ValidationError(f"bad monomial token {tok!r}")
-        if u is None:
-            u = (0,) * ring.ambient_dim
-        return ring.monomial(u, a, b)
-
-
-def monomial_in_principal(m, g):
-    """Membership of m in the principal ideal generated by g."""
-    return g.divides(m)
-
 
 def _minimalize(monomials):
     """Drop every monomial divisible by another one (proper or duplicate)."""
@@ -238,9 +211,6 @@ class MonomialIdeal:
 
     def contains(self, m):
         return any(g.divides(m) for g in self.gens)
-
-    def is_whole(self):
-        return self.contains(self.ring.one())
 
     def product(self, other):
         return MonomialIdeal.of(self.ring, (g * h for g in self.gens for h in other.gens))

@@ -48,6 +48,12 @@ def random_connected_graph(rng, max_edges=5, max_extra_vertices=2, allow_loops=T
     return Graph(vertices, tuple(edges), ((0, vids[0]),))
 
 
+def poset_index(poset, pd):
+    """Position of the pseudo-divisor pd among the poset's elements."""
+    key = pd.canonical_key()
+    return next(i for i, el in enumerate(poset.elements) if el.canonical_key() == key)
+
+
 def random_divisor(rng, g, degree=None, spread=3):
     vals = {v: rng.randint(-spread, spread) for v in g.vertex_ids}
     if degree is not None:

@@ -8,7 +8,7 @@ tropabel.flow.acyclic_flows must give the same flows, each once.
 
 from itertools import product
 
-from tropabel.divisor import enumerate_quasistable
+from tropabel.divisor import Divisor, enumerate_quasistable
 from tropabel.errors import ValidationError
 from tropabel.flow import AdmissiblePair, FlowAssignment, is_acyclic_flow
 from tropabel.graph import subdivide
@@ -152,7 +152,7 @@ def _flows_on_orientations(graph, orients, target, found, wrap):
     `orients` carries, keyed by wrap(flow).canonical_key()."""
     loops = {e for e in graph.edge_ids if graph.is_loop(e)}
     loopfree = graph.remove_edges(loops)
-    loopfree_target = target.restrict_to(loopfree)
+    loopfree_target = Divisor(loopfree, target.values)
     for orient in orients:
         # positive demand needs an incoming edge, negative an outgoing one
         heads = {t for s, t in orient.values()}

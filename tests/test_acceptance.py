@@ -32,7 +32,7 @@ from tropabel.semigroup import (
 )
 from tropabel.worked import theta_graph, theta_instance, worked_pair
 
-from conftest import abel_instances, random_connected_graph, random_instance
+from conftest import abel_instances, poset_index, random_connected_graph, random_instance
 from flow_oracle import (
     acyclic_flows_by_orientations,
     acyclic_orientations,
@@ -68,13 +68,13 @@ def test_acceptance_01_theta_poset(theta):
     for pd in poset.elements:
         layers[len(pd.eset)] = layers.get(len(pd.eset), 0) + 1
     assert layers == {0: 3, 1: 6, 2: 3}
-    top = poset.index(
-        PseudoDivisor.of(theta, {"e0", "e1"}, {"v0": 1, "v1": 1, "x:e0": -1, "x:e1": -1})
+    top = poset_index(
+        poset, PseudoDivisor.of(theta, {"e0", "e1"}, {"v0": 1, "v1": 1, "x:e0": -1, "x:e1": -1})
     )
-    mid_l = poset.index(PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": 0, "x:e0": -1}))
-    mid_r = poset.index(PseudoDivisor.of(theta, {"e0"}, {"v0": 0, "v1": 1, "x:e0": -1}))
+    mid_l = poset_index(poset, PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": 0, "x:e0": -1}))
+    mid_r = poset_index(poset, PseudoDivisor.of(theta, {"e0"}, {"v0": 0, "v1": 1, "x:e0": -1}))
     bots = {
-        key: poset.index(PseudoDivisor.of(theta, set(), dict(key)))
+        key: poset_index(poset, PseudoDivisor.of(theta, set(), dict(key)))
         for key in [
             (("v0", 1), ("v1", -1)),
             (("v0", 0), ("v1", 0)),

@@ -334,61 +334,58 @@ def test_verify_serial_sampler_reuses_cones(capsys, theta_file, monkeypatch):
     assert len(calls) <= json.loads(out)["fan"]["cones"] == 62
 
 
-def test_verify_jobs_keeps_chunks_and_bounds_processes(capsys, theta_file, monkeypatch):
+def test_verify_jobs_samples_chunks_in_process(capsys, theta_file, monkeypatch):
     """--jobs N samples N chunks of the seed space, so the report does not
-    depend on the machine; only the chunks with points are sent, to at most
-    os.cpu_count() processes and no more than there are such chunks.  Each
-    pool hands the Cones of the fan's maximal cones to its workers once,
-    through its initializer, and a chunk carries only (edges, seed, count).
+    depend on the machine: chunk i draws with seed + i, and only the chunks
+    with points are sampled, one after another in the command's process.
     A --jobs below 1 is an input error."""
     import multiprocessing
-    import os
 
     from tropabel import cli
     from tropabel.cone import Cone
 
-    pools, inits, chunks = [], [], []
+    calls = []
+    real = cli._sample_partition
 
-    class FakePool:
-        def __init__(self, processes, initializer, initargs):
-            pools.append(processes)
-            inits.append(initargs)
-            initializer(*initargs)
+    def spy(cones, n_edges, seed, count):
+        assert len(cones) == 55 and all(isinstance(c, Cone) for c in cones)
+        calls.append((n_edges, seed, count))
+        return real(cones, n_edges, seed, count)
 
-        def __enter__(self):
-            return self
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
 
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, work):
-            chunks.extend(work)
-            return [fn(*args) for args in work]
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "_WORKER_CONES", None)
+    monkeypatch.setattr(cli, "_sample_partition", spy)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     argv = ["verify", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
     argv += ["--points", "10", "--skip-pairwise", "--jobs"]
-    code, out, _ = _run(capsys, argv + ["64"])
-    assert (code, out) == (0, VERIFY_THETA_4)
-    assert chunks == [(3, 63, 10)]
-    ((cones,),) = inits
-    assert len(cones) == 55 and all(isinstance(c, Cone) for c in cones)
-    code, out, _ = _run(capsys, argv + ["2"])
-    assert (code, out) == (0, VERIFY_THETA_4)
-    assert chunks[1:] == [(3, 0, 5), (3, 1, 5)]
-    assert len(inits) == 2 and inits[1][0] == cones
-    code, out, _ = _run(capsys, argv + ["5"])
-    assert (code, out) == (0, VERIFY_THETA_4)
-    assert pools == [1, 2, 3]
-    # no chunk has points: no pool is started
+    assert _run(capsys, argv + ["64"]) == (0, VERIFY_THETA_4, "")
+    assert calls == [(3, 63, 10)]
+    assert _run(capsys, argv + ["2"]) == (0, VERIFY_THETA_4, "")
+    assert calls[1:] == [(3, 0, 5), (3, 1, 5)]
+    assert _run(capsys, argv + ["4"]) == (0, VERIFY_THETA_4, "")
+    assert calls[3:] == [(3, 0, 2), (3, 1, 2), (3, 2, 2), (3, 3, 4)]
+    # no chunk has points: the sampler is not called
+    del calls[:]
     code, out, _ = _run(capsys, argv[:-3] + ["0", "--skip-pairwise", "--jobs", "2"])
     assert code == 0 and json.loads(out)["partition"] == {"points": 0, "failures": 0}
+    assert calls == []
     for jobs in ("0", "-2"):
         error = f"error: --jobs must be at least 1, got {jobs}\n"
         assert _run(capsys, argv + [jobs]) == (1, "", error)
-    assert pools == [1, 2, 3]
+    assert calls == []
+
+
+def test_sampler_counts_points_outside_exactly_one_open_cone():
+    """Each draw that lies in no open cone or in two counts as a failure."""
+    from tropabel.cli import _sample_partition
+    from tropabel.cone import Cone
+
+    orthant, diagonal = Cone.from_rays(2, [(1, 0), (0, 1)]), Cone.from_rays(2, [(1, 1)])
+    assert _sample_partition([orthant], 2, 5, 30) == 0
+    assert _sample_partition([orthant, orthant], 2, 5, 30) == 30
+    on_diagonal = _sample_partition([orthant, diagonal], 2, 5, 30)  # two hits
+    assert 0 < on_diagonal < 30 and _sample_partition([diagonal], 2, 5, 30) == 30 - on_diagonal
 
 
 def test_examples_command(capsys):
@@ -491,6 +488,33 @@ def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
         "desk-scale cap: fan faces: 1478 face specializations and 2036 face containment tests"
         " exceed the cap of 3513\n"
     )
+
+
+@pytest.mark.parametrize(
+    "cap, env, message",
+    [
+        ("0", None, "--cap must be at least 1, got 0"),
+        ("-1", None, "--cap must be at least 1, got -1"),
+        ("0", "5", "--cap must be at least 1, got 0"),
+        (None, "0", "TAK_CAP must be at least 1, got 0"),
+        (None, "-3", "TAK_CAP must be at least 1, got -3"),
+    ],
+    ids=["cap-0", "cap-minus-1", "cap-0-over-env-5", "env-0", "env-minus-3"],
+)
+def test_cap_below_one_is_an_input_error(capsys, theta_file, monkeypatch, cap, env, message):
+    """A cap of 0 is a cap, not a missing one, and a cap below 1 from
+    either source exits 1 naming that source; a cap of 1 is a real cap."""
+    base = ["build-fan", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
+    argv = list(base)
+    if env is None:
+        monkeypatch.delenv("TAK_CAP", raising=False)
+    else:
+        monkeypatch.setenv("TAK_CAP", env)
+    if cap is not None:
+        argv += ["--cap", cap]
+    assert _run(capsys, argv) == (1, "", f"error: {message}\n")
+    code, out, _ = _run(capsys, base + ["--cap", "1"])
+    assert (code, out) == (2, "")
 
 
 def test_env_cap_override(capsys, theta_file, monkeypatch):

@@ -14,6 +14,7 @@ from tropabel.errors import ValidationError
 from tropabel.linalg import dot, lattice_quotient, left_kernel_lattice
 
 
+
 def test_orthant_rays():
     rays = rays_from_halfspaces([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert rays == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -31,7 +32,10 @@ def test_quadrilateral_cone_rays():
     assert cone.rays == ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2))
     assert cone.dim == 3
     assert set(cone.facet_rows) == set(tuple(r) for r in ineqs)
-    cone.verify()
+    # bipolar roundtrip: the rays satisfy the H-representation, and the
+    # facets of cone(rays) give the rays back
+    assert all(cone.contains(r) for r in cone.rays)
+    assert Cone.from_rays(3, cone.rays).rays == cone.rays
 
 
 def test_from_rays_roundtrip():

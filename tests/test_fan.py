@@ -24,6 +24,7 @@ from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import DeskScaleError, ValidationError
 from tropabel.flow import FlowAssignment, enumerate_admissible
 from tropabel.graph import Graph, contract, subdivide
+from tropabel.linalg import dot
 
 from conftest import (
     cycle_instance,
@@ -475,6 +476,47 @@ def _assert_matches_oracles(g, v0, mu, d0):
     return fan
 
 
+def interior_by_inequalities(cone, point):
+    """Relative-interior membership row by row, the test that
+    Cone.interior_rows replaced, kept as its oracle."""
+    if not all(dot(row, point) == 0 for row in cone.equalities):
+        return False
+    strict = set(cone.strict_rows)
+    for row in cone.inequalities:
+        v = dot(row, point)
+        if row in strict:
+            if v <= 0:
+                return False
+        elif v != 0:
+            return False
+    if cone.dim < cone.ambient_dim:
+        for row in cone.span_cut_rows:
+            if dot(row, point) != 0:
+                return False
+    return True
+
+
+def _assert_interior_matches_oracle(fan, rng):
+    """Every cone of the fan, faces included, at 60 seeded points with
+    coordinates 0..3 (zeros and faces of the orthant included), the origin
+    and the ray sums of up to 40 seeded cones (points inside those cones),
+    and at its own rays and ray sum (its boundary and its interior)."""
+    n = fan.cones[0].cone.ambient_dim
+
+    def ray_sum(c):
+        return tuple(sum(r[i] for r in c.cone.rays) for i in range(n))
+
+    shared = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(60)] + [(0,) * n]
+    shared += [ray_sum(c) for c in rng.sample(fan.cones, min(40, len(fan.cones)))]
+    inside = 0
+    for c in fan.cones:
+        for pt in dict.fromkeys(shared + list(c.cone.rays) + [ray_sum(c)]):
+            expect = interior_by_inequalities(c.cone, pt)
+            assert c.cone.contains_interior(pt) == expect, (c.key, pt)
+            inside += expect
+    assert inside >= len(fan.cones)
+
+
 @pytest.mark.parametrize(
     "instance",
     [
@@ -490,15 +532,19 @@ def _assert_matches_oracles(g, v0, mu, d0):
 def test_face_closure_matches_exhaustive_routes(instance):
     """The face closure of the uncontracted pairs gives the fan of the
     contraction loop; the face maps build_fan read from the maximal cones
-    are those of each cone's own face lattice."""
+    are those of each cone's own face lattice; and each cone's cached
+    interior test agrees with the row-by-row one."""
     fan = _assert_matches_oracles(*instance())
     assert fan.faces == per_cone_faces(fan)
+    _assert_interior_matches_oracle(fan, random.Random(7))
 
 
 def test_face_closure_matches_exhaustive_routes_on_seeded_instances(random_instances):
+    rng = random.Random(8)
     for g, v0, mu, d0, _ in random_instances:
         fan = _assert_matches_oracles(g, v0, mu, d0)
         assert fan.faces == per_cone_faces(fan)
+        _assert_interior_matches_oracle(fan, rng)
 
 
 @pytest.mark.parametrize("d", [4, 8])

@@ -9,8 +9,6 @@ from tropabel.graph import (
     compose,
     contract,
     cycle_basis,
-    graph_stats,
-    incidence_rows,
     stable_reduction,
     subdivide,
 )
@@ -90,6 +88,17 @@ def test_build_rejects_malformed_legs(legs, message):
         build_graph({"vertices": [{"id": "v", "weight": 0}], "edges": [], "legs": legs})
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1", "x"])
+def test_graph_rejects_non_integer_weights_and_leg_indices(bad):
+    """A Graph built directly passes its weights and leg indices through
+    the same integer gate as build_graph: a float is not truncated, a bool
+    is not read as 0 or 1 and a string is not parsed."""
+    with pytest.raises(ValidationError, match="bad integer"):
+        Graph((("a", bad),), ())
+    with pytest.raises(ValidationError, match="bad integer"):
+        Graph((("a", 1),), (), ((bad, "a"),))
+
+
 def test_contract_single_edge_of_theta(theta):
     s = contract(theta, {"e0"})
     t = s.target
@@ -161,29 +170,29 @@ def test_subdivide_loop_gives_two_cycle():
 
 
 def test_graph_stats_theta(theta):
-    st = graph_stats(theta, {"v0"}, {"e0", "e1"})
-    assert st.delta_v == 3
-    assert st.nondisconnecting
-    st2 = graph_stats(theta, set(), set(theta.edge_ids))
-    assert not st2.nondisconnecting
-    assert st2.b0_removed == 2
+    assert theta.delta({"v0"}) == 3
+    assert theta.b0({"e0", "e1"}) == 1 and theta.is_nondisconnecting({"e0", "e1"})
+    assert theta.b0(theta.edge_ids) == 2 and not theta.is_nondisconnecting(theta.edge_ids)
 
 
 def test_graph_stats_loop_valence():
     g = Graph((("v", 0), ("w", 0)), (("l", ("v", "v")), ("e", ("v", "w"))), ((0, "v"),))
-    st = graph_stats(g, {"v"}, {"l", "e"})
-    assert dict(st.val_e)["v"] == 3  # loop twice, e once
-    assert st.delta_v == 1  # loop does not cross the cut
+    assert g.valence("v", {"l", "e"}) == 3  # loop twice, e once
+    assert g.delta({"v"}) == 1  # loop does not cross the cut
 
 
 def test_b0b1_partition_identity_randomized():
+    """b1(g/E) = |F| - b0(g - F) + 1 for the split E + F of the edges,
+    both ways round: g - F keeps the edges of E, so its components are the
+    vertices of g/E."""
     rng = random.Random(11)
     for _ in range(40):
         g = random_connected_graph(rng, max_edges=8)
         edges = list(g.edge_ids)
         eset = {e for e in edges if rng.random() < 0.5}
-        # graph_stats asserts the identity internally, both ways
-        graph_stats(g, set(), eset)
+        fset = set(edges) - eset
+        assert contract(g, eset).target.b1() == len(fset) - g.b0(fset) + 1
+        assert contract(g, fset).target.b1() == len(eset) - g.b0(eset) + 1
 
 
 def test_cycle_basis_theta_avoiding(theta):
@@ -215,12 +224,15 @@ def test_cycles_lie_in_kernel_of_incidence():
         g = random_connected_graph(rng, max_edges=7)
         cb = cycle_basis(g)
         rows = cb.as_rows()
-        inc = incidence_rows(g)
         for row in rows:
-            combo = [0] * len(g.vertex_ids)
-            for c, e_inc in zip(row, inc):
-                combo = [x + c * y for x, y in zip(combo, e_inc)]
-            assert all(x == 0 for x in combo)
+            # the signed incidence of each edge runs from its smaller end to
+            # its larger one (a loop's is zero); the cycle's sum must vanish
+            net = dict.fromkeys(g.vertex_ids, 0)
+            for c, e in zip(row, g.edge_ids):
+                tail, head = g.ends[e]
+                net[tail] -= c
+                net[head] += c
+            assert not any(net.values())
         if rows:
             assert rank(rows) == g.b1()
         else:
@@ -309,16 +321,26 @@ def test_stable_reduction_contracts_path_to_point():
     assert st.leg_map[0] == st.vertex_ids[0]
 
 
+def relabel(g, vmap, emap):
+    """g with its vertices renamed by vmap and its edges by emap (ids that
+    a map misses keep their names)."""
+    return Graph(
+        tuple((vmap.get(v, v), w) for v, w in g.vertices),
+        tuple((emap.get(e, e), (vmap.get(a, a), vmap.get(b, b))) for e, (a, b) in g.edges),
+        tuple((i, vmap.get(v, v)) for i, v in g.legs),
+    )
+
+
 def test_stable_reduction_commutes_with_relabeling():
     g = _figure_stable_reduction_input()
     vmap = {"a": "p", "b": "q", "t": "r", "m": "s", "c": "u", "d": "w"}
     emap = {e: f"f{i}" for i, e in enumerate(g.edge_ids)}
-    g2 = g.relabel(vmap, emap)
+    g2 = relabel(g, vmap, emap)
     st1, _, _ = stable_reduction(g)
     st2, _, _ = stable_reduction(g2)
-    assert st1.relabel(vmap, emap).genus() == st2.genus()
+    assert relabel(st1, vmap, emap).genus() == st2.genus()
     assert len(st1.vertex_ids) == len(st2.vertex_ids)
-    assert sorted(st1.relabel(vmap, emap).weight.values()) == sorted(st2.weight.values())
+    assert sorted(relabel(st1, vmap, emap).weight.values()) == sorted(st2.weight.values())
 
 
 def test_soft_cap_warning():

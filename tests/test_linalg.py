@@ -5,6 +5,7 @@ private names."""
 
 import ast
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -231,3 +232,39 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_")
             ]
     assert offences == []
+
+
+def test_every_library_function_has_a_library_caller():
+    """No test-only code in the library: each function and method of
+    src/tropabel is referenced (as a name or an attribute) somewhere in
+    src/ outside its own body and __init__.py, or is exported from
+    __init__.py, or is named in perfbench/, whose tracer and workloads
+    reach the library by name.  Dunder methods are exempt."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    allowed = {a.asname or a.name for n in ast.walk(init) if isinstance(n, ast.ImportFrom) for a in n.names}
+    for path in (SRC.parents[1] / "perfbench").glob("*.py"):
+        allowed |= set(re.findall(r"\w+", path.read_text()))
+    defs, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        members = list(tree.body)
+        members += [m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body]
+        defs += [(path.name, n) for n in members if isinstance(n, ast.FunctionDef)]
+        refs += [
+            (path.name, getattr(n, "id", None) or n.attr, n.lineno)
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+    unused = [
+        f"{name}:{fn.lineno} {fn.name}"
+        for name, fn in defs
+        if not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in allowed
+        and not any(
+            ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
+            for where, ref, line in refs
+        )
+    ]
+    assert unused == []

@@ -21,7 +21,8 @@ from conftest import random_connected_graph, random_polarization
 
 def test_metric_graph_json_roundtrip(theta):
     m = MetricGraph.of(theta, {"e0": Fraction(3, 2), "e1": 2, "e2": Fraction(1, 3)})
-    again = MetricGraph.from_json(m.to_json())
+    data = m.to_json()
+    again = MetricGraph.of(build_graph(data), data["lengths"])
     assert again.lengths == m.lengths
     assert again.graph == theta
 
@@ -33,7 +34,7 @@ def test_metric_graph_json_rejects_bad_lengths(theta, bad):
     data = MetricGraph.of(theta, {"e0": 1, "e1": 2, "e2": 3}).to_json()
     data["lengths"]["e1"] = bad
     with pytest.raises(ValidationError, match="bad rational"):
-        MetricGraph.from_json(data)
+        MetricGraph.of(build_graph(data), data["lengths"])
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, None])

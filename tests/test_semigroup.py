@@ -7,7 +7,6 @@ from tropabel.errors import SearchBoundError, ValidationError
 from tropabel.flow import enumerate_admissible
 from tropabel.linalg import dot, vec_add
 from tropabel.semigroup import (
-    Monomial,
     MonomialIdeal,
     MonomialRing,
     boundary_functionals,
@@ -16,7 +15,6 @@ from tropabel.semigroup import (
     localization_preimage,
     model_ring,
     model_symbolic_power,
-    monomial_in_principal,
     node_ring,
     ray_power_intersection,
     symbolic_power_ideal,
@@ -64,12 +62,20 @@ def test_monomial_canonical_form(worked_ring):
     assert m.a == 0 and m.b == 1 and m.u == (2, 0, 0)
 
 
+def parse_monomial(ring, text):
+    """Inverse of Monomial.format: 'x^a y^b χ{c1,c2,...}', χ part last."""
+    *powers, chi = text.split()
+    exps = {tok[0]: int(tok[2:] or 1) for tok in powers}
+    u = tuple(int(c) for c in chi[2:-1].split(",")) if chi != "χ{}" else ()
+    return ring.monomial(u, exps.get("x", 0), exps.get("y", 0))
+
+
 def test_monomial_format_parse_roundtrip(worked_ring):
     r = worked_ring
     m = r.monomial(Z4, b=2)
     text = m.format()
     assert text == "y^2 χ{1,1,-1}"
-    assert Monomial.parse(r, text).key() == m.key()
+    assert parse_monomial(r, text).key() == m.key()
 
 
 def test_principal_membership_worked_values(worked_ring):
@@ -77,10 +83,10 @@ def test_principal_membership_worked_values(worked_ring):
     # chi^(1,0,0) = z0 z4 smells divisible by z0: (1,0,0) - (0,-1,1) = (1,1,-1) in the monoid
     u = r.monomial((1, 0, 0))
     v = r.monomial(Z0)
-    assert monomial_in_principal(u, v)
-    assert monomial_in_principal(u, u)
+    assert v.divides(u)
+    assert u.divides(u)
     # z0 is not in (z1): difference pairs negatively with a ray
-    assert not monomial_in_principal(r.monomial(Z0), r.monomial(Z1))
+    assert not r.monomial(Z1).divides(r.monomial(Z0))
 
 
 def test_principal_membership_uses_split_relation(worked_ring):
@@ -104,8 +110,8 @@ def test_principal_membership_agrees_with_difference_rule():
     for _ in range(300):
         m = rng.choice(pool)
         g = rng.choice(pool)
-        diff_in = ring.in_monoid(tuple(a - b for a, b in zip(m.u, g.u)))
-        assert monomial_in_principal(m, g) == diff_in
+        diff_in = all(dot(tuple(a - b for a, b in zip(m.u, g.u)), r) >= 0 for r in ring.rays)
+        assert g.divides(m) == diff_in
 
 
 def _by_names(ring, *groups):
@@ -245,7 +251,7 @@ def test_localization_preimage_face_r3(worked_pair):
 def test_localization_preimage_whole_and_principal(worked_pair):
     ring, ac = node_ring(worked_pair, "e0")
     whole, _ = localization_preimage(ring, [(1, 2, 2)], ring.one())
-    assert whole.is_whole()
+    assert whole.contains(ring.one())
     # localizing at the full cone: the preimage of (m) is (m) itself
     principal, member = localization_preimage(ring, ac.cone.rays, ring.monomial(Z4))
     assert principal.equals(MonomialIdeal.of(ring, (ring.monomial(Z4),)))
@@ -295,7 +301,7 @@ def test_ray_power_intersection_unsubdivided_zero(theta):
     pairs = enumerate_admissible(theta, "v0", mu, d0)
     (pair,) = [p for p in pairs if not p.eset]
     lhs, rhs = ray_power_intersection(pair, "e0")
-    assert lhs.is_whole() and rhs.is_whole()
+    assert lhs.contains(lhs.ring.one()) and rhs.contains(rhs.ring.one())
 
 
 def test_ray_power_intersection_unsubdivided_positive(theta):
@@ -397,7 +403,7 @@ def test_symbolic_power_rejects_bad_exponent_and_ray(worked_ring):
         symbolic_power_ideal(worked_ring, (1, 1, 3), 1)
     with pytest.raises(ValidationError, match="split-pair ring"):
         symbolic_power_ideal(MonomialRing(3, WORKED_RAYS), (1, 1, 1), 1)
-    assert symbolic_power_ideal(worked_ring, (1, 1, 1), 0).is_whole()
+    assert symbolic_power_ideal(worked_ring, (1, 1, 1), 0).contains(worked_ring.one())
 
 
 def test_search_stops_at_the_cap_on_a_deep_staircase():

@@ -48,6 +48,10 @@ from functional_oracle import functionals_by_cycle
 # ------------------------------------------------------------ the predecessors
 
 
+def in_monoid(ring, u):
+    return all(dot(u, r) >= 0 for r in ring.rays)
+
+
 def jloop_divides(g, m):
     """g | m: some integer shift j >= max(-da, -db) keeps du - j*relation
     in the chi-monoid; j is bounded above through any ray pairing
@@ -56,7 +60,7 @@ def jloop_divides(g, m):
     da, db = m.a - g.a, m.b - g.b
     ring = g.ring
     if ring.relation is None:
-        return da == 0 and db == 0 and ring.in_monoid(du)
+        return da == 0 and db == 0 and in_monoid(ring, du)
     rel = ring.relation
     jlo = max(-da, -db)
     jhi = None
@@ -66,9 +70,9 @@ def jloop_divides(g, m):
             bound = dot(du, r) // cr
             jhi = bound if jhi is None else min(jhi, bound)
     if jhi is None:
-        return ring.in_monoid(du)
+        return in_monoid(ring, du)
     return any(
-        ring.in_monoid(tuple(x - j * y for x, y in zip(du, rel))) for j in range(jlo, jhi + 1)
+        in_monoid(ring, tuple(x - j * y for x, y in zip(du, rel))) for j in range(jlo, jhi + 1)
     )
 
 
