@@ -44,7 +44,7 @@ from .flow import (
     enumerate_admissible,
     is_acyclic_flow,
 )
-from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis
+from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, exceptional_id
 from .linalg import clear_denominators, dot, inverse
 
 
@@ -118,8 +118,8 @@ class PairRows:
         Exact: the flow is acyclic once its zero edges are contracted, so a
         topological potential gives a strictly positive split point and no
         inverse row is an implicit equality.  The relative interior is then
-        cut out by the strict rows, as Cone.contains_interior decides from
-        the rays.
+        cut out by the strict rows, as Cone.interior_rows finds from the
+        rays.
         """
         return all(dot(row, point) == 0 for row in self.equalities) and all(
             dot(row, point) > 0 for row in self.inverse_rows
@@ -358,16 +358,93 @@ def classify_ray(abcone):
     raise AssertionError("ray provenance matches no admissible shape")
 
 
-def _lattice_faces(abcone):
+def _face_keys(ambient_edges, pair, zset):
+    """The fan key of the face pair that contracting `zset` specializes the
+    pair to, and that pair's divisor key (PseudoDivisor.canonical_key),
+    read from the zero set alone: the keys of _specialize_pair(pair, zset),
+    with no graph, subdivision or flow built.
+
+    A base edge is contracted when all its parts are in zset, and leaves E
+    when some are.  The vertices over the contracted edges merge, each
+    class named by its least member, as contract names it; exceptional
+    vertices follow contract_pushforward's vertex map; the flow is carried
+    by _specialize_pair's rules.
+    """
+    g, sub = pair.base, _sub_of(pair)
+    parts = {}
+    for h in zset:
+        parts.setdefault(sub.over_map[h], []).append(h)
+    full = {e for e, hs in parts.items() if len(hs) == (2 if e in pair.eset else 1)}
+    name = {v: v for v in g.vertex_ids}
+
+    def find(v):
+        while name[v] != v:
+            v = name[v]
+        return v
+
+    # the root of a class stays its least member
+    for e in full:
+        a, b = (find(v) for v in g.ends[e])
+        if a != b:
+            name[max(a, b)] = min(a, b)
+    along = {v: find(v) for v in g.vertex_ids}
+    for e in pair.eset:
+        x = exceptional_id(e)
+        if e not in parts:
+            along[x] = x
+        elif len(parts[e]) == 2:
+            along[x] = along[g.ends[e][0]]
+        else:
+            tail, head = sub.dir_map[parts[e][0]]
+            along[x] = along[tail if tail != x else head]
+    eset2 = tuple(sorted(pair.eset.difference(parts)))
+    sums = {}
+    divisor = pair.resulting_pd.divisor
+    for v in sub.result.vertex_ids:
+        sums[along[v]] = sums.get(along[v], 0) + divisor[v]
+    flow, orient = pair.flow.flow_map, pair.flow.orient_map
+    values, arrows = [], []
+    for e, (a, b) in g.edges:
+        if e in full:
+            continue
+        if e not in pair.eset:
+            carried = ((e, e),)
+        elif e in parts:
+            carried = ((e, next(h for h in sub.halves[e] if h not in zset)),)
+        else:
+            # contraction can flip the sorted ends: the halves swap names
+            ha, hb = sub.halves[e]
+            carried = ((ha, ha), (hb, hb)) if along[a] <= along[b] else ((ha, hb), (hb, ha))
+        for e2, src in carried:
+            values.append((e2, flow[src]))
+            if flow[src] > 0:
+                s, t = orient[src]
+                arrows.append((e2, (along[s], along[t])))
+    contracted = contracted_edges(ambient_edges, pair).union(full)
+    key = (tuple(sorted(contracted)), eset2, (tuple(sorted(arrows)), tuple(sorted(values))))
+    return key, (eset2, tuple(sorted(sums.items())))
+
+
+def _lattice_faces(abcone, pairs=None, subdivisions=None):
     """Every face of a fan cone, read from its face lattice and specialized
-    from the cone's pair: yields (face ray-index set, face key, face pair)
-    once per face.
+    from the cone's pair: yields (face ray-index set, face key, face
+    divisor key) once per face.
 
     A face's zero set is the set of subdivision edges whose inverse row
     vanishes on all of the face's rays; contracting it specializes the pair.
-    The face pair lives on the contracted graph, and its key is taken over
-    the cone's ambient edges.
+    Both keys are read from the zero set (_face_keys), the face key over the
+    cone's ambient edges.  A face pair is built only for a key missing from
+    `pairs` (key -> pair, a fresh dict by default), and stored there once
+    its own keys are certified to be the ones read from the zero set.  A
+    key already there needs no pair: it fixes the contracted graph, E and
+    the flow, and so the divisor, the flow's divisor plus the pushed D0.
+    `subdivisions` maps (contracted edges, E) to the subdivision of a pair
+    already built, which the new pairs share.
     """
+    if pairs is None:
+        pairs = {}
+    if subdivisions is None:
+        subdivisions = {}
     pair = abcone.provenance
     vanish = []
     for ray in abcone.cone.rays:
@@ -376,10 +453,19 @@ def _lattice_faces(abcone):
     every = frozenset(abcone.rows.sub.result.edge_ids)
     for face in face_lattice_rayset(abcone.cone):
         zset = every.intersection(*(vanish[i] for i in face))
-        pair2 = _specialize_pair(pair, zset)
-        if pair2 is None:
-            raise AssertionError("a face of a fan cone specializes to a cyclic flow")
-        yield face, _cone_key(abcone.ambient_edges, pair2), pair2
+        key, divisor = _face_keys(abcone.ambient_edges, pair, zset)
+        if key not in pairs:
+            pair2 = _specialize_pair(pair, zset, subdivisions.get(key[:2]))
+            if pair2 is None:
+                raise AssertionError("a face of a fan cone specializes to a cyclic flow")
+            if (
+                _cone_key(abcone.ambient_edges, pair2) != key
+                or pair2.resulting_pd.canonical_key() != divisor
+            ):
+                raise AssertionError("a face pair's keys differ from its zero set's")
+            pairs[key] = pair2
+            subdivisions.setdefault(key[:2], pair2.resulting_pd.subdivision)
+        yield face, key, divisor
 
 
 def cone_faces(abcone):
@@ -389,13 +475,16 @@ def cone_faces(abcone):
     cone's pair (_lattice_faces); their cones are embedded in the same
     ambient space.
     """
-    out = {}
-    for _, key, pair in _lattice_faces(abcone):
-        out[key] = merged_cone(pair.base, pair, ambient_edges=abcone.ambient_edges)
-    return [out[k] for k in sorted(out)]
+    pairs = {}
+    for _ in _lattice_faces(abcone, pairs):
+        pass
+    return [
+        merged_cone(pairs[k].base, pairs[k], ambient_edges=abcone.ambient_edges)
+        for k in sorted(pairs)
+    ]
 
 
-def _specialize_pair(pair, zset):
+def _specialize_pair(pair, zset, subdivision=None):
     """Specialize an admissible pair by contracting a set of edges of its
     E-subdivision; zset may hold plain edges as well as halves.
 
@@ -403,11 +492,12 @@ def _specialize_pair(pair, zset):
     function carries the flow only.  Surviving subdivision edges keep their
     values, and a subdivided edge reduced to one half carries that half's
     value on the un-subdivided edge; orientations go through the vertex
-    map.  Returns the face pair, on the contracted graph, or None when the
-    image flow has a directed cycle, which no face of the pair's cone gives.
+    map.  `subdivision` is the face's subdivision, when already built.
+    Returns the face pair, on the contracted graph, or None when the image
+    flow has a directed cycle, which no face of the pair's cone gives.
     """
     g, sub = pair.base, _sub_of(pair)
-    pd2, along = contract_pushforward(pair.resulting_pd, zset)
+    pd2, along = contract_pushforward(pair.resulting_pd, zset, subdivision)
     g2, sub2 = pd2.base, pd2.subdivision
     flow_vals = {}
     orient = {}
@@ -480,34 +570,46 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     """Assemble the fan as the face closure of the admissible pairs of g.
 
     The pairs' merged cones are the maximal cones, and every cone of the
-    fan is a face of one of them, so only their face lattices are walked,
-    each face specialized from the maximal cone's pair (_lattice_faces).  A
-    face key not seen before gets its merged cone, with its own double
-    description.  A cone's face map comes from the first maximal cone that
-    holds it: that cone's faces whose ray sets lie in its own.  Cones are
-    embedded into the edge space of g, contracted coordinates pinned to
-    zero.  `cap` bounds the pair enumeration and, separately, the face
-    work: one specialization per face of each maximal cone, and for each
-    cone one containment test per face of the maximal cone its face map
-    comes from.
+    fan is a face of one of them, so only their face lattices are walked
+    (_lattice_faces).  Each face's key and divisor key are read from its
+    zero set, and a face pair is specialized from the maximal cone's pair
+    only for a key not seen before; that key's merged cone gets its own
+    double description.  Within one call, the pairs with one (contracted
+    graph, E) share one subdivision and one cycle basis.  A cone's face map
+    comes from the first maximal cone that holds it: that cone's faces
+    whose ray sets lie in its own.  Cones are embedded into the edge space
+    of g, contracted coordinates pinned to zero.  `cap` bounds the pair
+    enumeration and, separately, the face work: one specialization per
+    face of each maximal cone, and for each cone one containment test per
+    face of the maximal cone its face map comes from.
     """
     if d0.degree() != pol.degree():
         raise ValidationError("deg D0 must equal deg mu")
     amb = g.edge_ids
-    cones = {}
+    bases = {}
+
+    def fan_cone(key, pair):
+        # key[:2] is (contracted edges, E): the cycle basis's (graph, avoid)
+        if key[:2] not in bases:
+            bases[key[:2]] = cycle_basis(pair.base, avoid=pair.eset)
+        rows = pair_rows(pair.base, pair, bases[key[:2]])
+        return merged_cone(pair.base, pair, ambient_edges=amb, rows=rows)
+
+    pairs = {}
     for pair in enumerate_admissible(g, v0, pol, d0, cap=cap):
-        ac = merged_cone(g, pair, ambient_edges=amb)
-        cones[ac.key()] = ac
+        pairs[_cone_key(amb, pair)] = pair
+    cones = {key: fan_cone(key, pair) for key, pair in pairs.items()}
     maximal_keys = list(cones)
+    subdivisions = {}
     faces = {}
     work = WorkCap("fan faces", cap, "face specializations", "face containment tests")
     for top in maximal_keys:
         walked = []
-        for rayset, key, pair in _lattice_faces(cones[top]):
+        for rayset, key, divisor in _lattice_faces(cones[top], pairs, subdivisions):
             work.charge("face specializations")
-            walked.append((rayset, key, pair.resulting_pd.canonical_key()))
+            walked.append((rayset, key, divisor))
             if key not in cones:
-                cones[key] = merged_cone(pair.base, pair, ambient_edges=amb)
+                cones[key] = fan_cone(key, pairs[key])
         for rayset, key, _ in walked:
             if key not in faces:
                 work.charge("face containment tests", len(walked))

@@ -39,8 +39,11 @@ NUMBER_LIST_OPTIONS = ("--mu", "--D0", "--point", "--A", "--rays")
 def _dump(data, out_path):
     text = json.dumps(data, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -164,13 +164,6 @@ class Cone:
             zero += self.span_cut_rows
         return tuple(dict.fromkeys(zero)), tuple(dict.fromkeys(self.strict_rows))
 
-    def contains_interior(self, point):
-        """Relative-interior membership (interior_rows)."""
-        zero, positive = self.interior_rows
-        return all(dot(row, point) == 0 for row in zero) and all(
-            dot(row, point) > 0 for row in positive
-        )
-
     @cached_property
     def span_cut_rows(self):
         mat = [list(r) for r in self.rays] if self.rays else [[0] * self.ambient_dim]

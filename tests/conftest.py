@@ -4,6 +4,7 @@ import pytest
 
 from tropabel.divisor import Divisor, Polarization
 from tropabel.graph import Graph, build_graph
+from tropabel.linalg import dot
 
 
 @pytest.fixture
@@ -46,6 +47,15 @@ def random_connected_graph(rng, max_edges=5, max_extra_vertices=2, allow_loops=T
         edges.append((f"e{len(edges)}", tuple(sorted((a, b)))))
     vertices = tuple((v, rng.randint(0, max_weight)) for v in vids)
     return Graph(vertices, tuple(edges), ((0, vids[0]),))
+
+
+def contains_interior(cone, point):
+    """Relative-interior membership of a point in a Cone, read from its
+    cached (zero rows, positive rows) pair, Cone.interior_rows."""
+    zero, positive = cone.interior_rows
+    return all(dot(row, point) == 0 for row in zero) and all(
+        dot(row, point) > 0 for row in positive
+    )
 
 
 def poset_index(poset, pd):

@@ -462,6 +462,18 @@ def test_locate_cap_counts_candidates_and_lattice_points(capsys, theta_file):
     )
 
 
+def test_unwritable_out_is_an_input_error(capsys, theta_file, tmp_path):
+    """An --out path in a missing directory exits 1 with one error line,
+    and writes nothing to stdout."""
+    out = tmp_path / "missing" / "fan.json"
+    argv = ["build-fan", "--graph", theta_file, "--mu", "0", "--D0", "4,-4", "--out", str(out)]
+    code, stdout, err = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: cannot write output file: ")
+    assert err.count("\n") == 1 and str(out) in err
+    assert not out.parent.exists()
+
+
 def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
     """On theta (8,-8) the pair enumeration fits under a cap of 500, but the
     fan's face work does not: the command stops at the stage that passed

@@ -5,9 +5,12 @@ from itertools import combinations
 
 import pytest
 
+from tropabel import abelfan
+from tropabel import divisor as divisor_mod
 from tropabel.abelfan import (
     AbelFan,
     _cone_key,
+    _face_keys,
     _lattice_faces,
     _specialize_pair,
     build_fan,
@@ -27,6 +30,7 @@ from tropabel.graph import Graph, contract, subdivide
 from tropabel.linalg import dot
 
 from conftest import (
+    contains_interior,
     cycle_instance,
     cycle_json,
     parallel_instance,
@@ -235,7 +239,7 @@ def test_boundary_location_agrees_with_fan_membership(theta):
         pt[rng.randrange(3)] = 0
         ptd = dict(zip(theta.edge_ids, pt))
         ac, _ = locate_point(theta, "v0", mu, d0, ptd)
-        hits = [c for c in fan.cones if c.cone.contains_interior(tuple(pt))]
+        hits = [c for c in fan.cones if contains_interior(c.cone, tuple(pt))]
         assert len(hits) == 1
         assert hits[0].key() == ac.key()
 
@@ -342,7 +346,7 @@ def test_partition_property_theta(theta):
     cones = [merged_cone(theta, p) for p in pairs]
     for _ in range(400):
         pt = tuple(rng.randint(1, 9) for _ in range(3))
-        hits = [c for c in cones if c.cone.contains_interior(pt)]
+        hits = [c for c in cones if contains_interior(c.cone, pt)]
         assert len(hits) == 1, pt
 
 
@@ -363,7 +367,7 @@ def test_partition_property_randomized():
         cones = [merged_cone(g, p) for p in pairs]
         for _ in range(120):
             pt = tuple(rng.randint(1, 9) for _ in g.edge_ids)
-            hits = [c for c in cones if c.cone.contains_interior(pt)]
+            hits = [c for c in cones if contains_interior(c.cone, pt)]
             assert len(hits) == 1, (g.to_json(), dict(d0.values), pt)
         done += 1
 
@@ -382,7 +386,7 @@ def test_partition_census_saturates(theta):
             for c in range(1, 8):
                 pt = (a, b, c)
                 for i, cone in enumerate(cones):
-                    if cone.cone.contains_interior(pt):
+                    if contains_interior(cone.cone, pt):
                         seen.add(i)
                         break
     assert len(seen) == len(cones) == 55
@@ -442,7 +446,10 @@ def contraction_loop_fan(g, v0, pol, d0):
 
 def subset_loop_faces(abcone):
     """Face key -> face divisor, from specializing every subset of the
-    cone's subdivision edges and keeping the acyclic images."""
+    cone's subdivision edges and keeping the acyclic images.  Each image's
+    keys are also those read from the subset alone (_face_keys), so the
+    key route is checked on every face of the cone and on every other
+    subset with an acyclic image."""
     pair = abcone.provenance
     sub_edges = pair.resulting_pd.subdivision.result.edge_ids
     out = {}
@@ -453,6 +460,7 @@ def subset_loop_faces(abcone):
                 continue
             key = _cone_key(abcone.ambient_edges, pair2)
             divisor = pair2.resulting_pd.canonical_key()
+            assert _face_keys(abcone.ambient_edges, pair, frozenset(zset)) == (key, divisor), zset
             assert out.setdefault(key, divisor) == divisor, key
     return out
 
@@ -460,10 +468,7 @@ def subset_loop_faces(abcone):
 def per_cone_faces(fan):
     """Each cone's face map from a walk of its own face lattice, the route
     the walk of the maximal cones alone replaced."""
-    return tuple(
-        {key: pair.resulting_pd.canonical_key() for _, key, pair in _lattice_faces(c)}
-        for c in fan.cones
-    )
+    return tuple({key: divisor for _, key, divisor in _lattice_faces(c)} for c in fan.cones)
 
 
 def _assert_matches_oracles(g, v0, mu, d0):
@@ -512,7 +517,7 @@ def _assert_interior_matches_oracle(fan, rng):
     for c in fan.cones:
         for pt in dict.fromkeys(shared + list(c.cone.rays) + [ray_sum(c)]):
             expect = interior_by_inequalities(c.cone, pt)
-            assert c.cone.contains_interior(pt) == expect, (c.key, pt)
+            assert contains_interior(c.cone, pt) == expect, (c.key, pt)
             inside += expect
     assert inside >= len(fan.cones)
 
@@ -585,3 +590,54 @@ def test_verify_fan_catches_wrong_face_divisor(theta):
     faces[top][key] = ((), (("v0", 9), ("v1", -9)))
     with pytest.raises(AssertionError, match="another divisor"):
         verify_fan(dataclasses.replace(fan, faces=tuple(faces)), pairwise=False)
+
+
+def test_face_pair_certificate_raises(theta, monkeypatch):
+    """A new face key gets its pair from _specialize_pair, and build_fan
+    raises when that pair's flow is cyclic or its keys differ from the
+    ones read from the zero set."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
+    real_keys, real_pair = abelfan._face_keys, abelfan._specialize_pair
+    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, subdivision=None: None)
+    with pytest.raises(AssertionError, match="cyclic flow"):
+        build_fan(theta, "v0", mu, d0)
+    monkeypatch.setattr(abelfan, "_specialize_pair", real_pair)
+
+    def stray_divisor(amb, pair, zset):
+        key, (eset, _) = real_keys(amb, pair, zset)
+        return key, (eset, ())
+
+    monkeypatch.setattr(abelfan, "_face_keys", stray_divisor)
+    with pytest.raises(AssertionError, match="keys differ"):
+        build_fan(theta, "v0", mu, d0)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_build_fan_builds_each_face_pair_once(theta, monkeypatch, d):
+    """build_fan specializes one pair per cone it has not seen (one
+    contract_pushforward per non-maximal cone), and builds one subdivision
+    and one cycle basis per (graph, E) it meets."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": d, "v1": -d})
+    pushforwards, subdivisions, bases = [], [], []
+
+    def spy(calls, fn):
+        def call(*args, **kwargs):
+            calls.append((*args, *kwargs.values())[:2])
+            return fn(*args, **kwargs)
+
+        return call
+
+    pushforward = spy(pushforwards, abelfan.contract_pushforward)
+    monkeypatch.setattr(abelfan, "contract_pushforward", pushforward)
+    monkeypatch.setattr(divisor_mod, "subdivide", spy(subdivisions, divisor_mod.subdivide))
+    monkeypatch.setattr(abelfan, "cycle_basis", spy(bases, abelfan.cycle_basis))
+    fan = build_fan(theta, "v0", mu, d0)
+    assert len(pushforwards) == len(fan.cones) - len(fan.maximal)
+    for calls in (subdivisions, bases):
+        keys = [(g, frozenset(eset)) for g, eset in calls]
+        assert len(keys) == len(set(keys))
+    assert {(c.provenance.base, c.provenance.eset) for c in fan.cones} == {
+        (g, frozenset(eset)) for g, eset in bases
+    }

@@ -37,7 +37,13 @@ from tropabel.graph import build_graph, contract, cycle_basis
 from tropabel.linalg import inverse
 from tropabel.metric import abel_eval
 
-from conftest import abel_instances, parallel_instance, pendant_cycle_instance, random_instance
+from conftest import (
+    abel_instances,
+    contains_interior,
+    parallel_instance,
+    pendant_cycle_instance,
+    random_instance,
+)
 from locate_oracle import oracle_locate
 from split_oracle import split_cone, split_rays
 
@@ -118,7 +124,7 @@ class Instance:
         zeros = frozenset(e for e, x in point.items() if x == 0)
         denom = math.lcm(*(Fraction(x).denominator for x in point.values()))
         ipoint = tuple(int(Fraction(point[e]) * denom) for e in self.g.edge_ids)
-        hits = [c for c in self.cones(zeros) if c.cone.contains_interior(ipoint)]
+        hits = [c for c in self.cones(zeros) if contains_interior(c.cone, ipoint)]
         assert len(hits) == 1, f"{len(hits)} open cones hold {point}"
         (hit,) = hits
         return hit, {e: Fraction(v, denom) for e, v in hit.split_point(ipoint).items()}
