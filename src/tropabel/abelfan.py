@@ -34,6 +34,7 @@ from .divisor import (
     QuasistableRoutes,
     contract_pushforward,
     nondisconnecting_edge_sets,
+    pushforward_vertex_map,
 )
 from .errors import ValidationError, WorkCap
 from .flow import (
@@ -44,7 +45,7 @@ from .flow import (
     enumerate_admissible,
     is_acyclic_flow,
 )
-from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis, exceptional_id
+from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis
 from .linalg import clear_denominators, dot, inverse
 
 
@@ -358,74 +359,59 @@ def classify_ray(abcone):
     raise AssertionError("ray provenance matches no admissible shape")
 
 
+def _flow_sources(pair, zset, eset2, along):
+    """Each edge of the face's E'-subdivision, after contracting `zset`,
+    with the edge of the pair's subdivision whose flow it carries.
+
+    Surviving plain edges and halves keep their values, and a subdivided
+    edge reduced to one half carries that half's value on the
+    un-subdivided edge.  `along` is the vertex map (pushforward_vertex_map)
+    and eset2 the face's E.
+    """
+    g, sub = pair.base, _sub_of(pair)
+    for e, (a, b) in g.edges:
+        if e in eset2:
+            # contraction can flip the sorted ends: the halves swap names
+            ha, hb = sub.halves[e]
+            if along[a] <= along[b]:
+                yield from ((ha, ha), (hb, hb))
+            else:
+                yield from ((ha, hb), (hb, ha))
+        elif e not in pair.eset:
+            if e not in zset:
+                yield e, e
+        else:
+            rest = [h for h in sub.halves[e] if h not in zset]
+            if rest:
+                yield e, rest[0]
+
+
 def _face_keys(ambient_edges, pair, zset):
     """The fan key of the face pair that contracting `zset` specializes the
     pair to, and that pair's divisor key (PseudoDivisor.canonical_key),
     read from the zero set alone: the keys of _specialize_pair(pair, zset),
-    with no graph, subdivision or flow built.
-
-    A base edge is contracted when all its parts are in zset, and leaves E
-    when some are.  The vertices over the contracted edges merge, each
-    class named by its least member, as contract names it; exceptional
-    vertices follow contract_pushforward's vertex map; the flow is carried
-    by _specialize_pair's rules.
+    with no graph, subdivision or flow built.  The vertex map is
+    contract_pushforward's (pushforward_vertex_map), and the flow is
+    carried as _specialize_pair carries it (_flow_sources).
     """
-    g, sub = pair.base, _sub_of(pair)
-    parts = {}
-    for h in zset:
-        parts.setdefault(sub.over_map[h], []).append(h)
-    full = {e for e, hs in parts.items() if len(hs) == (2 if e in pair.eset else 1)}
-    name = {v: v for v in g.vertex_ids}
-
-    def find(v):
-        while name[v] != v:
-            v = name[v]
-        return v
-
-    # the root of a class stays its least member
-    for e in full:
-        a, b = (find(v) for v in g.ends[e])
-        if a != b:
-            name[max(a, b)] = min(a, b)
-    along = {v: find(v) for v in g.vertex_ids}
-    for e in pair.eset:
-        x = exceptional_id(e)
-        if e not in parts:
-            along[x] = x
-        elif len(parts[e]) == 2:
-            along[x] = along[g.ends[e][0]]
-        else:
-            tail, head = sub.dir_map[parts[e][0]]
-            along[x] = along[tail if tail != x else head]
-    eset2 = tuple(sorted(pair.eset.difference(parts)))
-    sums = {}
-    divisor = pair.resulting_pd.divisor
-    for v in sub.result.vertex_ids:
-        sums[along[v]] = sums.get(along[v], 0) + divisor[v]
+    full, eset2, along = pushforward_vertex_map(pair.resulting_pd, zset)
+    divisor, sums = pair.resulting_pd.divisor, {}
+    for v, w in along.items():
+        sums[w] = sums.get(w, 0) + divisor[v]
     flow, orient = pair.flow.flow_map, pair.flow.orient_map
     values, arrows = [], []
-    for e, (a, b) in g.edges:
-        if e in full:
-            continue
-        if e not in pair.eset:
-            carried = ((e, e),)
-        elif e in parts:
-            carried = ((e, next(h for h in sub.halves[e] if h not in zset)),)
-        else:
-            # contraction can flip the sorted ends: the halves swap names
-            ha, hb = sub.halves[e]
-            carried = ((ha, ha), (hb, hb)) if along[a] <= along[b] else ((ha, hb), (hb, ha))
-        for e2, src in carried:
-            values.append((e2, flow[src]))
-            if flow[src] > 0:
-                s, t = orient[src]
-                arrows.append((e2, (along[s], along[t])))
-    contracted = contracted_edges(ambient_edges, pair).union(full)
-    key = (tuple(sorted(contracted)), eset2, (tuple(sorted(arrows)), tuple(sorted(values))))
+    for e2, src in _flow_sources(pair, zset, eset2, along):
+        values.append((e2, flow[src]))
+        if flow[src] > 0:
+            s, t = orient[src]
+            arrows.append((e2, (along[s], along[t])))
+    contracted = tuple(sorted(contracted_edges(ambient_edges, pair).union(full)))
+    eset2 = tuple(sorted(eset2))
+    key = (contracted, eset2, (tuple(sorted(arrows)), tuple(sorted(values))))
     return key, (eset2, tuple(sorted(sums.items())))
 
 
-def _lattice_faces(abcone, pairs=None, subdivisions=None):
+def _lattice_faces(abcone, pairs=None):
     """Every face of a fan cone, read from its face lattice and specialized
     from the cone's pair: yields (face ray-index set, face key, face
     divisor key) once per face.
@@ -438,13 +424,9 @@ def _lattice_faces(abcone, pairs=None, subdivisions=None):
     its own keys are certified to be the ones read from the zero set.  A
     key already there needs no pair: it fixes the contracted graph, E and
     the flow, and so the divisor, the flow's divisor plus the pushed D0.
-    `subdivisions` maps (contracted edges, E) to the subdivision of a pair
-    already built, which the new pairs share.
     """
     if pairs is None:
         pairs = {}
-    if subdivisions is None:
-        subdivisions = {}
     pair = abcone.provenance
     vanish = []
     for ray in abcone.cone.rays:
@@ -455,7 +437,7 @@ def _lattice_faces(abcone, pairs=None, subdivisions=None):
         zset = every.intersection(*(vanish[i] for i in face))
         key, divisor = _face_keys(abcone.ambient_edges, pair, zset)
         if key not in pairs:
-            pair2 = _specialize_pair(pair, zset, subdivisions.get(key[:2]))
+            pair2 = _specialize_pair(pair, zset)
             if pair2 is None:
                 raise AssertionError("a face of a fan cone specializes to a cyclic flow")
             if (
@@ -464,7 +446,6 @@ def _lattice_faces(abcone, pairs=None, subdivisions=None):
             ):
                 raise AssertionError("a face pair's keys differ from its zero set's")
             pairs[key] = pair2
-            subdivisions.setdefault(key[:2], pair2.resulting_pd.subdivision)
         yield face, key, divisor
 
 
@@ -484,46 +465,29 @@ def cone_faces(abcone):
     ]
 
 
-def _specialize_pair(pair, zset, subdivision=None):
+def _specialize_pair(pair, zset):
     """Specialize an admissible pair by contracting a set of edges of its
     E-subdivision; zset may hold plain edges as well as halves.
 
-    The divisor and the vertex map come from contract_pushforward; this
-    function carries the flow only.  Surviving subdivision edges keep their
-    values, and a subdivided edge reduced to one half carries that half's
-    value on the un-subdivided edge; orientations go through the vertex
-    map.  `subdivision` is the face's subdivision, when already built.
-    Returns the face pair, on the contracted graph, or None when the image
-    flow has a directed cycle, which no face of the pair's cone gives.
+    The divisor and the vertex map come from contract_pushforward; the
+    flow is carried along _flow_sources, and orientations go through the
+    vertex map.  Returns the face pair, on the contracted graph, or None
+    when the image flow has a directed cycle, which no face of the pair's
+    cone gives.
     """
-    g, sub = pair.base, _sub_of(pair)
-    pd2, along = contract_pushforward(pair.resulting_pd, zset, subdivision)
-    g2, sub2 = pd2.base, pd2.subdivision
+    pd2, along = contract_pushforward(pair.resulting_pd, zset)
     flow_vals = {}
     orient = {}
-    for e2 in sub2.result.edge_ids:
-        base2 = sub2.over_map[e2]
-        if base2 not in pair.eset:
-            src = base2
-        elif base2 not in pd2.eset:
-            src = next(h for h in sub.halves[base2] if h not in zset)
-        else:
-            # match the half by the image of its base endpoint: contraction
-            # can rename the ends so that their sorted order flips
-            ha, hb = sub.halves[base2]
-            if along(g.ends[base2][0]) == g2.ends[base2][0]:
-                src = e2
-            else:
-                src = hb if e2 == ha else ha
+    for e2, src in _flow_sources(pair, zset, pd2.eset, along.vmap):
         v = pair.flow.flow_map[src]
         flow_vals[e2] = v
         if v > 0:
             s, t = pair.flow.orient_map[src]
             orient[e2] = (along(s), along(t))
-    fa = FlowAssignment.of(sub2.result, orient, flow_vals)
+    fa = FlowAssignment.of(pd2.subdivision.result, orient, flow_vals)
     if not is_acyclic_flow(fa):
         return None
-    return AdmissiblePair(g2, pd2.eset, fa, pd2)
+    return AdmissiblePair(pd2.base, pd2.eset, fa, pd2)
 
 
 @dataclass(frozen=True)
@@ -574,14 +538,15 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     (_lattice_faces).  Each face's key and divisor key are read from its
     zero set, and a face pair is specialized from the maximal cone's pair
     only for a key not seen before; that key's merged cone gets its own
-    double description.  Within one call, the pairs with one (contracted
-    graph, E) share one subdivision and one cycle basis.  A cone's face map
-    comes from the first maximal cone that holds it: that cone's faces
-    whose ray sets lie in its own.  Cones are embedded into the edge space
-    of g, contracted coordinates pinned to zero.  `cap` bounds the pair
-    enumeration and, separately, the face work: one specialization per
-    face of each maximal cone, and for each cone one containment test per
-    face of the maximal cone its face map comes from.
+    double description.  Within one call, the cones with one (contracted
+    graph, E) share one cycle basis.  A cone's face map comes from the
+    first maximal cone that holds it: that cone's faces whose ray sets lie
+    in its own.  Cones are embedded into the edge space of g, contracted
+    coordinates pinned to zero.  `cap` bounds the pair enumeration and,
+    separately, the face work: one unit per face walked in each maximal
+    cone's lattice (a "face specialization", though a face whose key was
+    seen before builds no pair), and for each cone one containment test
+    per face of the maximal cone its face map comes from.
     """
     if d0.degree() != pol.degree():
         raise ValidationError("deg D0 must equal deg mu")
@@ -600,12 +565,11 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
         pairs[_cone_key(amb, pair)] = pair
     cones = {key: fan_cone(key, pair) for key, pair in pairs.items()}
     maximal_keys = list(cones)
-    subdivisions = {}
     faces = {}
     work = WorkCap("fan faces", cap, "face specializations", "face containment tests")
     for top in maximal_keys:
         walked = []
-        for rayset, key, divisor in _lattice_faces(cones[top], pairs, subdivisions):
+        for rayset, key, divisor in _lattice_faces(cones[top], pairs):
             work.charge("face specializations")
             walked.append((rayset, key, divisor))
             if key not in cones:

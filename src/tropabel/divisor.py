@@ -12,7 +12,15 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .errors import ValidationError, WorkCap
-from .graph import Graph, Specialization, Subdivision, contract, exceptional_id, subdivide
+from .graph import (
+    Graph,
+    Specialization,
+    Subdivision,
+    contract,
+    contraction_names,
+    exceptional_id,
+    subdivide,
+)
 from .linalg import exact_value, format_rational
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
@@ -382,23 +390,20 @@ def is_quasistable(pd, v0, pol):
     return routes.accepts(pd.divisor._map)
 
 
-def contract_pushforward(pd, zset, subdivision=None):
-    """Push a pseudo-divisor forward along the contraction of a set `zset`
-    of edges of its E-subdivision, plain edges and halves alike.
+def pushforward_vertex_map(pd, zset):
+    """What contracting a set `zset` of edges of a pseudo-divisor's
+    E-subdivision, plain edges and halves alike, does to its vertices,
+    with no graph built: returns (contracted base edges, E', vertex map).
 
     A base edge is contracted when all its parts are in zset (the plain
     edge, or both halves), and leaves E when it is subdivided.  A
     subdivided edge with one half in zset leaves E uncontracted: its
     exceptional vertex merges into the far end of the contracted half.
-    The vertex map between the two subdivisions is the Specialization
-    sending a base vertex to its image under contract, the exceptional
-    vertex of a contracted edge to the image of the edge's smaller end,
-    that of a half-contracted edge to the image of the absorbing end, and
-    every other exceptional vertex to itself.  The face divisor sums the
-    values over its fibers (Divisor.pushforward), so the degree is kept and
-    each surviving exceptional vertex keeps its -1.  `subdivision` is the
-    face's E'-subdivision of the contracted base, when already built.
-    Returns (face pseudo-divisor, vertex map).
+    The vertex map sends a base vertex to its name under contract (the
+    least vertex of its class, contraction_names), the exceptional vertex
+    of a contracted edge to the image of the edge's smaller end, that of a
+    half-contracted edge to the image of the absorbing end, and every
+    other exceptional vertex to itself.
     """
     g, sub = pd.base, pd.subdivision
     parts = {}
@@ -407,24 +412,39 @@ def contract_pushforward(pd, zset, subdivision=None):
             raise ValidationError(f"{h} is not an edge of the E-subdivision")
         parts.setdefault(sub.over_map[h], []).append(h)
     full = frozenset(e for e, hs in parts.items() if len(hs) == len(sub.halves.get(e, (e,))))
-    spec = contract(g, full)
-    new_e = pd.eset.difference(parts)
-    if subdivision is None:
-        subdivision = subdivide(spec.target, new_e)
-    vmap = dict(spec.vmap)
+    vmap = contraction_names(g, full)
     for e in pd.eset:
         x = exceptional_id(e)
         if e in full:
-            vmap[x] = spec(g.ends[e][0])
+            vmap[x] = vmap[g.ends[e][0]]
         elif e in parts:
             tail, head = sub.dir_map[parts[e][0]]
-            vmap[x] = spec(tail if tail != x else head)
+            vmap[x] = vmap[tail if tail != x else head]
         else:
             vmap[x] = x
+    return full, pd.eset.difference(parts), vmap
+
+
+def contract_pushforward(pd, zset, subdivision=None):
+    """Push a pseudo-divisor forward along the contraction of a set `zset`
+    of edges of its E-subdivision, plain edges and halves alike.
+
+    The contracted edges, E' and the vertex map between the two
+    subdivisions come from pushforward_vertex_map; the vertex map is the
+    Specialization's.  The face divisor sums the values over its fibers
+    (Divisor.pushforward), so the degree is kept and each surviving
+    exceptional vertex keeps its -1.  `subdivision` is the face's
+    E'-subdivision of the contracted base, when already built.  Returns
+    (face pseudo-divisor, vertex map).
+    """
+    full, new_e, vmap = pushforward_vertex_map(pd, zset)
+    target = contract(pd.base, full).target
+    if subdivision is None:
+        subdivision = subdivide(target, new_e)
     along = Specialization(
-        sub.result, subdivision.result, frozenset(zset), tuple(sorted(vmap.items()))
+        pd.subdivision.result, subdivision.result, frozenset(zset), tuple(sorted(vmap.items()))
     )
-    face = PseudoDivisor(spec.target, new_e, pd.divisor.pushforward(along), subdivision)
+    face = PseudoDivisor(target, new_e, pd.divisor.pushforward(along), subdivision)
     return face, along
 
 

@@ -213,18 +213,13 @@ class Specialization:
         return self.vmap[v]
 
 
-def contract(g, edge_set):
-    """Contract the given edges, with genus-preserving weight bookkeeping.
-
-    The weight of a new vertex is the genus of its preimage (weight sum plus
-    first Betti number); a contracted loop just adds 1.  Remaining edge ids
-    are preserved; the new vertex takes the least id of its component.
-    """
+def contraction_names(g, edge_set):
+    """The vertex map of contracting the given edges: each vertex goes to
+    the least vertex of its component in the contracted subgraph."""
     edge_set = frozenset(edge_set)
     for e in edge_set:
         if e not in g.ends:
             raise ValidationError(f"unknown edge id {e}")
-    # components of the contracted subgraph (all vertices, edge_set edges)
     parent = {v: v for v in g.vertex_ids}
 
     def find(v):
@@ -233,25 +228,33 @@ def contract(g, edge_set):
             v = parent[v]
         return v
 
-    for e in sorted(edge_set):
+    # each root stays the least member of its component
+    for e in edge_set:
         a, b = g.ends[e]
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
+    return {v: find(v) for v in g.vertex_ids}
+
+
+def contract(g, edge_set):
+    """Contract the given edges, with genus-preserving weight bookkeeping.
+
+    The weight of a new vertex is the genus of its preimage (weight sum plus
+    first Betti number); a contracted loop just adds 1.  Remaining edge ids
+    are preserved; the new vertex takes the least id of its component
+    (contraction_names).
+    """
+    edge_set = frozenset(edge_set)
+    rep = contraction_names(g, edge_set)
     comp = {}
     for v in g.vertex_ids:
-        comp.setdefault(find(v), []).append(v)
-    rep = {}
-    for root, members in comp.items():
-        name = min(members)
-        for v in members:
-            rep[v] = name
+        comp.setdefault(rep[v], []).append(v)
     new_vertices = []
-    for root, members in sorted(comp.items(), key=lambda kv: min(kv[1])):
-        mset = set(members)
-        n_edges = sum(1 for e in edge_set if g.ends[e][0] in mset)
+    for name, members in sorted(comp.items()):
+        n_edges = sum(1 for e in edge_set if rep[g.ends[e][0]] == name)
         b1 = n_edges - len(members) + 1
-        new_vertices.append((min(members), sum(g.weight[v] for v in members) + b1))
+        new_vertices.append((name, sum(g.weight[v] for v in members) + b1))
     new_edges = tuple(
         (e, (rep[a], rep[b])) for e, (a, b) in g.edges if e not in edge_set
     )

@@ -599,7 +599,7 @@ def test_face_pair_certificate_raises(theta, monkeypatch):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     real_keys, real_pair = abelfan._face_keys, abelfan._specialize_pair
-    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, subdivision=None: None)
+    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset: None)
     with pytest.raises(AssertionError, match="cyclic flow"):
         build_fan(theta, "v0", mu, d0)
     monkeypatch.setattr(abelfan, "_specialize_pair", real_pair)
@@ -616,8 +616,9 @@ def test_face_pair_certificate_raises(theta, monkeypatch):
 @pytest.mark.parametrize("d", [4, 8])
 def test_build_fan_builds_each_face_pair_once(theta, monkeypatch, d):
     """build_fan specializes one pair per cone it has not seen (one
-    contract_pushforward per non-maximal cone), and builds one subdivision
-    and one cycle basis per (graph, E) it meets."""
+    contract_pushforward per non-maximal cone), and builds one cycle basis
+    per (graph, E) it meets.  Subdivisions are not shared, and need not
+    be: no two face pairs of these fans have the same (graph, E)."""
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": d, "v1": -d})
     pushforwards, subdivisions, bases = [], [], []

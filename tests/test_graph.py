@@ -8,6 +8,7 @@ from tropabel.graph import (
     build_graph,
     compose,
     contract,
+    contraction_names,
     cycle_basis,
     stable_reduction,
     subdivide,
@@ -144,6 +145,31 @@ def test_contract_composition_matches_union(theta):
         direct = contract(g, e1 | e2)
         assert both.target == direct.target
         assert both.vmap == direct.vmap
+
+
+def test_contraction_names_least_member_of_each_component():
+    """contract names each class by its least member, and the face keys
+    read that naming through contraction_names: both match the components
+    of the contracted subgraph, found here by a plain search."""
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_connected_graph(rng, max_edges=6)
+        eset = {e for e in g.edge_ids if rng.random() < 0.5}
+        adj = {v: set() for v in g.vertex_ids}
+        for e in eset:
+            a, b = g.ends[e]
+            adj[a].add(b)
+            adj[b].add(a)
+        expected = {}
+        for v in g.vertex_ids:
+            seen, todo = {v}, [v]
+            while todo:
+                for w in adj[todo.pop()] - seen:
+                    seen.add(w)
+                    todo.append(w)
+            expected[v] = min(seen)
+        assert contraction_names(g, eset) == expected
+        assert contract(g, eset).vmap == expected
 
 
 def test_subdivide_counts(theta):
