@@ -176,12 +176,9 @@ class AbelCone:
     def to_json(self):
         data = self.provenance.to_json()
         data["contracted"] = sorted(self.spec_contracted)
-        return {
-            "provenance": data,
-            "equalities": [list(r) for r in self.cone.equalities],
-            "inequalities": [list(r) for r in self.cone.inequalities],
-            "rays": [list(r) for r in self.cone.rays],
-        }
+        cone = self.cone.to_json()
+        del cone["ambient_dim"]
+        return {"provenance": data, **cone}
 
 
 def contracted_edges(ambient_edges, pair):
@@ -200,18 +197,16 @@ def _cone_key(ambient_edges, pair):
     )
 
 
-def pair_rows(g, pair, basis=None):
+def pair_rows(pair, basis=None):
     """The inverse rows and cycle equalities of an admissible pair.
 
     Tree edges are read off directly, and the two halves of a subdivided
     edge are solved from its fundamental-cycle equation using the unit gap
     between their flow values.  Raises unless the inverse rows merge back to
-    the identity.  The subdivision is the pair's pseudo-divisor's; `basis`
-    is cycle_basis(g, avoid=E), when already built.
+    the identity.  The graph g is the pair's base and the subdivision its
+    pseudo-divisor's; `basis` is cycle_basis(g, avoid=E), when already built.
     """
-    sub = _sub_of(pair)
-    if sub.base != g:
-        raise ValidationError("the pair's subdivision is not one of the graph")
+    g, sub = pair.base, _sub_of(pair)
     if basis is None:
         basis = cycle_basis(g, avoid=pair.eset)
     sflow = _subdivision_data(sub, pair.flow)
@@ -268,18 +263,18 @@ def pair_rows(g, pair, basis=None):
     return PairRows(sub, basis, sflow, live, tuple(inverse_rows), tuple(eqs))
 
 
-def merged_cone(g, pair, ambient_edges=None, rows=None):
+def merged_cone(pair, ambient_edges=None, rows=None):
     """The fan cone of an admissible pair, embedded in ambient edge space.
 
     Built from the pair's rows (pair_rows, or `rows` when the caller already
     has them): the inverse rows are the inequalities and the cycles avoiding
-    E the equalities; edges of the ambient space missing from g are pinned
-    to zero.  The merged cone runs one double description; the split cone
-    is its image under the inverse rows, read through the AbelCone's rows
-    and never built.
+    E the equalities; edges of the ambient space missing from the pair's
+    graph are pinned to zero.  The merged cone runs one double description;
+    the split cone is its image under the inverse rows, read through the
+    AbelCone's rows and never built.
     """
     if rows is None:
-        rows = pair_rows(g, pair)
+        rows = pair_rows(pair)
     live = rows.live_edges
     amb = tuple(ambient_edges) if ambient_edges is not None else live
     amb_idx = {e: i for i, e in enumerate(amb)}
@@ -460,7 +455,7 @@ def cone_faces(abcone):
     for _ in _lattice_faces(abcone, pairs):
         pass
     return [
-        merged_cone(pairs[k].base, pairs[k], ambient_edges=abcone.ambient_edges)
+        merged_cone(pairs[k], ambient_edges=abcone.ambient_edges)
         for k in sorted(pairs)
     ]
 
@@ -557,8 +552,8 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
         # key[:2] is (contracted edges, E): the cycle basis's (graph, avoid)
         if key[:2] not in bases:
             bases[key[:2]] = cycle_basis(pair.base, avoid=pair.eset)
-        rows = pair_rows(pair.base, pair, bases[key[:2]])
-        return merged_cone(pair.base, pair, ambient_edges=amb, rows=rows)
+        rows = pair_rows(pair, bases[key[:2]])
+        return merged_cone(pair, ambient_edges=amb, rows=rows)
 
     pairs = {}
     for pair in enumerate_admissible(g, v0, pol, d0, cap=cap):
@@ -774,7 +769,7 @@ def _certified_pair(g, pd, basis, flow, d0, ipoint):
     if div_flow(fa).values != pd.divisor.sub(d0.lift_to_subdivision(sub)).values:
         raise AssertionError("a lattice candidate's flow has the wrong divisor")
     pair = AdmissiblePair(g, pd.eset, fa, pd)
-    rows = pair_rows(g, pair, basis)
+    rows = pair_rows(pair, basis)
     if not rows.contains_interior(ipoint):
         raise AssertionError("a lattice candidate lies outside its open cone")
     return pair, rows
@@ -809,7 +804,7 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     points are tested) plus the lattice points tested.
     """
     pair, rows, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
-    return merged_cone(pair.base, pair, ambient_edges=g.edge_ids, rows=rows), split
+    return merged_cone(pair, ambient_edges=g.edge_ids, rows=rows), split
 
 
 def locate_pair(g, v0, pol, d0, point, reverse=False, cap=1 << 20):

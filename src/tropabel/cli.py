@@ -52,7 +52,7 @@ def _load_graph(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read graph file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
@@ -190,8 +190,8 @@ def cmd_dual_hilbert(args):
     else:
         if None in (args.graph, args.mu, args.d0):
             raise ValidationError("dual-hilbert needs --rays, or --graph, --mu and --D0")
-        g, pair = _pick_pair(args)
-        cone = merged_cone(g, pair).cone
+        pair = _pick_pair(args)
+        cone = merged_cone(pair).cone
     dual, hb = dual_and_hilbert(cone)
     _dump(
         {
@@ -211,11 +211,11 @@ def _pick_pair(args):
     pairs = enumerate_admissible(g, _v0(g), mu, d0, cap=_cap(args))
     if not 0 <= args.pair < len(pairs):
         raise ValidationError(f"pair index out of range 0..{len(pairs) - 1}")
-    return g, pairs[args.pair]
+    return pairs[args.pair]
 
 
 def cmd_icap_check(args):
-    g, pair = _pick_pair(args)
+    pair = _pick_pair(args)
     lhs, rhs = ray_power_intersection(pair, args.edge)
     _dump(
         {
@@ -244,7 +244,7 @@ def cmd_symbolic_power(args):
         return 0
     if None in (args.graph, args.mu, args.d0, args.edge):
         raise ValidationError("symbolic-power needs --graph, --mu, --D0 and --edge, or --model-t")
-    g, pair = _pick_pair(args)
+    pair = _pick_pair(args)
     ring, ac = node_ring(pair, args.edge)
     if not 0 <= args.ray < len(ac.cone.rays):
         raise ValidationError(f"ray index out of range 0..{len(ac.cone.rays) - 1}")

@@ -125,49 +125,21 @@ class Cone:
         return rank([list(r) for r in self.rays]) if self.rays else 0
 
     @cached_property
-    def span_basis(self):
-        """Rows spanning the linear span of the cone (kernel of equalities
-        intersected with nothing else: for our cones, span = ker(Eq))."""
-        if not self.rays:
-            return ()
-        mat = [list(r) for r in self.rays]
-        idx = independent_rows(mat)
-        return tuple(tuple(mat[i]) for i in idx)
-
-    @cached_property
-    def strict_rows(self):
-        """Inequality rows that are not identically zero on the span; these
-        are the ones required to be positive in the relative interior."""
-        out = []
-        for row in self.inequalities:
-            if any(dot(row, b) != 0 for b in self.span_basis):
-                out.append(row)
-        return tuple(out)
-
-    def contains(self, point):
-        return all(dot(row, point) == 0 for row in self.equalities) and all(
-            dot(row, point) >= 0 for row in self.inequalities
-        )
-
-    @cached_property
     def interior_rows(self):
         """(zero rows, positive rows) of the relative interior, each row once.
 
-        The equalities and the span-trivial inequalities vanish there, and
-        so do the rows cutting the span (relevant when the inequalities
-        alone do not cut it, e.g. zero-dimensional cones); the strict rows
-        are positive there.
+        An inequality vanishes on the span exactly when it vanishes on every
+        ray.  Those inequalities and the equalities are the zero rows: they
+        cut out the span, the affine hull of the cone.  The other
+        inequalities are positive there.
         """
-        strict = set(self.strict_rows)
-        zero = self.equalities + tuple(r for r in self.inequalities if r not in strict)
-        if self.dim < self.ambient_dim:
-            zero += self.span_cut_rows
-        return tuple(dict.fromkeys(zero)), tuple(dict.fromkeys(self.strict_rows))
-
-    @cached_property
-    def span_cut_rows(self):
-        mat = [list(r) for r in self.rays] if self.rays else [[0] * self.ambient_dim]
-        return tuple(nullspace(mat, self.ambient_dim))
+        zero, positive = list(self.equalities), []
+        for row in self.inequalities:
+            if any(dot(row, r) for r in self.rays):
+                positive.append(row)
+            else:
+                zero.append(row)
+        return tuple(dict.fromkeys(zero)), tuple(dict.fromkeys(positive))
 
     @cached_property
     def facet_rows(self):

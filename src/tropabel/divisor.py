@@ -1,6 +1,10 @@
 """Divisors, pseudo-divisors, polarizations, the beta function, quasistability
 and the poset of quasistable pseudo-divisors.
 
+Divisors (integer) and polarizations (rational) are one vertex-value type,
+_VertexValues: the same gate, restriction, lift to a subdivision and
+pushforward, each returning the caller's own class.
+
 Everything touching beta is exact: half-integers are Fractions, never floats,
 because stability is decided by strict comparison with 0.
 """
@@ -27,27 +31,31 @@ DEFAULT_CANDIDATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
-class Divisor:
-    """Integer vertex values on a fixed graph."""
+class _VertexValues:
+    """Exact vertex values on a fixed graph, each through the exact_value
+    gate (integral or rational, by the class); absent vertices read 0.
+    Values of two classes never compare equal."""
 
     graph: Graph
-    values: tuple  # sorted (vertex, int)
+    values: tuple  # sorted (vertex, value)
+
+    _integral = True
+    _noun = "divisor"
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "values",
-            tuple(sorted((str(v), exact_value(c, integral=True)) for v, c in self.values)),
-        )
+        integral = self._integral
+        vals = ((str(v), exact_value(c, integral=integral)) for v, c in self.values)
+        object.__setattr__(self, "values", tuple(sorted(vals)))
         vm = dict(self.values)
         for v in vm:
             if v not in self.graph.weight:
-                raise ValidationError(f"divisor keys unknown vertex {v}")
-        object.__setattr__(self, "_map", {v: vm.get(v, 0) for v in self.graph.vertex_ids})
+                raise ValidationError(f"{self._noun} keys unknown vertex {v}")
+        zero = exact_value(0, integral=integral)
+        object.__setattr__(self, "_map", {v: vm.get(v, zero) for v in self.graph.vertex_ids})
 
-    @staticmethod
-    def of(graph, mapping):
-        return Divisor(graph, tuple(mapping.items()))
+    @classmethod
+    def of(cls, graph, mapping):
+        return cls(graph, tuple(mapping.items()))
 
     def __getitem__(self, v):
         return self._map[v]
@@ -55,8 +63,25 @@ class Divisor:
     def degree(self):
         return sum(self._map.values())
 
-    def restricted_degree(self, vset):
+    def restricted(self, vset):
         return sum(self._map[v] for v in vset)
+
+    def lift_to_subdivision(self, sub):
+        """The values on the subdivision, 0 at exceptional vertices."""
+        vals = {v: self[v] for v in self.graph.vertex_ids}
+        vals.update({x: 0 for x in sub.exceptional})
+        return self.of(sub.result, vals)
+
+    def pushforward(self, spec):
+        """The values on spec.target, summed over each fiber."""
+        vals = {v: 0 for v in spec.target.vertex_ids}
+        for v in self.graph.vertex_ids:
+            vals[spec(v)] += self[v]
+        return self.of(spec.target, vals)
+
+
+class Divisor(_VertexValues):
+    """Integer vertex values on a fixed graph."""
 
     def add(self, other):
         if self.graph != other.graph:
@@ -68,63 +93,28 @@ class Divisor:
             raise AssertionError("divisors live on different graphs")
         return Divisor.of(self.graph, {v: self[v] - other[v] for v in self.graph.vertex_ids})
 
-    def lift_to_subdivision(self, sub):
-        """The divisor on the subdivision that is 0 at exceptional vertices."""
-        vals = {v: self[v] for v in self.graph.vertex_ids}
-        vals.update({x: 0 for x in sub.exceptional})
-        return Divisor.of(sub.result, vals)
-
-    def pushforward(self, spec):
-        """The divisor on spec.target summing the values over each fiber."""
-        vals = {v: 0 for v in spec.target.vertex_ids}
-        for v in self.graph.vertex_ids:
-            vals[spec(v)] += self[v]
-        return Divisor.of(spec.target, vals)
-
     def to_json(self):
         return {v: c for v, c in self.values if c != 0}
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(_VertexValues):
     """Exact rational vertex weighting with integer total degree."""
 
-    graph: Graph
-    values: tuple  # sorted (vertex, Fraction)
+    _integral = False
+    _noun = "polarization"
 
     def __post_init__(self):
-        vals = ((str(v), exact_value(c)) for v, c in self.values)
-        object.__setattr__(self, "values", tuple(sorted(vals)))
-        vm = dict(self.values)
-        for v in vm:
-            if v not in self.graph.weight:
-                raise ValidationError(f"polarization keys unknown vertex {v}")
-        object.__setattr__(self, "_map", {v: vm.get(v, Fraction(0)) for v in self.graph.vertex_ids})
-        total = sum(self._map.values())
+        super().__post_init__()
+        total = super().degree()
         if total.denominator != 1:
             raise ValidationError(f"polarization degree {total} is not an integer")
-
-    @staticmethod
-    def of(graph, mapping):
-        return Polarization(graph, tuple(mapping.items()))
 
     @staticmethod
     def zero(graph):
         return Polarization(graph, ())
 
-    def __getitem__(self, v):
-        return self._map[v]
-
     def degree(self):
-        return int(sum(self._map.values()))
-
-    def restricted(self, vset):
-        return sum((self._map[v] for v in vset), Fraction(0))
-
-    def lift_to_subdivision(self, sub):
-        vals = {v: self[v] for v in self.graph.vertex_ids}
-        vals.update({x: Fraction(0) for x in sub.exceptional})
-        return Polarization.of(sub.result, vals)
+        return int(super().degree())
 
     def removed_edges_shift(self, eset):
         """The polarization mu_E on the edge-removed graph: mu + val_E/2."""
@@ -132,12 +122,6 @@ class Polarization:
         return Polarization.of(
             g2, {v: self[v] + Fraction(self.graph.valence(v, set(eset)), 2) for v in g2.vertex_ids}
         )
-
-    def pushforward(self, spec):
-        vals = {v: Fraction(0) for v in spec.target.vertex_ids}
-        for v in self.graph.vertex_ids:
-            vals[spec(v)] += self[v]
-        return Polarization.of(spec.target, vals)
 
     def to_json(self):
         return {v: format_rational(c) for v, c in self.values}
@@ -176,9 +160,6 @@ class PseudoDivisor:
         sub = subdivision if subdivision is not None else subdivide(base, eset)
         return PseudoDivisor(base, eset, Divisor.of(sub.result, values), sub)
 
-    def degree(self):
-        return self.divisor.degree()
-
     def canonical_key(self):
         return (tuple(sorted(self.eset)), self.divisor.values)
 
@@ -194,7 +175,7 @@ def beta(div, pol, vset):
     for v in vset:
         if v not in div.graph.weight:
             raise ValidationError(f"unknown vertex id {v}")
-    return div.restricted_degree(vset) - pol.restricted(vset) + Fraction(div.graph.delta(vset), 2)
+    return div.restricted(vset) - pol.restricted(vset) + Fraction(div.graph.delta(vset), 2)
 
 
 def _max_flow(cap, nbrs, s, t, limit):

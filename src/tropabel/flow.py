@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .divisor import Divisor, PseudoDivisor, nondisconnecting_edge_sets, quasistable_with_edge_set
 from .errors import ValidationError, WorkCap
-from .graph import Graph
+from .graph import Graph, contraction_names
 
 DEFAULT_PAIR_CAP = 1 << 20
 
@@ -63,10 +63,6 @@ class FlowAssignment:
         orient = {e: pair for e, pair in orientation.items() if fl.get(e, 0) > 0}
         return FlowAssignment(graph, tuple(orient.items()), tuple(fl.items()))
 
-    @staticmethod
-    def zero(graph):
-        return FlowAssignment(graph, (), ())
-
     @cached_property
     def flow_map(self):
         return dict(self.flow)
@@ -105,25 +101,12 @@ def div_flow(f):
 
 def is_acyclic_flow(f):
     """Contract all zero edges, then look for a directed cycle."""
-    parent = {v: v for v in f.graph.vertex_ids}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e, v in f.flow:
-        if v == 0:
-            a, b = f.graph.ends[e]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    name = contraction_names(f.graph, (e for e, v in f.flow if v == 0))
     arcs = {}
     for e, v in f.flow:
         if v > 0:
             s, t = f.orient_map[e]
-            rs, rt = find(s), find(t)
+            rs, rt = name[s], name[t]
             if rs == rt:
                 return False
             arcs.setdefault(rs, set()).add(rt)

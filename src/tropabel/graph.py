@@ -23,8 +23,8 @@ class Graph:
 
     vertices: tuple of (id, weight); edges: tuple of (id, (end, end)) with the
     endpoint pair sorted; legs: tuple of (index, vertex id).  Use build_graph
-    for validated construction; `connected=False` is only for internal
-    subgraph manipulation.
+    for validated construction; only internal subgraphs (remove_edges) may
+    be disconnected.
     """
 
     vertices: tuple
@@ -72,7 +72,7 @@ class Graph:
     def edge_ids(self):
         return tuple(e for e, _ in self.edges)
 
-    def validate(self, connected=True):
+    def validate(self):
         self.weight, self.ends, self.leg_map  # force duplicate-id checks
         for e, (a, b) in self.edges:
             for v in (a, b):
@@ -84,7 +84,7 @@ class Graph:
         for v, w in self.vertices:
             if w < 0:
                 raise ValidationError(f"vertex {v} has negative weight")
-        if connected and self.b0() != 1:
+        if self.b0() != 1:
             raise ValidationError("graph is disconnected")
         if len(self.edges) > SOFT_EDGE_CAP:
             warnings.warn(
@@ -186,7 +186,7 @@ def build_graph(spec):
     if len(set(seen_ids)) != len(seen_ids):
         raise ValidationError("duplicate edge id")
     g = Graph(vertices, edges, legs)
-    g.validate(connected=True)
+    g.validate()
     return g
 
 
@@ -470,10 +470,9 @@ class CycleBasis:
     def cycle_map(self):
         return {e: dict(vec) for e, vec in self.cycles}
 
-    def as_rows(self, edge_order=None):
-        order = tuple(edge_order) if edge_order is not None else self.graph.edge_ids
+    def as_rows(self):
         return [
-            tuple(self.cycle_map[e].get(f, 0) for f in order)
+            tuple(self.cycle_map[e].get(f, 0) for f in self.graph.edge_ids)
             for e, _ in self.cycles
         ]
 

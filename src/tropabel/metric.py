@@ -246,4 +246,4 @@ def double_ramification_cones(g, weights, cap=1 << 20):
         flows.append(fa)
     flows.sort(key=FlowAssignment.canonical_key)
     pd = PseudoDivisor.of(g, frozenset(), {v: 0 for v in g.vertex_ids})
-    return [merged_cone(g, AdmissiblePair(g, frozenset(), fa, pd)) for fa in flows]
+    return [merged_cone(AdmissiblePair(g, frozenset(), fa, pd)) for fa in flows]

@@ -369,15 +369,15 @@ def boundary_functionals(pair, e0, abel_cone=None):
     The rows certify that the two sum to e0's coordinate functional and
     are nonnegative on the cone; what is certified here is that on every
     ray of the pair's merged cone at least one of them vanishes.  Pass
-    `abel_cone` (merged_cone(pair.base, pair)) when it is at hand.
+    `abel_cone` (merged_cone(pair)) when it is at hand.
     """
     from .abelfan import merged_cone
 
     if e0 not in pair.eset:
         raise ValidationError(f"{e0} is not in the subdivided set")
-    ac = abel_cone if abel_cone is not None else merged_cone(pair.base, pair)
+    ac = abel_cone if abel_cone is not None else merged_cone(pair)
     if ac.provenance != pair or ac.ambient_edges != pair.base.edge_ids:
-        raise ValidationError("abel_cone is not merged_cone(pair.base, pair)")
+        raise ValidationError("abel_cone is not merged_cone(pair)")
     rows = ac.rows
     length = dict(zip(rows.sub.result.edge_ids, rows.inverse_rows))
     ha, hb = rows.sub.halves[e0]
@@ -400,7 +400,7 @@ def node_ring(pair, e0):
     idx = {e: i for i, e in enumerate(g.edge_ids)}
     if e0 not in idx:
         raise ValidationError(f"unknown edge {e0!r}")
-    ac = merged_cone(g, pair)
+    ac = merged_cone(pair)
     rel = [0] * len(g.edge_ids)
     rel[idx[e0]] = 1
     return MonomialRing(len(g.edge_ids), ac.cone.rays, tuple(rel)), ac

@@ -83,7 +83,7 @@ def cone_report():
     """Split-cone equations and merged-cone facets/rays of the worked pair."""
     g, mu, d0 = theta_instance()
     pair = worked_pair(g, mu, d0)
-    ac = merged_cone(g, pair)
+    ac = merged_cone(pair)
     return {
         "split_coordinates": list(ac.rows.sub.result.edge_ids),
         "split_equalities": sorted([list(r) for r in ac.rows.split_equalities()]),
@@ -116,7 +116,7 @@ def ideal_report():
     symbolic powers and their intersection for the worked pair."""
     g, mu, d0 = theta_instance()
     pair = worked_pair(g, mu, d0)
-    ac = merged_cone(g, pair)
+    ac = merged_cone(pair)
     dual, hb = dual_and_hilbert(ac.cone)
     ring, _ = node_ring(pair, "e0")
     bf0 = boundary_functionals(pair, "e0")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tropabel.divisor import Divisor, Polarization
+from tropabel.flow import FlowAssignment
 from tropabel.graph import Graph, build_graph
 from tropabel.linalg import dot
 
@@ -56,6 +57,19 @@ def contains_interior(cone, point):
     return all(dot(row, point) == 0 for row in zero) and all(
         dot(row, point) > 0 for row in positive
     )
+
+
+def contains(cone, point):
+    """Closed-cone membership of a point in a Cone: its equalities vanish
+    and its inequalities are nonnegative there."""
+    return all(dot(row, point) == 0 for row in cone.equalities) and all(
+        dot(row, point) >= 0 for row in cone.inequalities
+    )
+
+
+def zero_flow(graph):
+    """The flow that is zero on every edge of the graph."""
+    return FlowAssignment(graph, (), ())
 
 
 def poset_index(poset, pd):

@@ -54,7 +54,7 @@ def check_functionals(pair, e0, u_prime, u_second, halves):
     idx = {e: i for i, e in enumerate(g.edge_ids)}
     e0vee = tuple(int(e == e0) for e in g.edge_ids)
     assert vec_add(u_prime, u_second) == e0vee, "functionals do not sum to the edge functional"
-    ac = merged_cone(g, pair)
+    ac = merged_cone(pair)
     s_half, t_half = halves
     for r in ac.cone.rays:
         vp, vs = dot(u_prime, r), dot(u_second, r)

@@ -133,7 +133,7 @@ def test_acceptance_02_worked_cone_via_cli(theta, tmp_path, capsys):
     assert found is not None
     # facet subset of the stored inequalities: exactly the four stated rows
     g, mu, d0 = theta_instance()
-    ac = merged_cone(g, worked_pair(g, mu, d0))
+    ac = merged_cone(worked_pair(g, mu, d0))
     assert set(ac.cone.facet_rows) == {(2, 0, -1), (-1, 0, 1), (0, 2, -1), (0, -1, 1)}
     assert sorted(list(r) for r in ac.cone.rays) == want_rays
     elapsed = time.monotonic() - start
@@ -148,7 +148,7 @@ def test_acceptance_03_worked_ideal_values(theta_pairs):
     start = time.monotonic()
     g, mu, d0, pairs = theta_pairs
     pair = worked_pair(g, mu, d0)
-    ac = merged_cone(g, pair)
+    ac = merged_cone(pair)
     dual, hb = dual_and_hilbert(ac.cone)
     assert set(dual) == {(0, -1, 1), (2, 0, -1), (0, 2, -1), (-1, 0, 1)}
     assert set(hb) == {(0, -1, 1), (2, 0, -1), (0, 2, -1), (-1, 0, 1), (1, 1, -1)}
@@ -197,7 +197,7 @@ def test_acceptance_04_partition_property(theta_pairs, random_instances):
     failures = 0
     total = 0
     for gg, v0, mmu, dd0, ppairs in instances:
-        cones = [merged_cone(gg, p) for p in ppairs]
+        cones = [merged_cone(p) for p in ppairs]
         for _ in range(1000):
             pt = tuple(rng.randint(1, 12) for _ in gg.edge_ids)
             hits = sum(1 for c in cones if contains_interior(c.cone, pt))
@@ -243,7 +243,7 @@ def test_acceptance_07_split_merge_roundtrip(theta_pairs, random_instances):
     cones_checked = 0
     for gg, v0, mmu, dd0, ppairs in instances:
         for p in ppairs:
-            ac = merged_cone(gg, p)
+            ac = merged_cone(p)
             sub = p.resulting_pd.subdivision
             rays = ac.cone.rays
             if not rays:

@@ -407,6 +407,15 @@ def test_malformed_json_exit_code(capsys, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+def test_undecodable_graph_file_exit_code(capsys, tmp_path):
+    """Bytes that are not text end in one error line, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = _run(capsys, ["build-fan", "--graph", str(bad), "--mu", "0", "--D0", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validation_exit_code(capsys, theta_file):
     code, _, err = _run(
         capsys,

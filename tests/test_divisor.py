@@ -128,6 +128,38 @@ def test_quasistable_rejects_disconnecting_eset(theta):
     assert not is_quasistable(pd, "v0", mu)
 
 
+def test_divisor_and_polarization_share_one_value_type(theta):
+    """Divisors and polarizations are one vertex-value type: equal values
+    still give unequal objects, each gate rejects floats and bools and
+    names its own kind, and lift_to_subdivision and pushforward return the
+    caller's class with the values of an inline oracle, on seeded graphs."""
+    assert Divisor.of(theta, {"v0": 1, "v1": -1}) != Polarization.of(theta, {"v0": 1, "v1": -1})
+    for bad in (0.5, 1.0, True):
+        for cls in (Divisor, Polarization):
+            with pytest.raises(ValidationError, match="bad"):
+                cls.of(theta, {"v0": bad})
+    with pytest.raises(ValidationError, match="divisor keys unknown vertex w"):
+        Divisor.of(theta, {"w": 1})
+    with pytest.raises(ValidationError, match="polarization keys unknown vertex w"):
+        Polarization.of(theta, {"w": 1})
+    rng = random.Random(18)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_edges=5)
+        sub = subdivide(g, {e for e in g.edge_ids if rng.random() < 0.5})
+        spec = contract(g, {e for e in g.edge_ids if rng.random() < 0.4})
+        d = Divisor.of(g, {v: rng.randint(-4, 4) for v in g.vertex_ids})
+        for x, kind in ((d, int), (random_polarization(rng, g), Fraction)):
+            lift = {v: x[v] if v in g.weight else 0 for v in sub.result.vertex_ids}
+            push = {w: sum(x[v] for v in g.vertex_ids if spec(v) == w) for w in spec.target.vertex_ids}
+            for out, graph, want in (
+                (x.lift_to_subdivision(sub), sub.result, lift),
+                (x.pushforward(spec), spec.target, push),
+            ):
+                assert type(out) is type(x) and out.graph == graph
+                assert out.values == tuple(sorted(want.items()))
+                assert all(type(c) is kind for _, c in out.values)
+
+
 def test_pushforward_identity(theta):
     mu = Polarization.zero(theta)
     pd = PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": 0, "x:e0": -1})
@@ -139,7 +171,7 @@ def test_pushforward_contract_e2(theta):
     pd = PseudoDivisor.of(theta, {"e0", "e1"}, {"v0": 1, "v1": 1, "x:e0": -1, "x:e1": -1})
     out, _ = contract_pushforward(pd, {"e2"})
     assert out.eset == {"e0", "e1"}
-    assert out.degree() == pd.degree()
+    assert out.divisor.degree() == pd.divisor.degree()
     v = out.base.vertex_ids[0]
     assert out.divisor[v] == 2
     assert out.divisor["x:e0"] == -1 and out.divisor["x:e1"] == -1
@@ -149,7 +181,7 @@ def test_pushforward_full_contraction(theta):
     pd = PseudoDivisor.of(theta, set(), {"v0": 3, "v1": -3})
     out, _ = contract_pushforward(pd, set(theta.edge_ids))
     assert out.eset == frozenset()
-    assert out.degree() == 0
+    assert out.divisor.degree() == 0
 
 
 def _whole(pd, eset):
@@ -243,7 +275,7 @@ def test_contract_pushforward_matches_fiber_sums_and_former_routes():
             for w in along.target.vertex_ids:
                 fiber = [v for v in sub.result.vertex_ids if along(v) == w]
                 assert face.divisor[w] == sum(pd.divisor[v] for v in fiber)
-            assert face.degree() == pd.degree()
+            assert face.divisor.degree() == pd.divisor.degree()
             assert face.eset == pd.eset - whole - set(halves)
             assert all(face.divisor[x] == -1 for x in face.subdivision.exceptional)
             step = pd
@@ -325,7 +357,7 @@ def test_poset_single_vertex(single_vertex):
     poset = enumerate_quasistable(single_vertex, "v", mu)
     assert len(poset.elements) == 1
     assert poset.elements[0].eset == frozenset()
-    assert poset.elements[0].degree() == 0
+    assert poset.elements[0].divisor.degree() == 0
 
 
 def test_poset_bridge_graph():
@@ -579,7 +611,7 @@ def test_certificates_survive_optimize():
                 return 1
 
         flow.Divisor = Shifted
-        attempt("div_flow", lambda: flow.div_flow(flow.FlowAssignment.zero(g)))
+        attempt("div_flow", lambda: flow.div_flow(flow.FlowAssignment(g, (), ())))
 
         attempt("int_inverse", lambda: linalg._int_inverse([[2]]))
 

@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -22,12 +22,12 @@ from tropabel.abelfan import (
     pair_rows,
     verify_fan,
 )
-from tropabel.cone import face_lattice_rayset
+from tropabel.cone import Cone, face_lattice_rayset
 from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import DeskScaleError, ValidationError
 from tropabel.flow import FlowAssignment, enumerate_admissible
 from tropabel.graph import Graph, contract, subdivide
-from tropabel.linalg import dot
+from tropabel.linalg import dot, independent_rows, nullspace
 
 from conftest import (
     contains_interior,
@@ -36,6 +36,7 @@ from conftest import (
     parallel_instance,
     random_connected_graph,
     random_polarization,
+    zero_flow,
 )
 from split_oracle import split_cone, split_rays
 
@@ -63,13 +64,13 @@ def figure_pair(theta):
 
 def test_split_cone_equations(theta):
     pair, _, _ = figure_pair(theta)
-    rows = pair_rows(theta, pair)
+    rows = pair_rows(pair)
     # coordinates: (e0:a, e0:b, e1:a, e1:b, e2)
     assert rows.sub.result.edge_ids == ("e0:a", "e0:b", "e1:a", "e1:b", "e2")
     assert set(rows.split_equalities()) == {(1, 2, 0, 0, -1), (0, 0, 1, 2, -1)}
     c, _ = split_cone(theta, pair.eset, pair.flow)
     assert c.dim == 3
-    assert c.rays == split_rays(merged_cone(theta, pair))
+    assert c.rays == split_rays(merged_cone(pair))
 
 
 def test_split_cone_trivial_orthant(theta):
@@ -78,10 +79,10 @@ def test_split_cone_trivial_orthant(theta):
     d0 = Divisor.of(theta, {"v0": 0, "v1": 0})
     pairs = enumerate_admissible(theta, "v0", mu, d0)
     (pair,) = [p for p in pairs if not any(v for _, v in p.flow.flow)]
-    ac = merged_cone(theta, pair)
+    ac = merged_cone(pair)
     assert not any(any(r) for r in ac.rows.split_equalities())
     assert set(split_rays(ac)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    c, _ = split_cone(theta, frozenset(), FlowAssignment.zero(theta))
+    c, _ = split_cone(theta, frozenset(), zero_flow(theta))
     assert c.dim == 3
     assert c.rays == split_rays(ac)
 
@@ -91,14 +92,14 @@ def test_split_cone_tree_graph():
     mu = Polarization.zero(g)
     (pair,) = enumerate_admissible(g, "a", mu, Divisor.of(g, {"a": 2, "b": -2}))
     assert pair.flow.flow == (("e", 2),)
-    assert split_rays(merged_cone(g, pair)) == ((1,),)
+    assert split_rays(merged_cone(pair)) == ((1,),)
     fa = FlowAssignment.of(g, {"e": ("a", "b")}, {"e": 2})
     assert split_cone(g, frozenset(), fa)[0].rays == ((1,),)
 
 
 def test_merged_cone_matches_worked_example(theta):
     pair, _, _ = figure_pair(theta)
-    ac = merged_cone(theta, pair)
+    ac = merged_cone(pair)
     assert set(ac.cone.rays) == {(1, 1, 1), (1, 2, 2), (2, 1, 2), (1, 1, 2)}
     assert set(ac.cone.facet_rows) == {(2, 0, -1), (-1, 0, 1), (0, 2, -1), (0, -1, 1)}
     assert ac.cone.dim == 3 == expected_dim(pair)
@@ -109,7 +110,7 @@ def test_merged_cone_empty_subdivision_is_split_cone(theta):
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     pairs = [p for p in enumerate_admissible(theta, "v0", mu, d0) if not p.eset]
     for p in pairs:
-        ac = merged_cone(theta, p)
+        ac = merged_cone(p)
         assert split_rays(ac) == ac.cone.rays
 
 
@@ -123,7 +124,7 @@ def test_split_image_matches_double_description(theta, random_instances):
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     cones = list(build_fan(theta, "v0", mu, d0).cones)
     for g, _, _, _, pairs in random_instances:
-        cones.extend(merged_cone(g, p) for p in pairs)
+        cones.extend(merged_cone(p) for p in pairs)
     for ac in cones:
         pair = ac.provenance
         oracle, sub = split_cone(pair.base, pair.eset, pair.flow)
@@ -136,7 +137,7 @@ def test_dimension_formula_across_fan(theta):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     for p in enumerate_admissible(theta, "v0", mu, d0):
-        ac = merged_cone(theta, p)
+        ac = merged_cone(p)
         assert ac.cone.dim == expected_dim(p)
 
 
@@ -147,7 +148,7 @@ def test_inverse_integral_roundtrip(theta):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     for p in enumerate_admissible(theta, "v0", mu, d0):
-        ac = merged_cone(theta, p)
+        ac = merged_cone(p)
         rays = ac.cone.rays
         for _ in range(25):
             coeffs = [rng.randint(0, 4) for _ in rays]
@@ -198,7 +199,7 @@ def test_fan_contains_worked_cone(theta):
 
 def test_faces_match_polyhedral_lattice(theta):
     pair, _, _ = figure_pair(theta)
-    ac = merged_cone(theta, pair)
+    ac = merged_cone(pair)
     faces = cone_faces(ac)
     # specialization-derived and polyhedral face families coincide
     ray_sets = {tuple(sorted(f.cone.rays)) for f in faces}
@@ -213,7 +214,7 @@ def test_faces_match_polyhedral_lattice(theta):
 
 def test_face_provenances_are_specializations(theta):
     pair, _, _ = figure_pair(theta)
-    ac = merged_cone(theta, pair)
+    ac = merged_cone(pair)
     faces = cone_faces(ac)
     for f in faces:
         p = f.provenance
@@ -343,7 +344,7 @@ def test_partition_property_theta(theta):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     pairs = enumerate_admissible(theta, "v0", mu, d0)
-    cones = [merged_cone(theta, p) for p in pairs]
+    cones = [merged_cone(p) for p in pairs]
     for _ in range(400):
         pt = tuple(rng.randint(1, 9) for _ in range(3))
         hits = [c for c in cones if contains_interior(c.cone, pt)]
@@ -364,7 +365,7 @@ def test_partition_property_randomized():
         vals[v0] += d - sum(vals.values())
         d0 = Divisor.of(g, vals)
         pairs = enumerate_admissible(g, v0, mu, d0)
-        cones = [merged_cone(g, p) for p in pairs]
+        cones = [merged_cone(p) for p in pairs]
         for _ in range(120):
             pt = tuple(rng.randint(1, 9) for _ in g.edge_ids)
             hits = [c for c in cones if contains_interior(c.cone, pt)]
@@ -378,7 +379,7 @@ def test_partition_census_saturates(theta):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     pairs = enumerate_admissible(theta, "v0", mu, d0)
-    cones = [merged_cone(theta, p) for p in pairs]
+    cones = [merged_cone(p) for p in pairs]
     seen = set()
     # integer grid up to 7 suffices to meet every open cone of this fan
     for a in range(1, 8):
@@ -434,7 +435,7 @@ def contraction_loop_fan(g, v0, pol, d0):
                 spec.target, spec(v0), pol.pushforward(spec), d0.pushforward(spec)
             )
             for pair in pairs:
-                ac = merged_cone(spec.target, pair, ambient_edges=amb)
+                ac = merged_cone(pair, ambient_edges=amb)
                 cones[ac.key()] = ac
                 if not cset:
                     maximal_keys.append(ac.key())
@@ -481,24 +482,25 @@ def _assert_matches_oracles(g, v0, mu, d0):
     return fan
 
 
-def interior_by_inequalities(cone, point):
+def interior_by_inequalities(cone):
     """Relative-interior membership row by row, the test that
-    Cone.interior_rows replaced, kept as its oracle."""
-    if not all(dot(row, point) == 0 for row in cone.equalities):
-        return False
-    strict = set(cone.strict_rows)
-    for row in cone.inequalities:
-        v = dot(row, point)
-        if row in strict:
-            if v <= 0:
-                return False
-        elif v != 0:
-            return False
-    if cone.dim < cone.ambient_dim:
-        for row in cone.span_cut_rows:
-            if dot(row, point) != 0:
-                return False
-    return True
+    Cone.interior_rows replaced, kept as its oracle with its own span rows:
+    the strict rows, the inequalities not zero on a basis of the rays'
+    span (linalg.independent_rows), are positive; the other inequalities,
+    the equalities and the rows cutting the span (linalg.nullspace of the
+    rays) vanish.  Returns the test of a point."""
+    mat = [list(r) for r in cone.rays]
+    basis = [mat[i] for i in independent_rows(mat)] if mat else []
+    strict = {row for row in cone.inequalities if any(dot(row, b) for b in basis)}
+    zero = cone.equalities + tuple(r for r in cone.inequalities if r not in strict)
+    zero += tuple(nullspace(mat or [[0] * cone.ambient_dim], cone.ambient_dim))
+
+    def member(point):
+        return all(dot(row, point) == 0 for row in zero) and all(
+            dot(row, point) > 0 for row in strict
+        )
+
+    return member
 
 
 def _assert_interior_matches_oracle(fan, rng):
@@ -515,8 +517,9 @@ def _assert_interior_matches_oracle(fan, rng):
     shared += [ray_sum(c) for c in rng.sample(fan.cones, min(40, len(fan.cones)))]
     inside = 0
     for c in fan.cones:
+        oracle = interior_by_inequalities(c.cone)
         for pt in dict.fromkeys(shared + list(c.cone.rays) + [ray_sum(c)]):
-            expect = interior_by_inequalities(c.cone, pt)
+            expect = oracle(pt)
             assert contains_interior(c.cone, pt) == expect, (c.key, pt)
             inside += expect
     assert inside >= len(fan.cones)
@@ -550,6 +553,40 @@ def test_face_closure_matches_exhaustive_routes_on_seeded_instances(random_insta
         fan = _assert_matches_oracles(g, v0, mu, d0)
         assert fan.faces == per_cone_faces(fan)
         _assert_interior_matches_oracle(fan, rng)
+
+
+def test_interior_rows_match_oracle_on_seeded_cones():
+    """Seeded random cones of dimensions 0 to 4 in R^1..R^4, from rays and
+    from halfspaces (with repeated rows and, for some, an equality), at
+    every point of the box -1..2, at their rays and at their ray sums."""
+    rng = random.Random(18)
+    dims, inside, cones = set(), 0, 0
+    while cones < 160:
+        n = rng.randint(1, 4)
+        if cones % 2:
+            rays = [tuple(rng.randint(-1, 3) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            try:
+                cone = Cone.from_rays(n, rays)
+            except ValidationError:
+                continue
+        else:
+            rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 3))]
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 2))]
+            eqs = [tuple(rng.randint(-1, 1) for _ in range(n))] if rng.random() < 0.3 else []
+            try:
+                cone = Cone.from_halfspaces(n, eqs, rows)
+            except ValidationError:
+                continue
+        cones += 1
+        dims.add(cone.dim)
+        oracle = interior_by_inequalities(cone)
+        ray_sum = tuple(map(sum, zip(*cone.rays))) if cone.rays else (0,) * n
+        for pt in list(product(range(-1, 3), repeat=n)) + list(cone.rays) + [ray_sum]:
+            expect = oracle(pt)
+            assert contains_interior(cone, pt) == expect, (cone, pt)
+            inside += expect
+    assert dims == {0, 1, 2, 3, 4}
+    assert inside > cones
 
 
 @pytest.mark.parametrize("d", [4, 8])

@@ -21,6 +21,7 @@ from conftest import (
     random_connected_graph,
     random_instance,
     random_polarization,
+    zero_flow,
 )
 from flow_oracle import (
     acyclic_flows_by_orientations,
@@ -56,8 +57,8 @@ def test_div_flow_figure_values(theta):
 
 
 def test_div_zero_flow(theta):
-    assert div_flow(FlowAssignment.zero(theta)).degree() == 0
-    assert all(div_flow(FlowAssignment.zero(theta))[v] == 0 for v in theta.vertex_ids)
+    assert div_flow(zero_flow(theta)).degree() == 0
+    assert all(div_flow(zero_flow(theta))[v] == 0 for v in theta.vertex_ids)
 
 
 def test_div_flow_path_telescopes():
@@ -79,7 +80,7 @@ def test_two_cycle_is_cyclic():
 
 
 def test_zero_flow_acyclic(theta):
-    assert is_acyclic_flow(FlowAssignment.zero(theta))
+    assert is_acyclic_flow(zero_flow(theta))
 
 
 def test_zero_contraction_can_create_cycle():
@@ -252,7 +253,7 @@ def test_acyclic_flows_match_orientation_route_random():
 def test_acyclic_flows_single_vertex_and_rejections(single_vertex):
     zero = Divisor.of(single_vertex, {"v": 0})
     (fa,) = acyclic_flows(single_vertex, zero)
-    assert fa == FlowAssignment.zero(single_vertex)
+    assert fa == zero_flow(single_vertex)
     g = Graph((("a", 0), ("b", 0)), (("e", ("a", "b")),), ((0, "a"),))
     with pytest.raises(ValidationError, match="degree 0"):
         list(acyclic_flows(g, Divisor.of(g, {"a": 1})))

@@ -268,3 +268,25 @@ def test_every_library_function_has_a_library_caller():
         )
     ]
     assert unused == []
+
+
+# public method names that several classes define on purpose; any other
+# name would let a test-only method pass the guard above through a library
+# method of the same name
+SHARED_METHOD_NAMES = {"canonical_key", "degree", "format", "key", "of", "split_point", "to_json"}
+
+
+def test_public_method_names_are_defined_once():
+    """The library-caller guard matches by name, so a test-only method could
+    hide behind another class's method of the same name: each public method
+    name is defined in one class of src/tropabel, apart from the listed
+    ones."""
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                        owners.setdefault(m.name, []).append(f"{path.name}:{node.name}")
+    shared = {name for name, where in owners.items() if len(where) > 1}
+    assert shared == SHARED_METHOD_NAMES, {n: owners[n] for n in shared ^ SHARED_METHOD_NAMES}
