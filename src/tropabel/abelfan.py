@@ -8,8 +8,10 @@ map that collapses the two halves of each subdivided edge.  The merge is an
 integral isomorphism; its inverse is assembled from the fundamental cycles
 through the subdivided edges and provides both the H-representation of the
 merged cone and the split of a located point back into half-lengths.  The
-split cone is only ever read through that inverse (PairRows), never built
-by a second double description.
+split cone is only ever read through that inverse (PairRows), never built.
+No cone of a pair runs a double description: its rays are read from the
+flow's cuts (_cut_rays), the zero-flow edges and the connected up-sets of
+the flow's quotient DAG, and certified against the pair's rows.
 
 Point location goes through neither the pairs nor the whole quasistable
 poset.  It walks the nondisconnecting edge sets E from the largest down,
@@ -45,8 +47,8 @@ from .flow import (
     enumerate_admissible,
     is_acyclic_flow,
 )
-from .graph import CycleBasis, Graph, Subdivision, contract, cycle_basis
-from .linalg import clear_denominators, dot, inverse
+from .graph import CycleBasis, Graph, Subdivision, contract, contraction_names, cycle_basis
+from .linalg import clear_denominators, dot, inverse, primitive
 
 
 def _sub_of(pair):
@@ -269,9 +271,10 @@ def merged_cone(pair, ambient_edges=None, rows=None):
     Built from the pair's rows (pair_rows, or `rows` when the caller already
     has them): the inverse rows are the inequalities and the cycles avoiding
     E the equalities; edges of the ambient space missing from the pair's
-    graph are pinned to zero.  The merged cone runs one double description;
-    the split cone is its image under the inverse rows, read through the
-    AbelCone's rows and never built.
+    graph are pinned to zero.  The rays are read from the flow's cuts
+    (_cut_rays), with no double description; the split cone is the cone's
+    image under the inverse rows, read through the AbelCone's rows and
+    never built.
     """
     if rows is None:
         rows = pair_rows(pair)
@@ -293,9 +296,108 @@ def merged_cone(pair, ambient_edges=None, rows=None):
             pin = [0] * n_amb
             pin[amb_idx[e]] = 1
             emb_eqs.append(tuple(pin))
-    emb_ineqs = [embed(r) for r in rows.inverse_rows]
-    cone = Cone.from_halfspaces(n_amb, tuple(emb_eqs), tuple(emb_ineqs))
+    emb_ineqs = tuple(embed(r) for r in rows.inverse_rows)
+    rays = tuple(embed(r) for r in _cut_rays(pair, rows))
+    cone = Cone(n_amb, tuple(emb_eqs), emb_ineqs, rays)
     return AbelCone(ambient_edges=amb, cone=cone, provenance=pair, rows=rows)
+
+
+def _cut_rays(pair, rows):
+    """The extreme rays of a pair's merged cone over its live edges, read
+    from the flow's cuts.
+
+    Let phi be the flow on the E-subdivision S, contract its zero-flow
+    edges, and orient each positive edge h along the flow.  A split point
+    x >= 0 meets every cycle equation exactly when phi_h x_h = f(head) -
+    f(tail) for some potential f on the vertices, constant across the zero
+    edges (whose lengths the equations leave free).  So the split cone is
+    R>=0^{zero edges} times the order cone {f : f(tail) <= f(head)} of the
+    quotient digraph, modulo constants; that digraph is acyclic (the pair
+    is admissible) and connected (S is).  The face of the order cone
+    through f is cut out by the arcs f keeps tight, and its dimension is
+    the number of components of the tight arcs minus one.  Its rays are
+    therefore the two-level potentials 1_U, U a nonempty proper up-set
+    (closed under successors) with U and its complement each connected
+    through arcs: such a U gives x_h = 1/phi_h on the arcs entering U and
+    0 elsewhere.  The rays of the factor R>=0^{zero edges} are the unit
+    vectors of the zero edges.  The merge map, summing the two halves of a
+    subdivided edge, is an isomorphism onto the merged cone (the inverse
+    rows undo it), so it maps rays to rays: a zero edge gives the unit ray
+    of its base edge, and a cut its halves' sums, denominators cleared.
+
+    The up-sets are walked with successor bitmasks, sinks first, so only
+    up-sets are produced.  Certificate: each ray meets the equalities with
+    0 and the inverse rows with >= 0, and no two rays have nested zero
+    sets (a ray's zero set among the inverse rows fixes its face).
+    """
+    sub, flow = rows.sub, pair.flow
+    res, values = sub.result, flow.flow_map
+    idx = {e: i for i, e in enumerate(rows.live_edges)}
+    n = len(idx)
+    rays = set()
+    zero = [h for h in res.edge_ids if values[h] == 0]
+    for h in zero:
+        rays.add(tuple(int(i == idx[sub.over_map[h]]) for i in range(n)))
+    name = contraction_names(res, zero)
+    pos = {c: i for i, c in enumerate(sorted(set(name.values())))}
+    k = len(pos)
+    succ, adj, arcs = [0] * k, [0] * k, []
+    for h, (s, t) in flow.orient_map.items():
+        i, j = pos[name[s]], pos[name[t]]
+        succ[i] |= 1 << j
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        arcs.append((i, j, idx[sub.over_map[h]], values[h]))
+    ups, done = [0], 0
+    while done != (1 << k) - 1:
+        ready = [c for c in range(k) if not done >> c & 1 and not succ[c] & ~done]
+        if not ready:  # pragma: no cover - pair_rows checked acyclicity
+            raise ValidationError("flow is not acyclic")
+        for c in ready:
+            ups += [u | 1 << c for u in ups if not succ[c] & ~u]
+            done |= 1 << c
+    full = (1 << k) - 1
+    for u in ups:
+        if u in (0, full) or not _connected(u, adj) or not _connected(full ^ u, adj):
+            continue
+        entering = [(e, phi) for i, j, e, phi in arcs if u >> j & 1 and not u >> i & 1]
+        den = math.lcm(*(phi for _, phi in entering))
+        ray = [0] * n
+        for e, phi in entering:
+            ray[e] += den // phi
+        rays.add(primitive(ray))
+    _check_rays(rays, rows)
+    return rays
+
+
+def _connected(mask, adj):
+    """Whether the classes in a nonempty bitmask are connected through the
+    arcs among them (adj: per class, the bitmask of its neighbours)."""
+    seen = frontier = mask & -mask
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & mask & ~seen
+        seen |= new
+        frontier |= new
+    return seen == mask
+
+
+def _check_rays(rays, rows):
+    """Certificate of _cut_rays: every ray lies in the cone, and no ray's
+    zero set among the inverse rows holds another's."""
+    zsets = []
+    for ray in rays:
+        if any(dot(row, ray) for row in rows.equalities):
+            raise AssertionError("a cut ray misses a cycle equality")
+        signs = [dot(row, ray) for row in rows.inverse_rows]
+        if not any(ray) or min(signs, default=0) < 0:
+            raise AssertionError("a cut ray lies outside its cone")
+        zsets.append(sum(1 << i for i, x in enumerate(signs) if x == 0))
+    for i, a in enumerate(zsets):
+        for b in zsets[i + 1 :]:
+            if a & b in (a, b):
+                raise AssertionError("two cut rays have nested zero sets")
 
 
 def _check_inverse(inverse_rows, order, sub, live):
@@ -532,12 +634,12 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     fan is a face of one of them, so only their face lattices are walked
     (_lattice_faces).  Each face's key and divisor key are read from its
     zero set, and a face pair is specialized from the maximal cone's pair
-    only for a key not seen before; that key's merged cone gets its own
-    double description.  Within one call, the cones with one (contracted
-    graph, E) share one cycle basis.  A cone's face map comes from the
-    first maximal cone that holds it: that cone's faces whose ray sets lie
-    in its own.  Cones are embedded into the edge space of g, contracted
-    coordinates pinned to zero.  `cap` bounds the pair enumeration and,
+    only for a key not seen before; that key's merged cone reads its rays
+    from its own pair's cuts (_cut_rays).  Within one call, the cones with
+    one (contracted graph, E) share one cycle basis.  A cone's face map
+    comes from the first maximal cone that holds it: that cone's faces
+    whose ray sets lie in its own.  Cones are embedded into the edge space
+    of g, contracted coordinates pinned to zero.  `cap` bounds the pair enumeration and,
     separately, the face work: one unit per face walked in each maximal
     cone's lattice (a "face specialization", though a face whose key was
     seen before builds no pair), and for each cone one containment test

@@ -6,6 +6,7 @@ The environment variable TAK_CAP overrides enumeration caps.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -405,7 +406,10 @@ def cmd_examples(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built at the first call in a process: parsing
+    leaves it unchanged, so later calls share it."""
     parser = argparse.ArgumentParser(
         prog="tropabel",
         description=(

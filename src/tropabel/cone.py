@@ -2,11 +2,14 @@
 bases of the dual lattice monoids.
 
 A Cone carries an H-representation (integer equality and inequality
-covectors) and its extremal rays (primitive integer vectors, computed by
-double description at construction).  All cones handled here are pointed:
-they live inside a coordinate orthant slice.  Dual cones are only formed for
-full-dimensional cones; lower-dimensional ones go through the lineality
-quotient in semigroup_generators.
+covectors) and its extremal rays (primitive integer vectors).  from_rays
+and from_halfspaces compute the other half by double description; the fan
+cones of admissible pairs are built with rays read from their flows
+(abelfan._cut_rays), and double description is their test oracle.  All
+cones handled here are pointed: they live inside a coordinate orthant
+slice.  Dual cones are only formed for full-dimensional cones;
+lower-dimensional ones go through the lineality quotient in
+semigroup_generators.
 """
 
 import math
@@ -91,7 +94,8 @@ class Cone:
 
     equalities/inequalities are integer covector rows; rays are primitive
     integer generators.  The two representations certify each other through
-    the double-description construction.
+    the double-description construction, or, for a fan cone, through the
+    certificate of abelfan._cut_rays.
     """
 
     ambient_dim: int

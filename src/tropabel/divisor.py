@@ -25,7 +25,7 @@ from .graph import (
     exceptional_id,
     subdivide,
 )
-from .linalg import exact_value, format_rational
+from .linalg import exact_value
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
@@ -93,9 +93,6 @@ class Divisor(_VertexValues):
             raise AssertionError("divisors live on different graphs")
         return Divisor.of(self.graph, {v: self[v] - other[v] for v in self.graph.vertex_ids})
 
-    def to_json(self):
-        return {v: c for v, c in self.values if c != 0}
-
 
 class Polarization(_VertexValues):
     """Exact rational vertex weighting with integer total degree."""
@@ -122,9 +119,6 @@ class Polarization(_VertexValues):
         return Polarization.of(
             g2, {v: self[v] + Fraction(self.graph.valence(v, set(eset)), 2) for v in g2.vertex_ids}
         )
-
-    def to_json(self):
-        return {v: format_rational(c) for v, c in self.values}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .divisor import Divisor, Polarization, PseudoDivisor
 from .errors import ValidationError, WorkCap
 from .flow import AdmissiblePair, FlowAssignment, acyclic_flows, div_flow
 from .graph import Graph, stable_reduction
-from .linalg import exact_value, format_rational
+from .linalg import exact_value
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,6 @@ class MetricGraph:
         if factor <= 0:
             raise ValidationError("scale factor must be positive")
         return MetricGraph.of(self.graph, {e: v * factor for e, v in self.lengths})
-
-    def to_json(self):
-        data = self.graph.to_json()
-        data["lengths"] = {e: format_rational(v) for e, v in self.lengths}
-        return data
 
 
 def canonical_divisor(g):
@@ -122,16 +117,6 @@ class AbelResult:
             self.pair.flow.canonical_key(),
             self.divisor.canonical_key(),
         )
-
-    def to_json(self):
-        return {
-            "divisor": self.divisor.to_json(),
-            "positions": {
-                x: {"edge": e, "offset": format_rational(o)} for x, (e, o) in self.positions
-            },
-            "pair": self.pair.to_json(),
-            "splits": {e: format_rational(v) for e, v in self.split_values},
-        }
 
 
 def abel_eval(metric, inp, reverse=False):

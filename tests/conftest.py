@@ -5,7 +5,7 @@ import pytest
 from tropabel.divisor import Divisor, Polarization
 from tropabel.flow import FlowAssignment
 from tropabel.graph import Graph, build_graph
-from tropabel.linalg import dot
+from tropabel.linalg import dot, format_rational
 
 
 @pytest.fixture
@@ -70,6 +70,27 @@ def contains(cone, point):
 def zero_flow(graph):
     """The flow that is zero on every edge of the graph."""
     return FlowAssignment(graph, (), ())
+
+
+def metric_graph_json(metric):
+    """A metric graph as graph JSON with a "lengths" map of "p/q" strings,
+    which build_graph and MetricGraph.of read back."""
+    data = metric.graph.to_json()
+    data["lengths"] = {e: format_rational(v) for e, v in metric.lengths}
+    return data
+
+
+def abel_result_json(res):
+    """An AbelResult as JSON: its pseudo-divisor, the exceptional points'
+    placements, its pair and the split lengths, rationals as "p/q"."""
+    return {
+        "divisor": res.divisor.to_json(),
+        "positions": {
+            x: {"edge": e, "offset": format_rational(o)} for x, (e, o) in res.positions
+        },
+        "pair": res.pair.to_json(),
+        "splits": {e: format_rational(v) for e, v in res.split_values},
+    }
 
 
 def poset_index(poset, pd):

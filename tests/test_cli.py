@@ -551,6 +551,23 @@ def test_usage_error_maps_to_one(capsys):
     assert code == 1
 
 
+def test_one_process_answers_like_fresh_ones(capsys, theta_file):
+    """The parser is built once per process and reused: a usage error, a
+    valid build-fan and a bad --cap, called in turn in this process, give
+    the stdout, stderr and exit codes of separate fresh interpreters."""
+    fan = ["build-fan", "--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
+    calls = [["locate", "--point", "1,1,1"], fan, fan + ["--cap", "0"]]
+    here = [_run(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropabel", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert here == fresh
+    assert [code for code, _, _ in here] == [1, 0, 1]
+
+
 def test_console_entry_point(theta_file):
     proc = subprocess.run(
         [sys.executable, "-m", "tropabel", "quasistable-poset", "--graph", theta_file, "--mu", "0"],

@@ -1,7 +1,12 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -525,6 +530,17 @@ def _assert_interior_matches_oracle(fan, rng):
     assert inside >= len(fan.cones)
 
 
+def _assert_cut_rays_match_double_description(fan):
+    """Every cone of the fan, faces included, is the cone that double
+    description builds from its own rows: merged_cone reads its rays from
+    the flow's cuts."""
+    for c in fan.cones:
+        cone = c.cone
+        oracle = Cone.from_halfspaces(cone.ambient_dim, cone.equalities, cone.inequalities)
+        assert cone == oracle, c.key()
+    return len(fan.cones)
+
+
 @pytest.mark.parametrize(
     "instance",
     [
@@ -540,11 +556,13 @@ def _assert_interior_matches_oracle(fan, rng):
 def test_face_closure_matches_exhaustive_routes(instance):
     """The face closure of the uncontracted pairs gives the fan of the
     contraction loop; the face maps build_fan read from the maximal cones
-    are those of each cone's own face lattice; and each cone's cached
-    interior test agrees with the row-by-row one."""
+    are those of each cone's own face lattice; each cone's cached interior
+    test agrees with the row-by-row one; and each cone's cut rays are
+    double description's."""
     fan = _assert_matches_oracles(*instance())
     assert fan.faces == per_cone_faces(fan)
     _assert_interior_matches_oracle(fan, random.Random(7))
+    _assert_cut_rays_match_double_description(fan)
 
 
 def test_face_closure_matches_exhaustive_routes_on_seeded_instances(random_instances):
@@ -553,6 +571,81 @@ def test_face_closure_matches_exhaustive_routes_on_seeded_instances(random_insta
         fan = _assert_matches_oracles(g, v0, mu, d0)
         assert fan.faces == per_cone_faces(fan)
         _assert_interior_matches_oracle(fan, rng)
+        _assert_cut_rays_match_double_description(fan)
+
+
+def loop_instance(rng):
+    """A seeded instance on a random graph of up to five vertices with a
+    loop, vertex weights up to 2, a half-integral polarization and an
+    integer D0 of its degree.  Unlike the theta, banana and cycle fans,
+    some of these flows have up-sets with a disconnected side."""
+    base = random_connected_graph(rng, max_edges=5, max_extra_vertices=3)
+    loop = (f"e{len(base.edges)}", (rng.choice(base.vertex_ids),) * 2)
+    g = Graph(base.vertices, base.edges + (loop,), base.legs).validate()
+    v0, d = g.leg_map[0], rng.randint(-2, 2)
+    mu = {v: Fraction(rng.randint(-3, 3), 2) for v in g.vertex_ids}
+    mu[v0] += d - sum(mu.values())
+    d0 = {v: rng.randint(-4, 4) for v in g.vertex_ids}
+    d0[v0] += d - sum(d0.values())
+    return g, v0, Polarization.of(g, mu), Divisor.of(g, d0)
+
+
+def test_cut_rays_match_double_description_on_graphs_with_loops():
+    """The cut rays are double description's on every cone of the fans of
+    30 seeded graphs with a loop, weighted vertices and half-integral
+    polarizations, faces included."""
+    rng = random.Random(19)
+    instances = [loop_instance(rng) for _ in range(30)]
+    count = sum(_assert_cut_rays_match_double_description(build_fan(*i)) for i in instances)
+    assert count > 1000
+    assert any(x.denominator == 2 for _, _, mu, _ in instances for _, x in mu.values)
+
+
+def test_cut_ray_certificate_raises(theta, monkeypatch):
+    """A ray outside the cone, or a ray whose zero set nests in another's
+    (a cut with a disconnected side), is rejected by an explicit raise."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
+    pairs = enumerate_admissible(theta, "v0", mu, d0)
+    monkeypatch.setattr(abelfan, "primitive", lambda ray: tuple(-x for x in ray))
+    with pytest.raises(AssertionError, match="outside its cone"):
+        merged_cone(pairs[0])
+    monkeypatch.undo()
+    monkeypatch.setattr(abelfan, "_connected", lambda mask, adj: True)
+    rng = random.Random(19)
+    with pytest.raises(AssertionError, match="nested zero sets"):
+        for _ in range(30):
+            build_fan(*loop_instance(rng))
+
+
+def test_cut_ray_certificate_raises_under_optimize():
+    """The certificate is an explicit raise, so `python -O`, which strips
+    assert statements, still rejects a ray outside the cone."""
+    script = textwrap.dedent(
+        """
+        from tropabel import abelfan
+        from tropabel.worked import theta_instance, worked_pair
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        g, mu, d0 = theta_instance()
+        pair = worked_pair(g, mu, d0)
+        abelfan.merged_cone(pair)
+        abelfan.primitive = lambda ray: tuple(-x for x in ray)
+        try:
+            abelfan.merged_cone(pair)
+        except AssertionError as exc:
+            print("rejected:", exc)
+        else:
+            print("accepted")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: a cut ray lies outside its cone\n"
 
 
 def test_interior_rows_match_oracle_on_seeded_cones():

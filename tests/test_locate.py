@@ -39,6 +39,7 @@ from tropabel.metric import abel_eval
 
 from conftest import (
     abel_instances,
+    abel_result_json,
     contains_interior,
     parallel_instance,
     pendant_cycle_instance,
@@ -258,7 +259,7 @@ def test_answers_rebuild_from_their_fields(theta):
         assert _rebuilt(cone) == cone
     for metric, inp, _ in abel_instances(random.Random(1111), 3):
         res = abel_eval(metric, inp)
-        res.answer_key(), res.to_json()
+        res.answer_key(), abel_result_json(res)
         assert _rebuilt(res) == res
 
 

@@ -16,12 +16,17 @@ from tropabel.metric import (
     target_divisor,
 )
 
-from conftest import random_connected_graph, random_polarization
+from conftest import (
+    abel_result_json,
+    metric_graph_json,
+    random_connected_graph,
+    random_polarization,
+)
 
 
 def test_metric_graph_json_roundtrip(theta):
     m = MetricGraph.of(theta, {"e0": Fraction(3, 2), "e1": 2, "e2": Fraction(1, 3)})
-    data = m.to_json()
+    data = metric_graph_json(m)
     again = MetricGraph.of(build_graph(data), data["lengths"])
     assert again.lengths == m.lengths
     assert again.graph == theta
@@ -31,7 +36,7 @@ def test_metric_graph_json_roundtrip(theta):
 def test_metric_graph_json_rejects_bad_lengths(theta, bad):
     """Lengths go through the rational codec: a float, a zero denominator,
     a malformed string and a bool are rejected as input, not crashes."""
-    data = MetricGraph.of(theta, {"e0": 1, "e1": 2, "e2": 3}).to_json()
+    data = metric_graph_json(MetricGraph.of(theta, {"e0": 1, "e1": 2, "e2": 3}))
     data["lengths"]["e1"] = bad
     with pytest.raises(ValidationError, match="bad rational"):
         MetricGraph.of(build_graph(data), data["lengths"])
@@ -119,7 +124,7 @@ def test_abel_result_json(theta):
     g2 = Graph(theta.vertices, theta.edges, ((0, "v0"), (1, "v1")))
     metric = MetricGraph.of(g2, {"e0": 2, "e1": 2, "e2": 3})
     res = abel_eval(metric, AbelInput((4, -4, 0), mu))
-    data = res.to_json()
+    data = abel_result_json(res)
     assert data["divisor"]["E"] == ["e0", "e1"]
     assert data["positions"]["x:e0"] == {"edge": "e0", "offset": "1"}
     assert data["splits"]["e2"] == "3"
