@@ -487,14 +487,11 @@ def _face_keys(ambient_edges, pair, zset):
     """The fan key of the face pair that contracting `zset` specializes the
     pair to, and that pair's divisor key (PseudoDivisor.canonical_key),
     read from the zero set alone: the keys of _specialize_pair(pair, zset),
-    with no graph, subdivision or flow built.  The vertex map is
-    contract_pushforward's (pushforward_vertex_map), and the flow is
-    carried as _specialize_pair carries it (_flow_sources).
+    with no graph, subdivision or flow built.  The vertex map and the
+    divisor key are contract_pushforward's (pushforward_vertex_map), and
+    the flow is carried as _specialize_pair carries it (_flow_sources).
     """
-    full, eset2, along = pushforward_vertex_map(pair.resulting_pd, zset)
-    divisor, sums = pair.resulting_pd.divisor, {}
-    for v, w in along.items():
-        sums[w] = sums.get(w, 0) + divisor[v]
+    full, eset2, along, divisor = pushforward_vertex_map(pair.resulting_pd, zset)
     flow, orient = pair.flow.flow_map, pair.flow.orient_map
     values, arrows = [], []
     for e2, src in _flow_sources(pair, zset, eset2, along):
@@ -503,9 +500,8 @@ def _face_keys(ambient_edges, pair, zset):
             s, t = orient[src]
             arrows.append((e2, (along[s], along[t])))
     contracted = tuple(sorted(contracted_edges(ambient_edges, pair).union(full)))
-    eset2 = tuple(sorted(eset2))
-    key = (contracted, eset2, (tuple(sorted(arrows)), tuple(sorted(values))))
-    return key, (eset2, tuple(sorted(sums.items())))
+    key = (contracted, divisor[0], (tuple(sorted(arrows)), tuple(sorted(values))))
+    return key, divisor
 
 
 def _lattice_faces(abcone, pairs=None):
@@ -877,7 +873,7 @@ def _certified_pair(g, pd, basis, flow, d0, ipoint):
     return pair, rows
 
 
-def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1 << 20):
+def locate_point(g, v0, pol, d0, point, check_unique=False, cap=1 << 20):
     """Find the unique admissible pair whose open cone contains the point.
 
     point: mapping edge -> nonnegative rational (Fractions or ints).  Zero
@@ -888,8 +884,7 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
 
     No admissible pair is enumerated and no quasistable poset is built.  The
     nondisconnecting edge sets E are walked from the largest to the
-    smallest (the smallest first with `reverse`, which also reverses the
-    order within each E).  A generic point lies in a cone of full
+    smallest.  A generic point lies in a cone of full
     dimension, whose E has b1(G) edges, so the walk usually stops at its
     first size.  Each E's candidate pseudo-divisors (E, D), the divisors in
     E's value windows, come in the order of the per-edge-set kernel
@@ -905,20 +900,20 @@ def locate_point(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1
     point.  `cap` bounds the candidate checks (the candidates whose lattice
     points are tested) plus the lattice points tested.
     """
-    pair, rows, split, _ = _locate(g, v0, pol, d0, point, reverse, check_unique, cap)
+    pair, rows, split, _ = _locate(g, v0, pol, d0, point, check_unique, cap)
     return merged_cone(pair, ambient_edges=g.edge_ids, rows=rows), split
 
 
-def locate_pair(g, v0, pol, d0, point, reverse=False, cap=1 << 20):
+def locate_pair(g, v0, pol, d0, point, cap=1 << 20):
     """locate_point, stopping at the first hit, without building the cone:
     the hit's admissible pair, on g with the point's zero edges contracted
     (the edges of g missing from the pair's graph), and the split values.
     `cap` bounds the same work as in locate_point."""
-    pair, _, split, _ = _locate(g, v0, pol, d0, point, reverse, False, cap)
+    pair, _, split, _ = _locate(g, v0, pol, d0, point, False, cap)
     return pair, split
 
 
-def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
+def _locate(g, v0, pol, d0, point, check_unique, cap):
     """locate_pair, also returning the hit's rows and the work done (the
     candidate checks and the lattice points tested)."""
     point = {e: point[e] for e in g.edge_ids}
@@ -935,7 +930,7 @@ def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
     ipoint, denom = clear_denominators(point[e] for e in live_g.edge_ids)
     check_instance(live_g, v0, pol, d0)
     work = WorkCap("locate", cap, "candidate checks", "lattice points")
-    hits = _lattice_hits(live_g, v0, pol, d0, ipoint, reverse, work)
+    hits = _lattice_hits(live_g, v0, pol, d0, ipoint, work)
     hit = next(hits, None)
     if hit is None:
         raise ValidationError("point not located in any open cone")
@@ -946,7 +941,7 @@ def _locate(g, v0, pol, d0, point, reverse, check_unique, cap):
     return pair, rows, split, work.count
 
 
-def _lattice_hits(g, v0, pol, d0, ipoint, reverse, work):
+def _lattice_hits(g, v0, pol, d0, ipoint, work):
     """Every certified (pair, rows) whose open cone holds the integer point,
     in the walk of locate_point.
 
@@ -957,14 +952,10 @@ def _lattice_hits(g, v0, pol, d0, ipoint, reverse, work):
     non-quasistable D's hits are dropped.  `work` is charged for each
     candidate and each lattice point tested.
     """
-    esets = list(nondisconnecting_edge_sets(g))
-    for eset in esets if reverse else reversed(esets):
+    for eset in reversed(list(nondisconnecting_edge_sets(g))):
         routes = QuasistableRoutes(g, eset, v0, pol)
-        candidates = routes.candidates(work)
-        if reverse:
-            candidates = reversed(list(candidates))
         solve = None
-        for values in candidates:
+        for values in routes.candidates(work):
             if solve is None:
                 solve = _EdgeSetSolve(g, routes.sub, ipoint)
             target = dict(values)

@@ -126,7 +126,7 @@ class Cone:
 
     @cached_property
     def dim(self):
-        return rank([list(r) for r in self.rays]) if self.rays else 0
+        return _span_dim(self.rays)
 
     @cached_property
     def interior_rows(self):
@@ -189,15 +189,19 @@ def _rays_in_ambient(equalities, inequalities, ambient_dim):
     return sorted(out)
 
 
-def dual_rays(cone):
-    """Extremal rays of the dual cone {u : u(r) >= 0 on the cone}.
+def dual_rays(ambient_dim, rays):
+    """Extremal rays of the dual cone {u : u(r) >= 0 for every ray r}.
 
-    Requires the cone to be full-dimensional (pointed dual); use
-    semigroup_generators for lower-dimensional cones.
+    Read from the rays alone.  Requires them to span the space (pointed
+    dual); use semigroup_generators for lower-dimensional cones.
     """
-    if cone.dim != cone.ambient_dim:
+    if _span_dim(rays) != ambient_dim:
         raise ValidationError("dual rays need a full-dimensional cone")
-    return tuple(rays_from_halfspaces([list(r) for r in cone.rays], cone.ambient_dim))
+    return tuple(rays_from_halfspaces([list(r) for r in rays], ambient_dim))
+
+
+def _span_dim(rays):
+    return rank([list(r) for r in rays]) if rays else 0
 
 
 def hilbert_basis_pointed(primal_rays, dual_ray_list):
@@ -273,33 +277,34 @@ def dual_and_hilbert(cone):
     """
     if cone.ambient_dim > 6:
         raise DeskScaleError("dual/Hilbert computations are capped at dimension 6")
-    d = dual_rays(cone)
+    d = dual_rays(cone.ambient_dim, cone.rays)
     hb = hilbert_basis_pointed(cone.rays, list(d))
     return tuple(sorted(d)), tuple(hb)
 
 
-def semigroup_generators(cone):
-    """A generating set of {u in Z^n : u(r) >= 0 on the cone}, units allowed.
+def semigroup_generators(ambient_dim, rays):
+    """A generating set of {u in Z^n : u(r) >= 0 for every ray r}, units
+    allowed, read from the cone's extremal rays alone.
 
     For a full-dimensional cone this is the Hilbert basis.  Otherwise the
     monoid has a unit group (the integer covectors vanishing on the span);
     the pointed quotient's Hilbert basis is computed in quotient coordinates
     and lifted, and both signs of a unit-lattice basis are appended.
     """
-    n = cone.ambient_dim
-    if not cone.rays:
+    n = ambient_dim
+    if not rays:
         gens = []
         for j in range(n):
             e = tuple(1 if i == j else 0 for i in range(n))
             gens.append(e)
             gens.append(tuple(-x for x in e))
         return tuple(gens)
-    if cone.dim == n:
-        return tuple(hilbert_basis_pointed(cone.rays, list(dual_rays(cone))))
-    unit_basis = left_kernel_lattice([list(r) for r in zip(*cone.rays)])
+    if _span_dim(rays) == n:
+        return tuple(hilbert_basis_pointed(rays, list(dual_rays(n, rays))))
+    unit_basis = left_kernel_lattice([list(r) for r in zip(*rays)])
     # unit_basis: u with u . r = 0 for all rays; rays enter as matrix columns
     proj, lift, pair = lattice_quotient(unit_basis, n)
-    qrays = sorted({primitive(pair(r)) for r in cone.rays})
+    qrays = sorted({primitive(pair(r)) for r in rays})
     qdual = rays_from_halfspaces([list(r) for r in qrays], n - len(unit_basis))
     qhb = hilbert_basis_pointed(qrays, list(qdual))
     gens = [lift(h) for h in qhb]
@@ -307,7 +312,7 @@ def semigroup_generators(cone):
         gens.append(tuple(u))
         gens.append(tuple(-x for x in u))
     for g in gens:
-        if any(dot(g, r) < 0 for r in cone.rays):
+        if any(dot(g, r) < 0 for r in rays):
             raise AssertionError("semigroup generator is negative on a ray")
     return tuple(sorted(set(gens)))
 

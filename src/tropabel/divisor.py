@@ -367,8 +367,10 @@ def is_quasistable(pd, v0, pol):
 
 def pushforward_vertex_map(pd, zset):
     """What contracting a set `zset` of edges of a pseudo-divisor's
-    E-subdivision, plain edges and halves alike, does to its vertices,
-    with no graph built: returns (contracted base edges, E', vertex map).
+    E-subdivision, plain edges and halves alike, does to it, with no graph
+    built: returns (contracted base edges, E', vertex map, key), where key
+    is the pushed pseudo-divisor's canonical_key, (sorted E', sorted fiber
+    sums of the divisor).
 
     A base edge is contracted when all its parts are in zset (the plain
     edge, or both halves), and leaves E when it is subdivided.  A
@@ -397,10 +399,14 @@ def pushforward_vertex_map(pd, zset):
             vmap[x] = vmap[tail if tail != x else head]
         else:
             vmap[x] = x
-    return full, pd.eset.difference(parts), vmap
+    new_e = pd.eset.difference(parts)
+    sums = {}
+    for v, w in vmap.items():
+        sums[w] = sums.get(w, 0) + pd.divisor[v]
+    return full, new_e, vmap, (tuple(sorted(new_e)), tuple(sorted(sums.items())))
 
 
-def contract_pushforward(pd, zset, subdivision=None):
+def contract_pushforward(pd, zset):
     """Push a pseudo-divisor forward along the contraction of a set `zset`
     of edges of its E-subdivision, plain edges and halves alike.
 
@@ -408,14 +414,12 @@ def contract_pushforward(pd, zset, subdivision=None):
     subdivisions come from pushforward_vertex_map; the vertex map is the
     Specialization's.  The face divisor sums the values over its fibers
     (Divisor.pushforward), so the degree is kept and each surviving
-    exceptional vertex keeps its -1.  `subdivision` is the face's
-    E'-subdivision of the contracted base, when already built.  Returns
-    (face pseudo-divisor, vertex map).
+    exceptional vertex keeps its -1.  Returns (face pseudo-divisor, vertex
+    map).
     """
-    full, new_e, vmap = pushforward_vertex_map(pd, zset)
+    full, new_e, vmap, _ = pushforward_vertex_map(pd, zset)
     target = contract(pd.base, full).target
-    if subdivision is None:
-        subdivision = subdivide(target, new_e)
+    subdivision = subdivide(target, new_e)
     along = Specialization(
         pd.subdivision.result, subdivision.result, frozenset(zset), tuple(sorted(vmap.items()))
     )
@@ -492,8 +496,10 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     Runs the per-edge-set kernel quasistable_with_edge_set on the
     nondisconnecting edge sets only (on a disconnecting one the direct cut
     route rejects every candidate), then links each element to its
-    single-edge pushforwards.  The candidate checks of those edge sets count
-    against `cap`, and DeskScaleError is raised past it.
+    single-edge pushforwards, whose keys are read from the vertex map
+    (pushforward_vertex_map) with no graph built.  The candidate checks of
+    those edge sets count against `cap`, and DeskScaleError is raised past
+    it.
     """
     if pol.graph != g:
         raise ValidationError("polarization lives on the wrong graph")
@@ -505,13 +511,12 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
         found.extend(quasistable_with_edge_set(g, eset, v0, pol, work))
     found.sort(key=lambda p: p.canonical_key())
     index = {pd.canonical_key(): i for i, pd in enumerate(found)}
-    subs = {pd.eset: pd.subdivision for pd in found}
     covers = set()
     for i, pd in enumerate(found):
         for e in sorted(pd.eset):
             for half in pd.subdivision.halves[e]:
-                smaller, _ = contract_pushforward(pd, {half}, subs.get(pd.eset - {e}))
-                j = index.get(smaller.canonical_key())
+                *_, key = pushforward_vertex_map(pd, {half})
+                j = index.get(key)
                 if j is None:
                     raise AssertionError("pushforward left the quasistable poset")
                 covers.add((i, j))

@@ -71,9 +71,6 @@ class FlowAssignment:
     def orient_map(self):
         return dict(self.orientation)
 
-    def value(self, e):
-        return self.flow_map[e]
-
     def canonical_key(self):
         return (self.orientation, self.flow)
 

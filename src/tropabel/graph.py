@@ -12,7 +12,7 @@ from functools import cached_property
 import warnings
 
 from .errors import ValidationError
-from .linalg import exact_value, rank
+from .linalg import exact_value
 
 SOFT_EDGE_CAP = 16
 
@@ -156,13 +156,6 @@ class Graph:
             tuple((e, pair) for e, pair in self.edges if e not in edge_set),
             self.legs,
         )
-
-    def to_json(self):
-        return {
-            "vertices": [{"id": v, "weight": w} for v, w in self.vertices],
-            "edges": [{"id": e, "ends": list(pair)} for e, pair in self.edges],
-            "legs": {str(i): v for i, v in self.legs},
-        }
 
 
 def build_graph(spec):
@@ -470,12 +463,6 @@ class CycleBasis:
     def cycle_map(self):
         return {e: dict(vec) for e, vec in self.cycles}
 
-    def as_rows(self):
-        return [
-            tuple(self.cycle_map[e].get(f, 0) for f in self.graph.edge_ids)
-            for e, _ in self.cycles
-        ]
-
 
 def cycle_basis(g, avoid=()):
     """Deterministic fundamental-cycle basis; the tree avoids `avoid`.
@@ -537,9 +524,28 @@ def cycle_basis(g, avoid=()):
             vec = {f: s for f, s in vec.items() if s != 0}
         cycles.append((e, tuple(sorted(vec.items()))))
     basis = CycleBasis(g, frozenset(tree), tuple(sorted(cycles)))
-    if len(basis.cycles) != g.b1():
-        raise AssertionError("cycle basis size differs from b1")
-    rows = basis.as_rows()
-    if rows and rank(rows) != g.b1():
-        raise AssertionError("fundamental cycles are linearly dependent")
+    _check_cycles(basis)
     return basis
+
+
+def _check_cycles(basis):
+    """Certificate of a cycle basis: each cycle is +1 on its own non-tree
+    edge and 0 on every other one (an identity block, so the cycles are
+    independent), and its boundary vanishes at every vertex (so each is a
+    cycle).  With one cycle per non-tree edge, b1 of them, they are then a
+    basis of the cycle space.  Explicit raises, so python -O keeps it."""
+    g = basis.graph
+    off_tree = [e for e in g.edge_ids if e not in basis.spanning_tree]
+    if len(off_tree) != g.b1() or sorted(e for e, _ in basis.cycles) != sorted(off_tree):
+        raise AssertionError("the cycles are not one per non-tree edge")
+    for e, vec in basis.cycles:
+        signs = dict(vec)
+        if any(signs.get(f, 0) != (f == e) for f in off_tree):
+            raise AssertionError("a fundamental cycle leaves the identity block")
+        boundary = dict.fromkeys(g.vertex_ids, 0)
+        for f, s in vec:
+            tail, head = g.ends[f]
+            boundary[tail] -= s
+            boundary[head] += s
+        if any(boundary.values()):
+            raise AssertionError("a fundamental cycle has a nonzero boundary")

@@ -16,7 +16,7 @@ from .abelfan import locate_pair, merged_cone
 from .divisor import Divisor, Polarization, PseudoDivisor
 from .errors import ValidationError, WorkCap
 from .flow import AdmissiblePair, FlowAssignment, acyclic_flows, div_flow
-from .graph import Graph, stable_reduction
+from .graph import Graph, exceptional_id, stable_reduction
 from .linalg import exact_value
 
 
@@ -46,12 +46,6 @@ class MetricGraph:
     @cached_property
     def length_map(self):
         return dict(self.lengths)
-
-    def scaled(self, factor):
-        factor = exact_value(factor)
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return MetricGraph.of(self.graph, {e: v * factor for e, v in self.lengths})
 
 
 def canonical_divisor(g):
@@ -119,7 +113,7 @@ class AbelResult:
         )
 
 
-def abel_eval(metric, inp, reverse=False):
+def abel_eval(metric, inp):
     """Evaluate the Abel map at a metric graph.
 
     The model keeps leg 0 only, is stable-reduced, and the base divisor (the
@@ -153,7 +147,7 @@ def abel_eval(metric, inp, reverse=False):
     )
     v0_hat = hat.leg_map[0]
     point = {e: metric.length_map[e] for e in hat.edge_ids}
-    pair, split = locate_pair(hat, v0_hat, mu_hat, d0_hat, point, reverse=reverse)
+    pair, split = locate_pair(hat, v0_hat, mu_hat, d0_hat, point)
     # certificate: located divisor differs from the base one by the flow
     sub = pair.resulting_pd.subdivision
     lifted = d0_hat.lift_to_subdivision(sub)
@@ -206,9 +200,9 @@ def _place_on_stable_model(st, refinement, metric, pair, split):
                     raise AssertionError("suppressed vertex with nonzero value")
         if carrier is not None:
             st_e.append(f)
-            positions[f"x:{f}"] = (f, carrier)
+            positions[exceptional_id(f)] = (f, carrier)
     out_vals = {v: div[v] for v in st.vertex_ids}
-    out_vals.update({f"x:{f}": -1 for f in st_e})
+    out_vals.update({exceptional_id(f): -1 for f in st_e})
     return PseudoDivisor.of(st, frozenset(st_e), out_vals), positions
 
 

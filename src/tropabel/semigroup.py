@@ -16,7 +16,7 @@ it ends by itself; its level cap only bounds the work.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cone import Cone, semigroup_generators
+from .cone import semigroup_generators
 from .errors import SearchBoundError, ValidationError
 from .linalg import dot, vec_add
 
@@ -50,9 +50,8 @@ class MonomialRing:
     @cached_property
     def generators(self):
         """Monoid generating set of the chi-part (units included if the cone
-        is not full-dimensional)."""
-        cone = Cone.from_rays(self.ambient_dim, self.rays)
-        return semigroup_generators(cone)
+        is not full-dimensional), read from the rays."""
+        return semigroup_generators(self.ambient_dim, self.rays)
 
     @cached_property
     def relation_values(self):
@@ -361,31 +360,27 @@ class BoundaryFunctionals:
     u_second: tuple
 
 
-def boundary_functionals(pair, e0, abel_cone=None):
-    """Covectors u' and u'' of a subdivided edge e0, read from the pair's
-    rows: they are the inverse rows (pair_rows) of e0's downstream and
-    upstream halves, the upstream half carrying one unit of flow less.
+def boundary_functionals(abel_cone, e0):
+    """Covectors u' and u'' of a subdivided edge e0 of an AbelCone's pair,
+    over the pair's edges, read from the cone's rows: they are the inverse
+    rows (pair_rows) of e0's downstream and upstream halves, the upstream
+    half carrying one unit of flow less.
 
     The rows certify that the two sum to e0's coordinate functional and
     are nonnegative on the cone; what is certified here is that on every
-    ray of the pair's merged cone at least one of them vanishes.  Pass
-    `abel_cone` (merged_cone(pair)) when it is at hand.
+    ray of the cone at least one of them vanishes.
     """
-    from .abelfan import merged_cone
-
+    pair, rows = abel_cone.provenance, abel_cone.rows
     if e0 not in pair.eset:
         raise ValidationError(f"{e0} is not in the subdivided set")
-    ac = abel_cone if abel_cone is not None else merged_cone(pair)
-    if ac.provenance != pair or ac.ambient_edges != pair.base.edge_ids:
-        raise ValidationError("abel_cone is not merged_cone(pair)")
-    rows = ac.rows
     length = dict(zip(rows.sub.result.edge_ids, rows.inverse_rows))
     ha, hb = rows.sub.halves[e0]
     flow = pair.flow.flow_map
     up, down = (ha, hb) if flow[hb] == flow[ha] + 1 else (hb, ha)
     out = BoundaryFunctionals(e0, flow[up], flow[down], length[down], length[up])
-    for r in ac.cone.rays:
-        if dot(out.u_prime, r) != 0 and dot(out.u_second, r) != 0:
+    for r in abel_cone.cone.rays:
+        split = abel_cone.split_point(r)
+        if split[down] != 0 and split[up] != 0:
             raise AssertionError("neither functional vanishes on a ray")
     return out
 
@@ -448,7 +443,7 @@ def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
     ring, ac = node_ring(pair, e0)
     rays = ac.cone.rays
     if e0 in pair.eset:
-        bf = boundary_functionals(pair, e0, abel_cone=ac)
+        bf = boundary_functionals(ac, e0)
         n_s, n_t = bf.upstream_flow, bf.downstream_flow
         pieces = []
         for r in rays:

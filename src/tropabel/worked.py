@@ -116,11 +116,10 @@ def ideal_report():
     symbolic powers and their intersection for the worked pair."""
     g, mu, d0 = theta_instance()
     pair = worked_pair(g, mu, d0)
-    ac = merged_cone(pair)
+    ring, ac = node_ring(pair, "e0")
     dual, hb = dual_and_hilbert(ac.cone)
-    ring, _ = node_ring(pair, "e0")
-    bf0 = boundary_functionals(pair, "e0")
-    bf1 = boundary_functionals(pair, "e1")
+    bf0 = boundary_functionals(ac, "e0")
+    bf1 = boundary_functionals(ac, "e1")
     r1, r2, r3, r4 = (1, 1, 1), (2, 1, 2), (1, 2, 2), (1, 1, 2)
     ideals = {
         "I1": symbolic_power_ideal(ring, r1, 2),

@@ -72,10 +72,26 @@ def zero_flow(graph):
     return FlowAssignment(graph, (), ())
 
 
+def graph_json(g):
+    """A graph as the graph JSON that build_graph reads back."""
+    return {
+        "vertices": [{"id": v, "weight": w} for v, w in g.vertices],
+        "edges": [{"id": e, "ends": list(pair)} for e, pair in g.edges],
+        "legs": {str(i): v for i, v in g.legs},
+    }
+
+
+def scaled_metric(metric, factor):
+    """The metric graph with every length multiplied by factor."""
+    from tropabel.metric import MetricGraph
+
+    return MetricGraph.of(metric.graph, {e: v * factor for e, v in metric.lengths})
+
+
 def metric_graph_json(metric):
     """A metric graph as graph JSON with a "lengths" map of "p/q" strings,
     which build_graph and MetricGraph.of read back."""
-    data = metric.graph.to_json()
+    data = graph_json(metric.graph)
     data["lengths"] = {e: format_rational(v) for e, v in metric.lengths}
     return data
 

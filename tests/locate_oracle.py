@@ -14,16 +14,12 @@ from tropabel.abelfan import _certified_pair, _EdgeSetSolve
 from tropabel.divisor import nondisconnecting_edge_sets, quasistable_with_edge_set
 
 
-def quasistable_first_hits(g, v0, pol, d0, ipoint, reverse, work):
+def quasistable_first_hits(g, v0, pol, d0, ipoint, work):
     """Every certified (pair, rows) whose open cone holds the integer point,
     found by proving each candidate quasistable before its lattice solve."""
-    esets = list(nondisconnecting_edge_sets(g))
-    for eset in esets if reverse else reversed(esets):
-        pds = quasistable_with_edge_set(g, eset, v0, pol, work)
-        if reverse:
-            pds = reversed(list(pds))
+    for eset in reversed(list(nondisconnecting_edge_sets(g))):
         solve = None
-        for pd in pds:
+        for pd in quasistable_with_edge_set(g, eset, v0, pol, work):
             if solve is None:
                 solve = _EdgeSetSolve(g, pd.subdivision, ipoint)
             target = {v: pd.divisor[v] - d0[v] for v in g.vertex_ids}
@@ -34,12 +30,12 @@ def quasistable_first_hits(g, v0, pol, d0, ipoint, reverse, work):
                     yield _certified_pair(g, pd, solve.basis, flow, d0, ipoint)
 
 
-def oracle_locate(g, v0, pol, d0, point, reverse=False, check_unique=False, cap=1 << 20):
+def oracle_locate(g, v0, pol, d0, point, check_unique=False, cap=1 << 20):
     """abelfan._locate through the quasistable-first walk: (pair, rows,
     split, work counts)."""
     lattice_first = abelfan._lattice_hits
     abelfan._lattice_hits = quasistable_first_hits
     try:
-        return abelfan._locate(g, v0, pol, d0, point, reverse, check_unique, cap)
+        return abelfan._locate(g, v0, pol, d0, point, check_unique, cap)
     finally:
         abelfan._lattice_hits = lattice_first

@@ -14,7 +14,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from tropabel.abelfan import build_fan, expected_dim, merged_cone, verify_fan
+from tropabel import metric as metric_mod
+from tropabel.abelfan import build_fan, expected_dim, locate_point, merged_cone, verify_fan
 from tropabel.cli import main as cli_main
 from tropabel.cone import dual_and_hilbert
 from tropabel.divisor import Divisor, Polarization, PseudoDivisor, enumerate_quasistable
@@ -35,9 +36,11 @@ from tropabel.worked import theta_graph, theta_instance, worked_pair
 from conftest import (
     abel_instances,
     contains_interior,
+    graph_json,
     poset_index,
     random_connected_graph,
     random_instance,
+    scaled_metric,
 )
 from flow_oracle import (
     acyclic_flows_by_orientations,
@@ -107,7 +110,7 @@ def test_acceptance_02_worked_cone_via_cli(theta, tmp_path, capsys):
     the stated facet representation and extremal rays."""
     start = time.monotonic()
     path = tmp_path / "theta.json"
-    path.write_text(json.dumps(theta.to_json()))
+    path.write_text(json.dumps(graph_json(theta)))
     out = tmp_path / "fan.json"
     code = cli_main(
         [
@@ -148,15 +151,14 @@ def test_acceptance_03_worked_ideal_values(theta_pairs):
     start = time.monotonic()
     g, mu, d0, pairs = theta_pairs
     pair = worked_pair(g, mu, d0)
-    ac = merged_cone(pair)
+    ring, ac = node_ring(pair, "e0")
     dual, hb = dual_and_hilbert(ac.cone)
     assert set(dual) == {(0, -1, 1), (2, 0, -1), (0, 2, -1), (-1, 0, 1)}
     assert set(hb) == {(0, -1, 1), (2, 0, -1), (0, 2, -1), (-1, 0, 1), (1, 1, -1)}
-    bf0 = boundary_functionals(pair, "e0")
-    bf1 = boundary_functionals(pair, "e1")
+    bf0 = boundary_functionals(ac, "e0")
+    bf1 = boundary_functionals(ac, "e1")
     assert (bf0.u_prime, bf0.u_second) == ((-1, 0, 1), (2, 0, -1))
     assert (bf1.u_prime, bf1.u_second) == ((0, -1, 1), (0, 2, -1))
-    ring, _ = node_ring(pair, "e0")
     r1, r2, r3, r4 = (1, 1, 1), (2, 1, 2), (1, 2, 2), (1, 1, 2)
     i1 = symbolic_power_ideal(ring, r1, 2)
     z1 = ring.monomial((2, 0, -1))
@@ -391,16 +393,24 @@ def test_acceptance_10_flow_oracle():
     )
 
 
-def test_acceptance_11_abel_uniqueness_and_scaling():
-    """500 random metric-graph instances: scaling the lengths and reversing
-    the enumeration order leave the located answer unchanged."""
+def test_acceptance_11_abel_uniqueness_and_scaling(monkeypatch):
+    """500 random metric-graph instances: the located answer is the only
+    open cone holding the lengths (every candidate tested, check_unique),
+    and scaling the lengths leaves it unchanged."""
+
+    def locate_unique(g, v0, pol, d0, point):
+        cone, split = locate_point(g, v0, pol, d0, point, check_unique=True)
+        return cone.provenance, split
+
     done = 0
     for metric, inp, lam in abel_instances(random.Random(1111), 500):
         res = abel_eval(metric, inp)
-        scaled = abel_eval(metric.scaled(lam), inp)
-        reversed_order = abel_eval(metric, inp, reverse=True)
+        scaled = abel_eval(scaled_metric(metric, lam), inp)
+        with monkeypatch.context() as patch:
+            patch.setattr(metric_mod, "locate_pair", locate_unique)
+            unique = abel_eval(metric, inp)
         assert scaled.answer_key() == res.answer_key()
-        assert reversed_order.answer_key() == res.answer_key()
+        assert unique.answer_key() == res.answer_key()
         done += 1
     assert done == 500
-    _report(11, "Abel evaluation stable under scaling and reversed enumeration (500 instances)")
+    _report(11, "Abel evaluation unique and stable under scaling (500 instances)")

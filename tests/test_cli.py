@@ -6,11 +6,13 @@ import pytest
 
 from tropabel.cli import main
 
+from conftest import graph_json
+
 
 @pytest.fixture
 def theta_file(tmp_path, theta):
     path = tmp_path / "theta.json"
-    path.write_text(json.dumps(theta.to_json()))
+    path.write_text(json.dumps(graph_json(theta)))
     return str(path)
 
 
@@ -488,7 +490,7 @@ def test_build_fan_cap_counts_face_specializations(capsys, tmp_path, theta):
     fan's face work does not: the command stops at the stage that passed
     the cap and says how far it got."""
     path = tmp_path / "theta.json"
-    path.write_text(json.dumps(theta.to_json()))
+    path.write_text(json.dumps(graph_json(theta)))
     argv = ["build-fan", "--graph", str(path), "--mu", "0", "--D0", "8,-8"]
     assert main(["admissible"] + argv[1:] + ["--cap", "500"]) == 0
     capsys.readouterr()

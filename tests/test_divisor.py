@@ -22,6 +22,7 @@ from tropabel.divisor import (
     enumerate_quasistable,
     is_quasistable,
     nondisconnecting_edge_sets,
+    pushforward_vertex_map,
     quasistable_with_edge_set,
 )
 from tropabel.errors import DeskScaleError, ValidationError, WorkCap
@@ -253,7 +254,8 @@ def test_contract_pushforward_matches_fiber_sums_and_former_routes():
     whole base edges and single halves: the face divisor is the fiber sum
     along the returned vertex map, of the same degree, with -1 at every
     surviving exceptional vertex, and it equals the single-half oracle run
-    on each half followed by the whole-edge oracle."""
+    on each half followed by the whole-edge oracle, whose key
+    pushforward_vertex_map reads with no graph built."""
     rng = random.Random(43)
     done = mixed = 0
     while done < 80:
@@ -270,7 +272,8 @@ def test_contract_pushforward_matches_fiber_sums_and_former_routes():
             halves = {
                 e: rng.choice(sub.halves[e]) for e in sorted(pd.eset - whole) if rng.random() < 0.6
             }
-            face, along = contract_pushforward(pd, _whole(pd, whole) | set(halves.values()))
+            zset = _whole(pd, whole) | set(halves.values())
+            face, along = contract_pushforward(pd, zset)
             assert along.source == sub.result and along.target == face.subdivision.result
             for w in along.target.vertex_ids:
                 fiber = [v for v in sub.result.vertex_ids if along(v) == w]
@@ -286,6 +289,7 @@ def test_contract_pushforward_matches_fiber_sums_and_former_routes():
             assert face.base == spec.target
             assert all(along(v) == spec(v) for v in g.vertex_ids)
             assert face.canonical_key() == old.canonical_key()
+            assert pushforward_vertex_map(pd, zset)[3] == old.canonical_key()
             done += 1
             mixed += bool(whole) and bool(halves)
     assert mixed >= 15
@@ -551,7 +555,7 @@ def test_certificates_survive_optimize():
     disagreement of the two quasistability routes, a pushforward leaving the
     poset, an admissible pair produced twice, divisors on different graphs, a flow divisor of nonzero degree,
     a non-unimodular integer inverse, contraction Betti numbers breaking the
-    partition identity, and a dependent cycle basis."""
+    partition identity, and a cycle basis without a spanning tree."""
     script = textwrap.dedent(
         """
 
@@ -580,11 +584,11 @@ def test_certificates_survive_optimize():
         routes.reduced = Accepts()
         attempt("routes", lambda: routes.accepts({"v0": 2, "v1": -2}))
 
-        stray = PseudoDivisor.of(g, set(), {"v0": 9, "v1": -9})
-        real = divisor.contract_pushforward
-        divisor.contract_pushforward = lambda pd, zset, subdivision=None: (stray, None)
+        stray = ((), (("v0", 9), ("v1", -9)))
+        real = divisor.pushforward_vertex_map
+        divisor.pushforward_vertex_map = lambda pd, zset: (*real(pd, zset)[:3], stray)
         attempt("pushforward", lambda: divisor.enumerate_quasistable(g, "v0", mu))
-        divisor.contract_pushforward = real
+        divisor.pushforward_vertex_map = real
 
         real_flows = flow.acyclic_flows
 
@@ -615,8 +619,10 @@ def test_certificates_survive_optimize():
 
         attempt("int_inverse", lambda: linalg._int_inverse([[2]]))
 
-        graph.rank = lambda rows: 0
-        attempt("cycle_basis", lambda: graph.cycle_basis(g))
+        attempt(
+            "cycle_basis",
+            lambda: graph._check_cycles(graph.CycleBasis(g, frozenset(), graph.cycle_basis(g).cycles)),
+        )
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -632,7 +638,7 @@ def test_certificates_survive_optimize():
         "sub rejected: divisors live on different graphs",
         "div_flow rejected: divisor of a flow has nonzero degree",
         "int_inverse rejected: matrix is not unimodular",
-        "cycle_basis rejected: fundamental cycles are linearly dependent",
+        "cycle_basis rejected: the cycles are not one per non-tree edge",
     ]
 
 

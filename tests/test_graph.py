@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from tropabel.errors import ValidationError
 from tropabel.graph import (
+    CycleBasis,
     Graph,
+    _check_cycles,
     build_graph,
     compose,
     contract,
@@ -15,7 +22,15 @@ from tropabel.graph import (
 )
 from tropabel.linalg import rank
 
-from conftest import random_connected_graph
+from conftest import graph_json, random_connected_graph
+
+
+def cycle_rows(basis):
+    """The cycles of a basis as rows over the graph's edges."""
+    return [
+        tuple(basis.cycle_map[e].get(f, 0) for f in basis.graph.edge_ids)
+        for e, _ in basis.cycles
+    ]
 
 
 def test_build_theta(theta):
@@ -244,12 +259,67 @@ def test_cycle_basis_avoid_disconnecting_raises(theta):
         cycle_basis(theta, avoid=set(theta.edge_ids))
 
 
+def _corrupted_bases(theta):
+    """Theta's basis (tree e0, cycles e1 - e0 and e2 - e0) with e2's cycle
+    replaced: by e2 - e1, a cycle sharing e1 with e1's own (still
+    independent, so a rank check passes it), and by e2 + e0, whose tree
+    path runs the wrong way."""
+    basis = cycle_basis(theta)
+    assert basis.cycles == (("e1", (("e0", -1), ("e1", 1))), ("e2", (("e0", -1), ("e2", 1))))
+    own = basis.cycles[0]
+    return [
+        (CycleBasis(theta, basis.spanning_tree, (own, ("e2", (("e1", -1), ("e2", 1))))), "identity"),
+        (CycleBasis(theta, basis.spanning_tree, (own, ("e2", (("e0", 1), ("e2", 1))))), "boundary"),
+    ]
+
+
+def test_cycle_certificate_rejects_corrupted_bases(theta):
+    _check_cycles(cycle_basis(theta))
+    for basis, reason in _corrupted_bases(theta):
+        assert rank(cycle_rows(basis)) == 2
+        with pytest.raises(AssertionError, match=reason):
+            _check_cycles(basis)
+
+
+def test_cycle_certificate_rejects_corrupted_bases_under_optimize():
+    """The certificate is explicit raises, so `python -O`, which strips
+    assert statements, still rejects both corrupted bases."""
+    script = textwrap.dedent(
+        """
+        from tropabel.graph import CycleBasis, _check_cycles, cycle_basis
+        from tropabel.worked import theta_graph
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        theta = theta_graph()
+        tree = cycle_basis(theta).spanning_tree
+        own = ("e1", (("e0", -1), ("e1", 1)))
+        for other in ((("e1", -1), ("e2", 1)), (("e0", 1), ("e2", 1))):
+            try:
+                _check_cycles(CycleBasis(theta, tree, (own, ("e2", other))))
+            except AssertionError as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: a fundamental cycle leaves the identity block",
+        "rejected: a fundamental cycle has a nonzero boundary",
+    ]
+
+
 def test_cycles_lie_in_kernel_of_incidence():
     rng = random.Random(23)
     for _ in range(30):
         g = random_connected_graph(rng, max_edges=7)
         cb = cycle_basis(g)
-        rows = cb.as_rows()
+        rows = cycle_rows(cb)
         for row in rows:
             # the signed incidence of each edge runs from its smaller end to
             # its larger one (a loop's is zero); the cycle's sum must vanish
@@ -378,4 +448,4 @@ def test_soft_cap_warning():
 
 
 def test_json_roundtrip(theta):
-    assert build_graph(theta.to_json()) == theta
+    assert build_graph(graph_json(theta)) == theta

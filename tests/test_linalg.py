@@ -235,37 +235,53 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_every_library_function_has_a_library_caller():
-    """No test-only code in the library: each function and method of
-    src/tropabel is referenced (as a name or an attribute) somewhere in
-    src/ outside its own body and __init__.py, or is exported from
-    __init__.py, or is named in perfbench/, whose tracer and workloads
-    reach the library by name.  Dunder methods are exempt."""
+    """No test-only code in the library.  Each function of src/tropabel is
+    referenced (as a name or an attribute) somewhere in src/ outside its
+    own body and __init__.py, or is exported from __init__.py, or is named
+    in perfbench/, whose tracer and workloads reach the library by name.
+    A method counts as used only through an attribute reference (.name) in
+    src/ outside its own body, or in perfbench/: a local variable of the
+    same name is no caller.  Dunder methods are exempt."""
     init = ast.parse((SRC / "__init__.py").read_text())
     allowed = {a.asname or a.name for n in ast.walk(init) if isinstance(n, ast.ImportFrom) for a in n.names}
+    bench_attrs = set()
     for path in (SRC.parents[1] / "perfbench").glob("*.py"):
         allowed |= set(re.findall(r"\w+", path.read_text()))
+        bench_attrs |= {n.attr for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute)}
     defs, refs = [], []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        members = list(tree.body)
-        members += [m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body]
-        defs += [(path.name, n) for n in members if isinstance(n, ast.FunctionDef)]
+        defs += [(path.name, n, False) for n in tree.body if isinstance(n, ast.FunctionDef)]
+        defs += [
+            (path.name, m, True)
+            for n in tree.body
+            if isinstance(n, ast.ClassDef)
+            for m in n.body
+            if isinstance(m, ast.FunctionDef)
+        ]
         refs += [
-            (path.name, getattr(n, "id", None) or n.attr, n.lineno)
+            (path.name, getattr(n, "id", None) or n.attr, n.lineno, isinstance(n, ast.Attribute))
             for n in ast.walk(tree)
             if isinstance(n, (ast.Name, ast.Attribute))
         ]
+
+    def referenced(name, fn, method):
+        if method and fn.name in bench_attrs or not method and fn.name in allowed:
+            return True
+        return any(
+            ref == fn.name
+            and (attr or not method)
+            and not (where == name and fn.lineno <= line <= fn.end_lineno)
+            for where, ref, line, attr in refs
+        )
+
     unused = [
         f"{name}:{fn.lineno} {fn.name}"
-        for name, fn in defs
+        for name, fn, method in defs
         if not (fn.name.startswith("__") and fn.name.endswith("__"))
-        and fn.name not in allowed
-        and not any(
-            ref == fn.name and not (where == name and fn.lineno <= line <= fn.end_lineno)
-            for where, ref, line in refs
-        )
+        and not referenced(name, fn, method)
     ]
     assert unused == []
 

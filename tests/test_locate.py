@@ -51,10 +51,10 @@ from split_oracle import split_cone, split_rays
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def pair_scan_locate(g, v0, pol, d0, point, reverse=False, check_unique=False):
+def pair_scan_locate(g, v0, pol, d0, point, check_unique=False):
     """The route the lattice solve replaced: enumerate every admissible pair
-    of the (contracted) graph, in canonical order or reversed, and keep the
-    one whose rows hold the point; with check_unique, scan them all."""
+    of the (contracted) graph, in canonical order, and keep the one whose
+    rows hold the point; with check_unique, scan them all."""
     point = {e: point[e] for e in g.edge_ids}
     zeros = frozenset(e for e, x in point.items() if x == 0)
     live_g = g
@@ -67,7 +67,7 @@ def pair_scan_locate(g, v0, pol, d0, point, reverse=False, check_unique=False):
     pairs = enumerate_admissible(live_g, v0, pol, d0)
     bases = {}
     hit = None
-    for pair in reversed(pairs) if reverse else pairs:
+    for pair in pairs:
         if pair.eset not in bases:
             bases[pair.eset] = cycle_basis(live_g, avoid=pair.eset)
         rows = pair_rows(pair, bases[pair.eset])
@@ -172,16 +172,13 @@ def _points(rng, g, n_positive, n_with_zeros):
 
 def test_locate_matches_exhaustive_scan(instances):
     """Both exhaustive routes agree with the lattice solve.  Every call
-    checks uniqueness; every other call takes the quasistable
-    pseudo-divisors in reverse."""
+    checks uniqueness."""
     rng = random.Random(2026)
     calls = 0
     for inst in instances:
         for i, point in enumerate(_points(rng, inst.g, *inst.shape)):
             hit, split = inst.oracle(point)
-            cone, got = locate_point(
-                inst.g, inst.v0, inst.mu, inst.d0, point, check_unique=True, reverse=i % 2 == 1
-            )
+            cone, got = locate_point(inst.g, inst.v0, inst.mu, inst.d0, point, check_unique=True)
             assert cone.key() == hit.key()
             assert cone.cone.rays == hit.cone.rays
             pair = cone.provenance
@@ -293,8 +290,8 @@ def test_locate_matches_pair_scan_on_theta(k, n_points):
     ]
     if n_points > 1:
         points[-1][rng.choice(g.edge_ids)] = 0
-    for i, point in enumerate(points):
-        got = locate_point(g, v0, mu, d0, point, check_unique=True, reverse=i % 2 == 1)
+    for point in points:
+        got = locate_point(g, v0, mu, d0, point, check_unique=True)
         assert got == pair_scan_locate(g, v0, mu, d0, point), point
 
 
@@ -305,20 +302,20 @@ def test_locate_matches_pair_scan_on_seeded_instances():
     zeros = 0
     for n in range(120):
         g, v0, mu, d0 = random_instance(rng, max_edges=6)
-        for j in range(2):
+        for _ in range(2):
             point = {
                 e: 0 if rng.random() < 0.2 else Fraction(rng.randint(1, 12), rng.randint(1, 3))
                 for e in g.edge_ids
             }
             zeros += 0 in point.values()
-            got = locate_point(g, v0, mu, d0, point, check_unique=True, reverse=j == 1)
+            got = locate_point(g, v0, mu, d0, point, check_unique=True)
             assert got == pair_scan_locate(g, v0, mu, d0, point, check_unique=True), (n, point)
     assert zeros > 60
 
 
 def test_lazy_walk_matches_pair_scan_in_every_mode():
-    """The walk from the largest edge set down, its reverse and the full
-    walk of check_unique all find the pair-scan oracle's cone and split, on
+    """The walk from the largest edge set down and the full walk of
+    check_unique both find the pair-scan oracle's cone and split, on
     parallel-edge graphs, the `abel` cycle-with-pendant shape and seeded
     random graphs, at positive points and points with zero coordinates."""
     rng = random.Random(1102)
@@ -337,7 +334,7 @@ def test_lazy_walk_matches_pair_scan_in_every_mode():
                 point.update((e, 0) for e in g.edge_ids if rng.random() < 0.4)
             zeros += 0 in point.values()
             want = pair_scan_locate(g, v0, mu, d0, point, check_unique=True)
-            for mode in ({}, {"reverse": True}, {"check_unique": True}):
+            for mode in ({}, {"check_unique": True}):
                 assert locate_point(g, v0, mu, d0, point, **mode) == want, (g, point, mode)
     assert zeros > 15
 
@@ -395,7 +392,7 @@ def test_lattice_work_is_bounded_by_the_lengths(point):
     tested = {}
     for k in (2, 8, 64):
         g, v0, mu, d0 = parallel_instance(3, k, 0)
-        tested[k] = _locate(g, v0, mu, d0, point, False, True, 1 << 20)[3]["lattice points"]
+        tested[k] = _locate(g, v0, mu, d0, point, True, 1 << 20)[3]["lattice points"]
     bound, _ = _lattice_bound(g, v0, mu, point)
     assert bound < 20
     assert all(0 < n <= bound for n in tested.values()), (tested, bound)
@@ -421,7 +418,7 @@ def test_lattice_work_bound_counts_every_candidate_on_a_5_cycle():
         {"e0": 10, "e1": 5, "e2": 9, "e3": 12, "e4": 10, "e5": 3},
     ):
         bound, quasistable = _lattice_bound(g, v0, mu, point)
-        tested = _locate(g, v0, mu, d0, point, False, True, 1 << 20)[3]["lattice points"]
+        tested = _locate(g, v0, mu, d0, point, True, 1 << 20)[3]["lattice points"]
         assert quasistable < tested <= bound, (quasistable, tested, bound)
 
 
@@ -460,8 +457,8 @@ def test_check_unique_tests_every_candidate_and_rejects_a_second_hit(monkeypatch
 def test_lattice_first_walk_matches_quasistable_first_oracle():
     """The walk that solves the lattice first and cut-tests only the hits
     finds the same (pair, rows, split) and counts the same candidate checks
-    as the quasistable-first oracle, in the default, reverse and
-    check_unique modes: on seeded random graphs and on 5-cycles with
+    as the quasistable-first oracle, in the default and check_unique
+    modes: on seeded random graphs and on 5-cycles with
     half-odd mu, whose candidates are mostly not quasistable, at positive
     points and points with zero coordinates."""
     rng = random.Random(1414)
@@ -474,11 +471,11 @@ def test_lattice_first_walk_matches_quasistable_first_oracle():
             if j == 2:
                 point.update((e, 0) for e in g.edge_ids if rng.random() < 0.4)
             zeros += 0 in point.values()
-            for reverse, check_unique in ((False, False), (True, False), (False, True)):
-                args = (g, v0, mu, d0, point, reverse, check_unique, 1 << 20)
+            for check_unique in (False, True):
+                args = (g, v0, mu, d0, point, check_unique, 1 << 20)
                 *got, work = _locate(*args)
                 *want, oracle_work = oracle_locate(*args)
-                assert got == want, (g, point, reverse, check_unique)
+                assert got == want, (g, point, check_unique)
                 assert work["candidate checks"] == oracle_work["candidate checks"]
                 assert work["lattice points"] >= oracle_work["lattice points"]
                 extra_points += work["lattice points"] > oracle_work["lattice points"]
@@ -512,11 +509,41 @@ def test_cut_tests_run_once_per_candidate_with_a_lattice_hit(monkeypatch):
     for check_unique in (False, True):
         verdicts.clear()
         hit_candidates.clear()
-        pair, _, split, work = _locate(g, v0, mu, d0, point, False, check_unique, 1 << 20)
+        pair, _, split, work = _locate(g, v0, mu, d0, point, check_unique, 1 << 20)
         assert len(verdicts) == len(hit_candidates) < work["candidate checks"]
         assert verdicts.count(True) == 1 and False in verdicts
         cone, want = pair_scan_locate(g, v0, mu, d0, point)
         assert (pair, split) == (cone.provenance, want)
+
+
+def test_locate_charges_only_the_candidates_it_solves(monkeypatch):
+    """The walk's candidate checks are the candidates whose lattice it
+    solves, one _EdgeSetSolve.flows call each, in the default walk and with
+    check_unique: on theta (8,-8) at (2, 5, 16) and at seeded points, and
+    on the `abel`-shaped 5-cycles, some points with zero coordinates."""
+    solved = []
+    genuine = _EdgeSetSolve.flows
+
+    def counted(self, target):
+        solved.append(target)
+        yield from genuine(self, target)
+
+    monkeypatch.setattr(_EdgeSetSolve, "flows", counted)
+    rng = random.Random(1605)
+    theta = parallel_instance(3, 8, 0)
+    cases = [(*theta, {"e0": 2, "e1": 5, "e2": 16})]
+    cases += [(*theta, {e: rng.randint(0, 20) for e in theta[0].edge_ids}) for _ in range(12)]
+    cases.append((*_pendant_case(), {"e0": 4, "e1": 9, "e2": 3, "e3": 5, "e4": 3, "e5": 2}))
+    for _ in range(6):
+        g, v0, mu, d0 = pendant_cycle_instance(rng)
+        point = {e: Fraction(rng.randint(0, 12), rng.randint(1, 3)) for e in g.edge_ids}
+        cases.append((g, v0, mu, d0, point))
+    assert sum(0 in point.values() for *_, point in cases) == 4
+    for *instance, point in cases:
+        for check_unique in (False, True):
+            solved.clear()
+            work = _locate(*instance, point, check_unique, 1 << 20)[3]
+            assert len(solved) == work["candidate checks"] > 0, (point, check_unique)
 
 
 def test_locate_cap_counts_candidate_checks_and_lattice_points():
@@ -527,7 +554,7 @@ def test_locate_cap_counts_candidate_checks_and_lattice_points():
     g, v0, mu, d0 = parallel_instance(3, 8, 0)
     point = {"e0": 3, "e1": 5, "e2": 7}
     for check_unique, checks, points in ((False, 1, 1), (True, 12, 11)):
-        work = _locate(g, v0, mu, d0, point, False, check_unique, 1 << 20)[3]
+        work = _locate(g, v0, mu, d0, point, check_unique, 1 << 20)[3]
         assert work == {"candidate checks": checks, "lattice points": points}
         got = locate_point(g, v0, mu, d0, point, check_unique=check_unique)
         cap = checks + points

@@ -258,33 +258,26 @@ def test_localization_preimage_whole_and_principal(worked_pair):
 
 
 def test_boundary_functionals_worked_values(worked_pair):
-    bf0 = boundary_functionals(worked_pair, "e0")
+    _, ac = node_ring(worked_pair, "e0")
+    bf0 = boundary_functionals(ac, "e0")
     assert bf0.u_prime == (-1, 0, 1)
     assert bf0.u_second == (2, 0, -1)
-    bf1 = boundary_functionals(worked_pair, "e1")
+    bf1 = boundary_functionals(ac, "e1")
     assert bf1.u_prime == (0, -1, 1)
     assert bf1.u_second == (0, 2, -1)
 
 
 def test_boundary_functionals_not_invertible(worked_pair):
     ring, ac = node_ring(worked_pair, "e0")
-    bf = boundary_functionals(worked_pair, "e0")
+    bf = boundary_functionals(ac, "e0")
     for u in (bf.u_prime, bf.u_second):
         assert any(dot(u, r) > 0 for r in ac.cone.rays)
 
 
 def test_boundary_functionals_requires_subdivided_edge(worked_pair):
+    _, ac = node_ring(worked_pair, "e0")
     with pytest.raises(ValidationError, match="not in the subdivided set"):
-        boundary_functionals(worked_pair, "e2")
-
-
-def test_boundary_functionals_rejects_another_pairs_cone(worked_pair, theta):
-    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
-    pairs = enumerate_admissible(theta, "v0", Polarization.zero(theta), d0)
-    other = next(p for p in pairs if p.eset == {"e0"})
-    _, ac = node_ring(other, "e0")
-    with pytest.raises(ValidationError, match="is not merged_cone"):
-        boundary_functionals(worked_pair, "e0", abel_cone=ac)
+        boundary_functionals(ac, "e2")
 
 
 def test_ray_power_intersection_worked(worked_pair):

@@ -21,7 +21,7 @@ from itertools import product
 import pytest
 
 from tropabel import semigroup, worked
-from tropabel.abelfan import build_fan
+from tropabel.abelfan import build_fan, merged_cone
 from tropabel.cone import Cone
 from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import SearchBoundError
@@ -422,12 +422,13 @@ def test_boundary_functionals_match_cycle_derivation(random_instances):
     fan, face pairs on contracted graphs included, and of the pairs of the
     seeded random instances."""
     g, v0, mu, d0 = parallel_instance(3, 4, 0)
-    pairs = [c.provenance for c in build_fan(g, v0, mu, d0).cones]
-    pairs += [p for *_, instance_pairs in random_instances for p in instance_pairs]
+    cones = list(build_fan(g, v0, mu, d0).cones)
+    cones += [merged_cone(p) for *_, instance_pairs in random_instances for p in instance_pairs]
     cases = 0
-    for pair in pairs:
+    for ac in cones:
+        pair = ac.provenance
         for e0 in sorted(pair.eset):
-            bf = boundary_functionals(pair, e0)
+            bf = boundary_functionals(ac, e0)
             got = (bf.upstream_flow, bf.downstream_flow, bf.u_prime, bf.u_second)
             assert got == functionals_by_cycle(pair, e0), (pair.to_json(), e0)
             cases += 1
