@@ -60,7 +60,6 @@ from .semigroup import (
     MonomialRing,
     boundary_functionals,
     intersect_ideals,
-    localization_preimage,
     model_symbolic_power,
     ray_power_intersection,
     symbolic_power_ideal,

@@ -890,8 +890,8 @@ def locate_point(g, v0, pol, d0, point, check_unique=False, cap=1 << 20):
     E's value windows, come in the order of the per-edge-set kernel
     quasistable_with_edge_set, and E's lattice solve (_EdgeSetSolve) is
     built at the first.  The solve yields the flows with divisor D - D0
-    whose cone holds the point.  Only then are D's two cut tests run, once
-    per candidate with a hit; a non-quasistable D's hits are dropped, and
+    whose cone holds the point.  Only then is D's cut test run, once per
+    candidate with a hit; a non-quasistable D's hits are dropped, and
     each hit of a quasistable D is certified against its pair's rows
     (pair_rows).  The walk stops at the first certified hit, or, with
     `check_unique`, tests every candidate and raises on a second hit.
@@ -947,9 +947,9 @@ def _lattice_hits(g, v0, pol, d0, ipoint, work):
 
     Each reached E's window candidates D (QuasistableRoutes.candidates)
     come in the kernel's order, and E's lattice solve is built at the
-    first.  The solve runs first; the cut tests run once per candidate
-    with a lattice hit, and a hit is yielded only when they accept D, so a
-    non-quasistable D's hits are dropped.  `work` is charged for each
+    first.  The solve runs first; the cut test (QuasistableRoutes.accepts)
+    runs once per candidate with a lattice hit, and a hit is yielded only
+    when it accepts D, so a non-quasistable D's hits are dropped.  `work` is charged for each
     candidate and each lattice point tested.
     """
     for eset in reversed(list(nondisconnecting_edge_sets(g))):

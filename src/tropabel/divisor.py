@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import add, sub
 
 from .errors import ValidationError, WorkCap
 from .graph import (
@@ -113,13 +114,6 @@ class Polarization(_VertexValues):
     def degree(self):
         return int(super().degree())
 
-    def removed_edges_shift(self, eset):
-        """The polarization mu_E on the edge-removed graph: mu + val_E/2."""
-        g2 = self.graph.remove_edges(eset)
-        return Polarization.of(
-            g2, {v: self[v] + Fraction(self.graph.valence(v, set(eset)), 2) for v in g2.vertex_ids}
-        )
-
 
 @dataclass(frozen=True)
 class PseudoDivisor:
@@ -149,10 +143,9 @@ class PseudoDivisor:
                 raise ValidationError(f"exceptional vertex {x} must carry -1")
 
     @staticmethod
-    def of(base, eset, values, subdivision=None):
-        eset = frozenset(eset)
-        sub = subdivision if subdivision is not None else subdivide(base, eset)
-        return PseudoDivisor(base, eset, Divisor.of(sub.result, values), sub)
+    def of(base, eset, values):
+        sub = subdivide(base, eset)
+        return PseudoDivisor(base, sub.subdivided_set, Divisor.of(sub.result, values), sub)
 
     def canonical_key(self):
         return (tuple(sorted(self.eset)), self.divisor.values)
@@ -173,15 +166,12 @@ def beta(div, pol, vset):
 
 
 def _max_flow(cap, nbrs, s, t, limit):
-    """Edmonds-Karp on a dense residual matrix, updated in place.
-
-    Stops once the flow reaches `limit` and returns (flow, None); otherwise
-    the flow is maximum and comes back with the vertices reachable from s in
-    the residual network, the source side of a minimum cut.
-    """
+    """Edmonds-Karp on a dense residual matrix, updated in place.  Returns
+    None once the flow reaches `limit`; otherwise the flow is maximum and
+    the vertices reachable from s in the residual network, the source side
+    of a minimum cut, are returned."""
     n = len(cap)
-    total = 0
-    while total < limit:
+    while limit > 0:
         parent = [-1] * n
         parent[s] = s
         queue = [s]
@@ -194,8 +184,8 @@ def _max_flow(cap, nbrs, s, t, limit):
             if parent[t] >= 0:
                 break
         if parent[t] < 0:
-            return total, queue
-        push = limit - total
+            return queue
+        push = limit
         v = t
         while v != s:
             u = parent[v]
@@ -207,8 +197,27 @@ def _max_flow(cap, nbrs, s, t, limit):
             cap[u][v] -= push
             cap[v][u] += push
             v = u
-        total += push
-    return total, None
+        limit -= push
+    return None
+
+
+def _check_flow(cap, res, s, t, limit):
+    """Raise unless `res` is the residual network of an s-t flow on `cap`
+    of value at least `limit`: res >= 0, and the flow cap - res is
+    skew-symmetric, conserved at every vertex but s and t, and its net
+    outflow at s reaches `limit`.  By weak duality no s-t cut of `cap` is
+    then below `limit`."""
+    flow = [list(map(sub, row, left)) for row, left in zip(cap, res)]
+    if min(map(min, res)) < 0:
+        raise AssertionError("a residual capacity is negative")
+    if any(map(any, map(map, repeat(add), flow, zip(*flow)))):  # flow[u][v] + flow[v][u]
+        raise AssertionError("the flow is not skew-symmetric")
+    out = list(map(sum, flow))
+    if out[s] < limit:
+        raise AssertionError("the flow falls short of its limit")
+    out[s] = out[t] = 0
+    if any(out):
+        raise AssertionError("the flow is not conserved")
 
 
 class _CutTester:
@@ -234,16 +243,15 @@ class _CutTester:
         self.scale = math.lcm(*(c.denominator for _, c in pol.values))
         self.root = idx[v0]
         self.twice_mu = [int(2 * self.scale * pol[v]) for v in self.vertices]
+        self.edges = [(idx[a], idx[b]) for _, (a, b) in graph.edges if a != b]
         # vertices 0..n-1, then the source n and the sink n + 1
-        src, snk = n, n + 1
         arcs = [[0] * (n + 2) for _ in range(n + 2)]
-        for _, (a, b) in graph.edges:
-            if a != b:
-                arcs[idx[a]][idx[b]] += self.scale
-                arcs[idx[b]][idx[a]] += self.scale
+        for a, b in self.edges:
+            arcs[a][b] += self.scale
+            arcs[b][a] += self.scale
         self.arcs = arcs
         # residual arcs into the source and out of the sink are never used
-        self.nbrs = [[v for v in range(n) if arcs[u][v]] + [snk] for u in range(n)]
+        self.nbrs = [[v for v in range(n) if arcs[u][v]] + [n + 1] for u in range(n)]
         self.nbrs += [list(range(n)), []]
 
     def _network(self, values):
@@ -269,36 +277,55 @@ class _CutTester:
         flow halts at the strict (first family) or weak (second family)
         bound on f, so a pair whose minimum cut stays below it names a
         violating set: the source side of that cut.
+
+        Both answers are certified by explicit raises: a returned set by f
+        recomputed from the divisor, 2L mu and the edges leaving it, and
+        None by every pinned flow's residual network (_check_flow).
         """
         n = len(self.vertices)
         src, snk = n, n + 1
         cap, offset = self._network(values)
         big = sum(map(sum, cap)) + 1  # beyond any finite cut
         r = self.root
+        flows = []
         for first in (True, False):
             limit = offset + 1 if first else offset
             for other in range(n):
                 if other == r:
                     continue
                 s, t = (r, other) if first else (other, r)
-                res = [row[:] for row in cap]
-                res[src][s] = big
-                res[t][snk] = big
-                _, side = _max_flow(res, self.nbrs, src, snk, limit)
+                pinned = [row[:] for row in cap]
+                pinned[src][s] = pinned[t][snk] = big
+                res = [row[:] for row in pinned]
+                side = _max_flow(res, self.nbrs, src, snk, limit)
                 if side is not None:
-                    return frozenset(self.vertices[i] for i in side if i < n)
+                    return self._checked_violation(values, side)
+                flows.append((pinned, res, limit))
+        for pinned, res, limit in flows:
+            _check_flow(pinned, res, src, snk, limit)
         return None
+
+    def _checked_violation(self, values, side):
+        """The vertices of a cut's source side `side`, once f on them is
+        recomputed and found to violate quasistability."""
+        inside = {i for i in side if i < len(self.vertices)}
+        if not 0 < len(inside) < len(self.vertices):
+            raise AssertionError("the violating set is not a nonempty proper subset")
+        f = sum(2 * self.scale * values[self.vertices[i]] - self.twice_mu[i] for i in inside)
+        f += self.scale * sum((a in inside) != (b in inside) for a, b in self.edges)
+        if f > 0 or (f == 0 and self.root not in inside):
+            raise AssertionError("the violating set does not violate quasistability")
+        return frozenset(self.vertices[i] for i in inside)
 
 
 class QuasistableRoutes:
-    """The candidates and the two quasistability tests of the
-    pseudo-divisors with one edge set E.
+    """The candidates and the quasistability test of the pseudo-divisors
+    with one edge set E.
 
-    The direct route cuts the E-subdivision against the lifted
-    polarization; the reduction route demands E nondisconnecting and cuts
-    G - E against mu_E.  Each route's _CutTester is built at the first
-    accepts, so a walk that tests no candidate of E builds neither; both
-    must agree on every divisor they see.
+    The test is the definition, by a certified minimum-cut search for a
+    violating set on the E-subdivision against the lifted polarization
+    (_CutTester.violation), built at the first accepts: a walk that tests
+    no candidate of E builds none.
     """
 
     def __init__(self, g, eset, v0, pol, sub=None):
@@ -309,13 +336,6 @@ class QuasistableRoutes:
     @cached_property
     def direct(self):
         return _CutTester(self.sub.result, self.lifted, self.v0)
-
-    @cached_property
-    def reduced(self):
-        if not self.g.is_nondisconnecting(self.eset):
-            return None
-        reduced_pol = self.pol.removed_edges_shift(self.eset)
-        return _CutTester(reduced_pol.graph, reduced_pol, self.v0)
 
     def candidates(self, work):
         """The divisors (vertex -> int) on the E-subdivision of degree
@@ -338,24 +358,18 @@ class QuasistableRoutes:
 
     def accepts(self, values):
         """Quasistability of the divisor `values` on the subdivision."""
-        direct = self.direct.violation(values) is None
-        via_removal = self.reduced is not None and self.reduced.violation(values) is None
-        if direct != via_removal:
-            raise AssertionError("quasistability cross-check failed")
-        return direct
+        return self.direct.violation(values) is None
 
     def pseudo_divisor(self, values):
         return PseudoDivisor(self.g, self.eset, Divisor.of(self.sub.result, values), self.sub)
 
 
 def is_quasistable(pd, v0, pol):
-    """Quasistability of a pseudo-divisor, cross-checked two ways.
+    """Quasistability of a pseudo-divisor: beta >= 0 on every proper vertex
+    set of its E-subdivision, and > 0 on those holding v0.
 
-    The direct route minimizes beta over the proper subsets of the
-    subdivision; the reduction route demands E nondisconnecting plus
-    quasistability of the restricted divisor on the edge-removed graph
-    against the shifted polarization.  Each minimum is found by 2(|V| - 1)
-    integer s-t minimum cuts (see _CutTester), and both routes must agree.
+    The minimum of beta is found by 2(|V| - 1) integer s-t minimum cuts on
+    the subdivision, and the answer is certified (see _CutTester).
     """
     if pol.graph != pd.base:
         raise ValidationError("polarization lives on the wrong graph")
@@ -478,11 +492,11 @@ def quasistable_with_edge_set(g, eset, v0, pol, work):
     """The quasistable pseudo-divisors (E, D) of degree deg(mu) with the
     one edge set E, in canonical order, one at a time.
 
-    Only E's subdivision, value windows and cut tests (QuasistableRoutes)
+    Only E's subdivision, value windows and cut test (QuasistableRoutes)
     are built.  Each candidate D of the windows is charged to the WorkCap
-    `work` as one "candidate checks" unit and then goes through both cut
-    tests, which must agree.  Point location walks the same candidates but
-    runs the cut tests only on those whose open cone holds its point.
+    `work` as one "candidate checks" unit and then goes through the
+    certified cut test.  Point location walks the same candidates but runs
+    the cut test only on those whose open cone holds its point.
     """
     routes = QuasistableRoutes(g, eset, v0, pol)
     for vals in routes.candidates(work):
@@ -494,8 +508,8 @@ def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
     """The full poset of quasistable pseudo-divisors of degree deg(mu).
 
     Runs the per-edge-set kernel quasistable_with_edge_set on the
-    nondisconnecting edge sets only (on a disconnecting one the direct cut
-    route rejects every candidate), then links each element to its
+    nondisconnecting edge sets only (on a disconnecting one the cut test
+    rejects every candidate), then links each element to its
     single-edge pushforwards, whose keys are read from the vertex map
     (pushforward_vertex_map) with no graph built.  The candidate checks of
     those edge sets count against `cap`, and DeskScaleError is raised past

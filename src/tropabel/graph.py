@@ -23,8 +23,7 @@ class Graph:
 
     vertices: tuple of (id, weight); edges: tuple of (id, (end, end)) with the
     endpoint pair sorted; legs: tuple of (index, vertex id).  Use build_graph
-    for validated construction; only internal subgraphs (remove_edges) may
-    be disconnected.
+    for validated construction, which also rejects a disconnected graph.
     """
 
     vertices: tuple
@@ -107,14 +106,9 @@ class Graph:
         a, b = self.ends[e]
         return a == b
 
-    def valence(self, v, edge_set=None):
+    def valence(self, v):
         """Number of edge ends at v, loops counting twice."""
-        n = 0
-        for e, (a, b) in self.edges:
-            if edge_set is not None and e not in edge_set:
-                continue
-            n += (a == v) + (b == v)
-        return n
+        return sum((a == v) + (b == v) for _, (a, b) in self.edges)
 
     def delta(self, vset):
         """Number of edges joining vset to its complement (loops excluded)."""
@@ -147,15 +141,6 @@ class Graph:
 
     def is_nondisconnecting(self, edge_set):
         return self.b0(edge_set) == 1
-
-    def remove_edges(self, edge_set):
-        """The (possibly disconnected) subgraph on all vertices minus edge_set."""
-        edge_set = set(edge_set)
-        return Graph(
-            self.vertices,
-            tuple((e, pair) for e, pair in self.edges if e not in edge_set),
-            self.legs,
-        )
 
 
 def build_graph(spec):

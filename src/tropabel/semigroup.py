@@ -323,29 +323,6 @@ def intersect_many(ideals, bound=DEFAULT_SEARCH_BOUND):
     return out
 
 
-def localization_preimage(ring, face_rays, target, bound=DEFAULT_SEARCH_BOUND):
-    """Preimage of the principal ideal (target) under localization at the
-    face spanned by the given extremal rays.
-
-    Membership: the quotient exponent pairs nonnegatively with the face data
-    (for the split ring, against both lifts (r, 0, c_r) and (r, c_r, 0)),
-    that is, m reaches target's valuations at the face rays, in both blocks.
-    Returns (ideal, membership predicate).
-    """
-    if target.ring is not ring and target.ring != ring:
-        raise ValidationError("ring mismatch")
-    cols = [ring.ray_index(r) for r in face_rays]
-    if ring.relation is not None:
-        cols += [len(ring.rays) + i for i in cols]
-    need = [(i, target.w[i]) for i in cols]
-
-    def member(m):
-        return all(m.w[i] >= t for i, t in need)
-
-    gens = _minimal_search(ring.one(), need, bound, "localization preimage")
-    return MonomialIdeal.of(ring, gens), member
-
-
 @dataclass(frozen=True)
 class BoundaryFunctionals:
     """The two dual covectors attached to a subdivided edge of an admissible

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from tropabel.divisor import Divisor, Polarization
+from tropabel.errors import ValidationError
 from tropabel.flow import FlowAssignment
 from tropabel.graph import Graph, build_graph
 from tropabel.linalg import dot, format_rational
+from tropabel.semigroup import DEFAULT_SEARCH_BOUND, MonomialIdeal, _minimal_search
 
 
 @pytest.fixture
@@ -48,6 +51,24 @@ def random_connected_graph(rng, max_edges=5, max_extra_vertices=2, allow_loops=T
         edges.append((f"e{len(edges)}", tuple(sorted((a, b)))))
     vertices = tuple((v, rng.randint(0, max_weight)) for v in vids)
     return Graph(vertices, tuple(edges), ((0, vids[0]),))
+
+
+def remove_edges(g, edge_set):
+    """The (possibly disconnected) subgraph on all vertices minus edge_set."""
+    edge_set = set(edge_set)
+    return Graph(g.vertices, tuple((e, pair) for e, pair in g.edges if e not in edge_set), g.legs)
+
+
+def removed_edges_shift(pol, eset):
+    """The polarization mu_E on the edge-removed graph G - E: mu + val_E/2,
+    val_E(v) counting the ends of E's edges at v, loops twice.  This is the
+    reduction route's polarization: (E, D) is quasistable exactly when E is
+    nondisconnecting and D restricted to G - E is mu_E-quasistable."""
+    g = pol.graph
+    g2 = remove_edges(g, eset)
+    return Polarization.of(
+        g2, {v: pol[v] + Fraction(g.valence(v) - g2.valence(v), 2) for v in g2.vertex_ids}
+    )
 
 
 def contains_interior(cone, point):
@@ -124,8 +145,6 @@ def random_divisor(rng, g, degree=None, spread=3):
 
 
 def random_polarization(rng, g, degree=0):
-    from fractions import Fraction
-
     vals = {v: Fraction(rng.randint(-4, 4), rng.choice([1, 2, 2, 4])) for v in g.vertex_ids}
     first = g.vertex_ids[0]
     vals[first] += degree - sum(vals.values())
@@ -147,8 +166,6 @@ def abel_instances(rng, count):
     """`count` seeded Abel-map instances on graphs of at most 3 edges, each as
     (metric graph, AbelInput, scale factor); draws whose stable model has no
     edges are skipped."""
-    from fractions import Fraction
-
     from tropabel.graph import stable_reduction
     from tropabel.metric import AbelInput, MetricGraph, target_divisor
 
@@ -206,8 +223,6 @@ def pendant_cycle_instance(rng):
     edges = [(f"e{i}", (cycle[i], cycle[(i + 1) % 5])) for i in range(5)]
     edges.append(("e5", ("v3", "w0")))
     g = Graph(tuple((v, 1) for v in cycle) + (("w0", 0),), tuple(edges), ((0, "v0"),)).validate()
-    from fractions import Fraction
-
     vals = {v: Fraction(rng.randint(-2, 2), rng.choice([1, 2])) for v in cycle}
     vals["v0"] -= sum(vals.values())
     a = rng.randint(1, 3)
@@ -233,3 +248,26 @@ def random_instances():
         g, v0, mu, d0 = random_instance(rng)
         out.append((g, v0, mu, d0, enumerate_admissible(g, v0, mu, d0)))
     return out
+
+
+def localization_preimage(ring, face_rays, target, bound=DEFAULT_SEARCH_BOUND):
+    """Preimage of the principal ideal (target) under localization at the
+    face spanned by the given extremal rays.
+
+    Membership: the quotient exponent pairs nonnegatively with the face data
+    (for the split ring, against both lifts (r, 0, c_r) and (r, c_r, 0)),
+    that is, m reaches target's valuations at the face rays, in both blocks.
+    Returns (ideal, membership predicate).
+    """
+    if target.ring is not ring and target.ring != ring:
+        raise ValidationError("ring mismatch")
+    cols = [ring.ray_index(r) for r in face_rays]
+    if ring.relation is not None:
+        cols += [len(ring.rays) + i for i in cols]
+    need = [(i, target.w[i]) for i in cols]
+
+    def member(m):
+        return all(m.w[i] >= t for i, t in need)
+
+    gens = _minimal_search(ring.one(), need, bound, "localization preimage")
+    return MonomialIdeal.of(ring, gens), member

@@ -13,6 +13,8 @@ from tropabel.errors import ValidationError
 from tropabel.flow import AdmissiblePair, FlowAssignment, is_acyclic_flow
 from tropabel.graph import subdivide
 
+from conftest import remove_edges
+
 
 def _digraph_is_acyclic(graph, orient):
     arcs = {}
@@ -151,7 +153,7 @@ def _flows_on_orientations(graph, orients, target, found, wrap):
     """Add to `found` every acyclic flow with divisor `target` that one of
     `orients` carries, keyed by wrap(flow).canonical_key()."""
     loops = {e for e in graph.edge_ids if graph.is_loop(e)}
-    loopfree = graph.remove_edges(loops)
+    loopfree = remove_edges(graph, loops)
     loopfree_target = Divisor(loopfree, target.values)
     for orient in orients:
         # positive demand needs an incoming edge, negative an outgoing one

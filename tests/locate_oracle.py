@@ -2,7 +2,7 @@
 lattice-first walk in abelfan._lattice_hits.
 
 Each reached edge set E's quasistable pseudo-divisors come from the
-per-edge-set kernel quasistable_with_edge_set, which runs both cut tests on
+per-edge-set kernel quasistable_with_edge_set, which runs the cut test on
 every window candidate; only then is each quasistable D's lattice solved.
 The walk order, the charging of candidate checks and the certificates are
 those of the library's walk, so the two find the same hits in the same

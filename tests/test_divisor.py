@@ -36,6 +36,7 @@ from conftest import (
     random_connected_graph,
     random_instance,
     random_polarization,
+    removed_edges_shift,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,7 +102,9 @@ def test_pseudo_divisors_share_one_subdivision_per_edge_set(theta):
     assert len(shared) == 7
     other = subdivide(theta, {"e0"})
     with pytest.raises(ValidationError, match="not the E-subdivision"):
-        PseudoDivisor.of(theta, {"e1"}, {"v0": 1, "v1": 0, "x:e0": -1}, other)
+        PseudoDivisor(
+            theta, frozenset({"e1"}), Divisor.of(other.result, {"v0": 1, "v1": 0, "x:e0": -1}), other
+        )
 
 
 def test_quasistable_figure_top(theta):
@@ -246,7 +249,7 @@ def whole_pushforward_oracle(spec, pd):
                 vals[spec(pd.base.ends[e][0])] += pd.divisor[v]
             else:
                 vals[v] += pd.divisor[v]
-    return PseudoDivisor.of(spec.target, new_e, vals, newsub)
+    return PseudoDivisor(spec.target, new_e, Divisor.of(newsub.result, vals), newsub)
 
 
 def test_contract_pushforward_matches_fiber_sums_and_former_routes():
@@ -485,8 +488,10 @@ def _polarization_over(rng, g, degree, den):
 def test_cut_tester_matches_subset_oracle_on_both_routes():
     """Seeded graphs with loops, parallel edges and single vertices, every
     edge set E (disconnecting ones included), D at both ends of each window
-    and one step outside it: each route's cut tester agrees with the subset
-    loop, and the routes together agree with is_quasistable's definition."""
+    and one step outside it: the library's cut tester on the E-subdivision
+    and the reduction route's on G - E against mu_E (rebuilt from the test
+    helpers removed_edges_shift and remove_edges) each agree with the subset
+    loop, with each other and with accepts."""
     rng = random.Random(4242)
     seen = {"loop": 0, "parallel": 0, "single": 0, "disconnecting": 0, "kept": 0, "scale": set()}
     for i in range(60):
@@ -507,7 +512,7 @@ def test_cut_tester_matches_subset_oracle_on_both_routes():
             }
             disconnecting = not g.is_nondisconnecting(eset)
             seen["disconnecting"] += disconnecting
-            reduced_pol = pol.removed_edges_shift(eset)
+            reduced_pol = removed_edges_shift(pol, eset)
             reduced_tester = _CutTester(reduced_pol.graph, reduced_pol, v0)
             for _ in range(3):
                 vals = {v: rng.choice(ends[v]) for v in g.vertex_ids}
@@ -524,7 +529,7 @@ def test_cut_tester_matches_subset_oracle_on_both_routes():
                 via_removal = via_removal and not disconnecting
                 assert direct == via_removal
                 assert routes.accepts(vals) == direct
-                assert (routes.reduced is None) == disconnecting
+                assert (reduced_pol.graph.b0() != 1) == disconnecting
                 seen["kept"] += direct
     assert seen["loop"] and seen["parallel"] and seen["single"]
     assert seen["disconnecting"] and seen["kept"]
@@ -551,11 +556,12 @@ def test_cut_tester_zero_beta_ties():
 
 def test_certificates_survive_optimize():
     """The certificates on the enumeration path are explicit raises, so
-    `python -O`, which strips assert statements, still trips them: a forced
-    disagreement of the two quasistability routes, a pushforward leaving the
-    poset, an admissible pair produced twice, divisors on different graphs, a flow divisor of nonzero degree,
-    a non-unimodular integer inverse, contraction Betti numbers breaking the
-    partition identity, and a cycle basis without a spanning tree."""
+    `python -O`, which strips assert statements, still trips them: a cut
+    side that violates nothing, a flow that breaks conservation and one
+    that falls short of its limit (the real flow accepts), a pushforward
+    leaving the poset, an admissible pair produced twice, divisors on
+    different graphs, a flow divisor of nonzero degree, a non-unimodular
+    integer inverse and a cycle basis without a spanning tree."""
     script = textwrap.dedent(
         """
 
@@ -576,13 +582,25 @@ def test_certificates_survive_optimize():
             else:
                 print(label, "accepted")
 
-        class Accepts:
-            def violation(self, values):
-                return None
-
+        # (1, -1) is quasistable: beta({v0}) = 5/2 and beta({v1}) = 1/2
         routes = divisor.QuasistableRoutes(g, frozenset(), "v0", mu)
-        routes.reduced = Accepts()
-        attempt("routes", lambda: routes.accepts({"v0": 2, "v1": -2}))
+        real_flow = divisor._max_flow
+        divisor._max_flow = lambda cap, nbrs, s, t, limit: [s, 0]
+        attempt("cut_side", lambda: routes.accepts({"v0": 1, "v1": -1}))
+
+        def leaky(cap, nbrs, s, t, limit):
+            side = real_flow(cap, nbrs, s, t, limit)
+            v = max(nbrs[s], key=cap[s].__getitem__)
+            cap[s][v] -= 1
+            cap[v][s] += 1
+            return side
+
+        divisor._max_flow = leaky
+        attempt("leaky_flow", lambda: routes.accepts({"v0": 1, "v1": -1}))
+        divisor._max_flow = lambda cap, nbrs, s, t, limit: None
+        attempt("no_flow", lambda: routes.accepts({"v0": 1, "v1": -1}))
+        divisor._max_flow = real_flow
+        print("real_flow accepts:", routes.accepts({"v0": 1, "v1": -1}))
 
         stray = ((), (("v0", 9), ("v1", -9)))
         real = divisor.pushforward_vertex_map
@@ -631,7 +649,10 @@ def test_certificates_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "routes rejected: quasistability cross-check failed",
+        "cut_side rejected: the violating set does not violate quasistability",
+        "leaky_flow rejected: the flow is not conserved",
+        "no_flow rejected: the flow falls short of its limit",
+        "real_flow accepts: True",
         "pushforward rejected: pushforward left the quasistable poset",
         "pairs rejected: an admissible pair was produced twice",
         "add rejected: divisors live on different graphs",
@@ -721,3 +742,27 @@ def test_direct_route_rejects_every_candidate_on_disconnecting_sets():
                 assert routes.direct.violation(vals) is not None, (g, eset, vals)
                 rejected += 1
     assert rejected > 1000
+
+
+def test_one_cut_network_per_tested_edge_set(monkeypatch):
+    """The poset builds one _CutTester per edge set whose candidates it
+    tests, on that edge set's subdivision, and none for an edge set with no
+    candidate."""
+    built = []
+    real_init = _CutTester.__init__
+
+    def spied(self, graph, pol, v0):
+        built.append(graph)
+        real_init(self, graph, pol, v0)
+
+    monkeypatch.setattr(_CutTester, "__init__", spied)
+    for g, v0, mu in _kernel_instances()[:20]:
+        work = WorkCap("kernel", 1 << 20, "candidate checks")
+        expected = [
+            subdivide(g, eset).result
+            for eset in nondisconnecting_edge_sets(g)
+            if next(QuasistableRoutes(g, eset, v0, mu).candidates(work), None) is not None
+        ]
+        built.clear()
+        enumerate_quasistable(g, v0, mu)
+        assert built == expected

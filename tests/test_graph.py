@@ -218,7 +218,7 @@ def test_graph_stats_theta(theta):
 
 def test_graph_stats_loop_valence():
     g = Graph((("v", 0), ("w", 0)), (("l", ("v", "v")), ("e", ("v", "w"))), ((0, "v"),))
-    assert g.valence("v", {"l", "e"}) == 3  # loop twice, e once
+    assert g.valence("v") == 3  # loop twice, e once
     assert g.delta({"v"}) == 1  # loop does not cross the cut
 
 

@@ -12,7 +12,6 @@ from tropabel.semigroup import (
     boundary_functionals,
     intersect_ideals,
     intersect_many,
-    localization_preimage,
     model_ring,
     model_symbolic_power,
     node_ring,
@@ -20,6 +19,8 @@ from tropabel.semigroup import (
     symbolic_power_ideal,
     symbolic_power_membership,
 )
+
+from conftest import localization_preimage
 
 WORKED_RAYS = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2))
 

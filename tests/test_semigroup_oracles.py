@@ -33,7 +33,6 @@ from tropabel.semigroup import (
     MonomialRing,
     boundary_functionals,
     intersect_ideals,
-    localization_preimage,
     model_ring,
     model_symbolic_power,
     ray_power_intersection,
@@ -42,7 +41,7 @@ from tropabel.semigroup import (
 )
 from tropabel.worked import ideal_report
 
-from conftest import parallel_instance
+from conftest import localization_preimage, parallel_instance
 from functional_oracle import functionals_by_cycle
 
 # ------------------------------------------------------------ the predecessors
