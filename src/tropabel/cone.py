@@ -14,13 +14,15 @@ semigroup_generators.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, product
 
 from .errors import DeskScaleError, ValidationError
 from .linalg import (
     clear_denominators,
+    determinant,
     dot,
+    hnf_transform,
     independent_rows,
     inverse,
     lattice_quotient,
@@ -28,6 +30,7 @@ from .linalg import (
     nullspace,
     primitive,
     rank,
+    vec_add,
     vec_scale,
     vec_sub,
 )
@@ -205,69 +208,112 @@ def _span_dim(rays):
 
 
 def hilbert_basis_pointed(primal_rays, dual_ray_list):
-    """Hilbert basis of {u in Z^n : u(r) >= 0 for all primal rays}.
+    """Hilbert basis of {u in Z^n : u(r) >= 0 for all primal rays}, from
+    the fundamental parallelepipeds of the dual rays (Bruns and Ichim,
+    "Normaliz: algorithms for affine monoids and rational cones",
+    J. Algebra 324, 2010).
 
-    Graded enumeration: w = sum of the primal rays is positive on the dual
-    minus the origin; every basis element lies in the zonotope of the dual
-    rays, so its w-degree is at most W = sum of the dual rays' degrees.
-    All lattice points of the dual cone with degree <= W are enumerated and
-    the irreducible ones kept (no decomposition into two nonzero elements).
+    Candidates.  The dual rays, and for every linearly independent n-subset
+    d_1..d_n of them the nonzero lattice points sum l_i d_i, 0 <= l_i < 1.
+    Every basis element h is among them: by Caratheodory h = sum l_i d_i
+    with l_i >= 0 over some independent n-subset; if some l_i >= 1, then
+    h - d_i = (l_i - 1) d_i + sum of the others is a lattice point of the
+    cone, so h = d_i + (h - d_i) is reducible unless h - d_i = 0, that is
+    unless h is the dual ray d_i itself.
+
+    Listing a parallelepiped.  The subset's rows span a sublattice L of
+    index |det|; linalg.hnf_transform gives an upper-triangular basis of L
+    with positive diagonal h_jj, so the points 0 <= x_j < h_jj are one
+    representative of each coset of L, |det| of them.  The parallelepiped
+    holds exactly one point of each coset: x - sum floor(l_i) d_i, where
+    x = sum l_i d_i is solved through the same Hermite form in integers.
+
+    Reduction.  w = sum of the primal rays is positive on the dual minus
+    the origin, so the candidates are taken in w-degree order and u is
+    reducible iff u - q lies in the cone for some basis element q of
+    smaller degree.  Testing against the basis elements already found is
+    complete by induction on degree: if u = a + b with a, b nonzero monoid
+    elements, a is a sum of basis elements of degree below u's, and any one
+    of them, q, leaves u - q = (a - q) + b in the monoid.
+
+    Certificates, raised explicitly so that they hold under python -O:
+    each subset's number of coset representatives (the product of the HNF
+    diagonal) and of distinct parallelepiped points equals |det|; every
+    basis element pairs >= 0 with every primal ray; and no basis element is
+    the sum of two others.
     """
     n = len(primal_rays[0]) if primal_rays else 0
+    if n == 0:
+        return []
     w = tuple(sum(r[i] for r in primal_rays) for i in range(n))
-    degs = [dot(w, d) for d in dual_ray_list]
-    if any(d <= 0 for d in degs):
+    if any(dot(w, d) <= 0 for d in dual_ray_list):
         raise ValidationError("grading degenerate: dual cone is not pointed")
-    W = sum(degs)
-    lo = [0] * n
-    hi = [0] * n
-    for j in range(n):
-        fracs = [Fraction(d[j], deg) for d, deg in zip(dual_ray_list, degs)]
-        lo[j] = min([0] + [math.floor(f * W) for f in fracs])
-        hi[j] = max([0] + [math.ceil(f * W) for f in fracs])
-
-    def in_dual(u):
-        return all(dot(u, r) >= 0 for r in primal_rays)
-
-    candidates = []
-    point = [0] * n
-
-    def walk(j):
-        if j == n:
-            u = tuple(point)
-            if any(u) and dot(w, u) <= W and in_dual(u):
-                candidates.append(u)
-            return
-        for v in range(lo[j], hi[j] + 1):
-            point[j] = v
-            walk(j + 1)
-        point[j] = 0
-
-    walk(0)
-    candidates.sort(key=lambda u: (dot(w, u), u))
+    candidates = sorted(_hilbert_candidates(dual_ray_list, n), key=lambda u: (dot(w, u), u))
     basis = []
-    members = []
     for u in candidates:
         du = dot(w, u)
         reducible = False
-        for q in members:
+        for q in basis:
             if dot(w, q) >= du:
                 break
             diff = vec_sub(u, q)
-            if in_dual(diff) and any(diff):
+            if all(dot(diff, r) >= 0 for r in primal_rays):
                 reducible = True
                 break
         if not reducible:
             basis.append(u)
-        members.append(u)
+    for u in basis:
+        if any(dot(u, r) < 0 for r in primal_rays):
+            raise AssertionError(f"Hilbert basis element {u} is negative on a primal ray")
     # minimality re-check: no element is the sum of two others
     bset = set(basis)
     for a in basis:
         for b in basis:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in bset:
+            if vec_add(a, b) in bset:
                 raise AssertionError("Hilbert basis not minimal")
     return sorted(basis)
+
+
+def _hilbert_candidates(dual_ray_list, n):
+    """The dual rays and the nonzero points of the fundamental
+    parallelepipeds of their independent n-subsets (see
+    hilbert_basis_pointed), each once."""
+    out = {tuple(d) for d in dual_ray_list}
+    for subset in combinations(dual_ray_list, n):
+        h, u = hnf_transform(subset)
+        if h[-1][-1] == 0:
+            continue  # dependent: the echelon form ends in a zero row
+        index = math.prod(h[j][j] for j in range(n))
+        det = determinant(subset)
+        if index != abs(det):
+            raise AssertionError(f"HNF of {subset} has index {index}, not |det| = {abs(det)}")
+        points = set(_parallelepiped_points(subset, h, u, index))
+        if len(points) != index:
+            raise AssertionError(
+                f"parallelepiped of {subset} holds {len(points)} points, not |det| = {index}"
+            )
+        out |= points
+    out.discard((0,) * n)
+    return out
+
+
+def _parallelepiped_points(subset, h, u, index):
+    """The point of the fundamental parallelepiped of the rows `subset` in
+    each coset of their lattice, from the Hermite form u @ subset = h: one
+    per representative 0 <= x_j < h_jj, moved in by the floors of
+    x @ subset^-1 = (x @ h^-1) @ u, scaled by index = det h to stay integral."""
+    n = len(h)
+    ucols = list(zip(*u))
+    for x in product(*(range(h[j][j]) for j in range(n))):
+        m = []  # index * x @ h^-1 by forward substitution; each division is exact
+        for j in range(n):
+            m.append((index * x[j] - sum(m[i] * h[i][j] for i in range(j))) // h[j][j])
+        point = x
+        for d, col in zip(subset, ucols):
+            k = dot(m, col) // index
+            if k:
+                point = vec_sub(point, vec_scale(k, d))
+        yield point
 
 
 def dual_and_hilbert(cone):

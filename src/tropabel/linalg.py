@@ -13,20 +13,21 @@ divisor, polarization and metric types through one gate, `exact_value`.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import ValidationError
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_scale(c, u):
@@ -273,7 +274,7 @@ def lattice_quotient(basis, n):
     ct = u  # rows of C^T
     t = [tuple(h[i][j] for i in range(s)) for j in range(s)]  # T^T
     tmat = [tuple(t[j][i] for j in range(s)) for i in range(s)]
-    if abs(_det_int(tmat)) != 1:
+    if abs(determinant(tmat)) != 1:
         raise ValueError("lattice is not saturated")
     # absorb T^{-1}: replace the first s columns of C by C[:, :s] @ T^{-1}.
     tinv = _int_inverse(tmat)
@@ -302,7 +303,9 @@ def lattice_quotient(basis, n):
     return proj, lift, pair
 
 
-def _det_int(m):
+def determinant(m):
+    """Determinant of a square matrix by elimination: an int for an integer
+    matrix."""
     n = len(m)
     pivots, sign, product = _eliminate(_to_fraction_rows(m), n)
     if len(pivots) < n:

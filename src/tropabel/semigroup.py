@@ -407,7 +407,7 @@ def symbolic_power_ideal(ring, ray, n, bound=DEFAULT_SEARCH_BOUND):
     return ideal
 
 
-def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
+def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND, node=None):
     """Intersection over the extremal rays of the ray-wise symbolic powers,
     with the closed form verified two-sidedly.
 
@@ -415,9 +415,11 @@ def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
     vanishes on the ray, and the closed form is
     (y)^upstream * (y, chi^u'') ; for an unsubdivided edge every ray carries
     the plain flow exponent and the closed form is (y)^flow(e0).
+    `node` is the (ring, AbelCone) of node_ring(pair, e0) for a caller that
+    holds them already; without it they are built here.
     Returns (intersection ideal, closed-form ideal).
     """
-    ring, ac = node_ring(pair, e0)
+    ring, ac = node_ring(pair, e0) if node is None else node
     rays = ac.cone.rays
     if e0 in pair.eset:
         bf = boundary_functionals(ac, e0)

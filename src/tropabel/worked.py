@@ -128,7 +128,7 @@ def ideal_report():
         "I4": symbolic_power_ideal(ring, r4, 1),
     }
     inter = intersect_many(list(ideals.values()))
-    lhs, rhs = ray_power_intersection(pair, "e0")
+    lhs, rhs = ray_power_intersection(pair, "e0", node=(ring, ac))
     return {
         "dual_rays": sorted([list(r) for r in dual]),
         "dual_monoid_basis": sorted([list(r) for r in hb]),

@@ -192,6 +192,19 @@ def abel_instances(rng, count):
         done += 1
 
 
+def ideal_cases():
+    """The 63 (admissible pair, subdivided edge) cases of theta with
+    D0 = (4, -4) and mu = 0, those of the ideal benchmark."""
+    from tropabel.flow import enumerate_admissible
+    from tropabel.worked import theta_graph
+
+    g = theta_graph()
+    pairs = enumerate_admissible(
+        g, "v0", Polarization.zero(g), Divisor.of(g, {"v0": 4, "v1": -4})
+    )
+    return [(p, e0) for p in pairs for e0 in sorted(p.eset)]
+
+
 def cycle_json(n):
     """The cycle v0 - v1 - ... - v(n-1) - v0 as graph JSON, leg 0 at v0."""
     return {

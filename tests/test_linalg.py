@@ -14,8 +14,9 @@ import pytest
 
 from tropabel.errors import ValidationError
 from tropabel.linalg import (
-    _det_int,
     clear_denominators,
+    determinant,
+    dot,
     exact_value,
     format_rational,
     independent_rows,
@@ -24,6 +25,8 @@ from tropabel.linalg import (
     parse_rational,
     rank,
     solve,
+    vec_add,
+    vec_sub,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tropabel"
@@ -126,7 +129,17 @@ def test_inverse_times_matrix_is_identity_or_singular_raises():
 def test_det_int_matches_cofactor_expansion():
     for m, n in matrices(5, square=True):
         if n <= 4:
-            assert _det_int(m) == cofactor_det(m)
+            assert determinant(m) == cofactor_det(m)
+
+
+def test_vector_kernels_truncate_to_the_shorter_and_stay_exact():
+    half = Fraction(1, 2)
+    assert dot((1, 2, 3), (4, 5)) == 14
+    assert dot((half, 3), (half, half)) == Fraction(7, 4)
+    assert dot((), ()) == 0
+    assert vec_add((1, 2, 3), (10, 20)) == (11, 22)
+    assert vec_sub((half, 1), (1, half, 9)) == (-half, half)
+    assert vec_add((), (1,)) == ()
 
 
 def test_independent_rows_match_the_greedy_definition():

@@ -20,12 +20,10 @@ from itertools import product
 
 import pytest
 
-from tropabel import semigroup, worked
+from tropabel import abelfan, semigroup, worked
 from tropabel.abelfan import build_fan, merged_cone
 from tropabel.cone import Cone
-from tropabel.divisor import Divisor, Polarization
 from tropabel.errors import SearchBoundError
-from tropabel.flow import enumerate_admissible
 from tropabel.linalg import dot, rank, solve, vec_sub
 from tropabel.semigroup import (
     DEFAULT_SEARCH_BOUND,
@@ -41,7 +39,7 @@ from tropabel.semigroup import (
 )
 from tropabel.worked import ideal_report
 
-from conftest import localization_preimage, parallel_instance
+from conftest import ideal_cases, localization_preimage, parallel_instance
 from functional_oracle import functionals_by_cycle
 
 # ------------------------------------------------------------ the predecessors
@@ -311,20 +309,12 @@ def test_closed_form_divides_agrees_with_jloop():
     assert checked == 200 * len(rings)
 
 
-def _theta_cases():
-    g = worked.theta_graph()
-    pairs = enumerate_admissible(
-        g, "v0", Polarization.zero(g), Divisor.of(g, {"v0": 4, "v1": -4})
-    )
-    return [(p, e0) for p in pairs for e0 in sorted(p.eset)]
-
-
 def _keys(ideal):
     return tuple(m.key() for m in ideal.gens)
 
 
 def test_search_agrees_with_bfs_on_theta_and_worked_golden(monkeypatch):
-    cases = _theta_cases()
+    cases = ideal_cases()
     assert len(cases) == 63
     new = [tuple(_keys(i) for i in ray_power_intersection(p, e0)) for p, e0 in cases]
     report = ideal_report()
@@ -335,6 +325,23 @@ def test_search_agrees_with_bfs_on_theta_and_worked_golden(monkeypatch):
     assert new == old
     golden = json.loads(resources.files("tropabel.goldens").joinpath("ideal.json").read_text())
     assert ideal_report() == golden == report
+
+
+def test_ideal_report_builds_the_merged_cone_once(monkeypatch):
+    """The report builds the ring and cone of node_ring once and hands them
+    to ray_power_intersection, with the same golden output."""
+    calls = []
+    build = abelfan.merged_cone
+
+    def spy(pair):
+        calls.append(pair)
+        return build(pair)
+
+    monkeypatch.setattr(abelfan, "merged_cone", spy)
+    report = ideal_report()
+    assert len(calls) == 1
+    golden = json.loads(resources.files("tropabel.goldens").joinpath("ideal.json").read_text())
+    assert report == golden
 
 
 def test_joins_of_generators_on_two_dimensional_rings():
