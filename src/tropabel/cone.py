@@ -5,9 +5,10 @@ A Cone carries an H-representation (integer equality and inequality
 covectors) and its extremal rays (primitive integer vectors).  from_rays
 and from_halfspaces compute the other half by double description; the fan
 cones of admissible pairs are built with rays read from their flows
-(abelfan._cut_rays), and double description is their test oracle.  All
-cones handled here are pointed: they live inside a coordinate orthant
-slice.  Dual cones are only formed for full-dimensional cones;
+(abelfan._cut_rays), and double description is their test oracle.  The
+fan cones are pointed: they live inside a coordinate orthant slice; a cone
+given by rays (from_rays) may contain a line, and then its dual spans a
+proper subspace.  Dual cones are only formed for full-dimensional cones;
 lower-dimensional ones go through the lineality quotient in
 semigroup_generators.
 """
@@ -236,6 +237,10 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
     elements, a is a sum of basis elements of degree below u's, and any one
     of them, q, leaves u - q = (a - q) + b in the monoid.
 
+    Lines.  If the primal cone contains a line, the dual rays span less
+    than R^n and have no independent n-subset; the basis is then taken in
+    the coordinates of the lattice of their span (_hilbert_basis_in_span).
+
     Certificates, raised explicitly so that they hold under python -O:
     each subset's number of coset representatives (the product of the HNF
     diagonal) and of distinct parallelepiped points equals |det|; every
@@ -243,12 +248,15 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
     the sum of two others.
     """
     n = len(primal_rays[0]) if primal_rays else 0
-    if n == 0:
+    if n == 0 or not dual_ray_list:
         return []
     w = tuple(sum(r[i] for r in primal_rays) for i in range(n))
     if any(dot(w, d) <= 0 for d in dual_ray_list):
         raise ValidationError("grading degenerate: dual cone is not pointed")
-    candidates = sorted(_hilbert_candidates(dual_ray_list, n), key=lambda u: (dot(w, u), u))
+    candidates = _hilbert_candidates(dual_ray_list, n)
+    if candidates is None:
+        return _hilbert_basis_in_span(primal_rays, dual_ray_list, n)
+    candidates = sorted(candidates, key=lambda u: (dot(w, u), u))
     basis = []
     for u in candidates:
         du = dot(w, u)
@@ -274,15 +282,36 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
     return sorted(basis)
 
 
+def _hilbert_basis_in_span(primal_rays, dual_ray_list, n):
+    """hilbert_basis_pointed for dual rays spanning a subspace S < R^n.
+
+    The monoid lies in the lattice of the integer points of S.  With a
+    basis B of it (the integer covectors vanishing on S's orthogonal
+    complement, the primal cone's lines), u = c @ B pairs with a primal ray
+    r as c . (B r), so the basis is the lift of the full-dimensional basis
+    of {c in Z^k : c . (B r) >= 0 for every primal ray r}.
+    """
+    lines = nullspace([list(d) for d in dual_ray_list], n)
+    lattice = left_kernel_lattice([list(col) for col in zip(*lines)])
+    k = len(lattice)
+    qrays = {primitive(tuple(dot(b, r) for b in lattice)) for r in primal_rays}
+    qrays = sorted(qrays - {(0,) * k})
+    qbasis = hilbert_basis_pointed(qrays, rays_from_halfspaces(qrays, k))
+    return sorted(tuple(dot(c, col) for col in zip(*lattice)) for c in qbasis)
+
+
 def _hilbert_candidates(dual_ray_list, n):
     """The dual rays and the nonzero points of the fundamental
     parallelepipeds of their independent n-subsets (see
-    hilbert_basis_pointed), each once."""
+    hilbert_basis_pointed), each once; None if no n-subset is independent,
+    that is if the dual rays span less than R^n."""
     out = {tuple(d) for d in dual_ray_list}
+    spanning = False
     for subset in combinations(dual_ray_list, n):
         h, u = hnf_transform(subset)
         if h[-1][-1] == 0:
             continue  # dependent: the echelon form ends in a zero row
+        spanning = True
         index = math.prod(h[j][j] for j in range(n))
         det = determinant(subset)
         if index != abs(det):
@@ -293,6 +322,8 @@ def _hilbert_candidates(dual_ray_list, n):
                 f"parallelepiped of {subset} holds {len(points)} points, not |det| = {index}"
             )
         out |= points
+    if not spanning:
+        return None
     out.discard((0,) * n)
     return out
 

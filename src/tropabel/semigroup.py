@@ -407,19 +407,32 @@ def symbolic_power_ideal(ring, ray, n, bound=DEFAULT_SEARCH_BOUND):
     return ideal
 
 
-def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND, node=None):
+def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
+    """node_power_intersection on the node ring of (pair, e0)."""
+    ring, ac = node_ring(pair, e0)
+    return node_power_intersection(ring, ac, e0, bound=bound)
+
+
+def node_power_intersection(ring, ac, e0, bound=DEFAULT_SEARCH_BOUND):
     """Intersection over the extremal rays of the ray-wise symbolic powers,
-    with the closed form verified two-sidedly.
+    with the closed form verified two-sidedly, on the (ring, AbelCone) that
+    node_ring gives for the cone's pair at e0.
 
     For a subdivided edge the exponents split by which boundary functional
     vanishes on the ray, and the closed form is
     (y)^upstream * (y, chi^u'') ; for an unsubdivided edge every ray carries
     the plain flow exponent and the closed form is (y)^flow(e0).
-    `node` is the (ring, AbelCone) of node_ring(pair, e0) for a caller that
-    holds them already; without it they are built here.
+    The ring must be the cone's ring at e0: its rays are the cone's and its
+    relation is e0's coordinate functional.
     Returns (intersection ideal, closed-form ideal).
     """
-    ring, ac = node_ring(pair, e0) if node is None else node
+    pair = ac.provenance
+    idx = {e: i for i, e in enumerate(pair.base.edge_ids)}
+    if e0 not in idx:
+        raise ValidationError(f"unknown edge {e0!r}")
+    relation = tuple(int(i == idx[e0]) for i in range(len(idx)))
+    if ring.rays != ac.cone.rays or ring.relation != relation:
+        raise ValidationError(f"the ring is not the node ring of the cone at {e0}")
     rays = ac.cone.rays
     if e0 in pair.eset:
         bf = boundary_functionals(ac, e0)

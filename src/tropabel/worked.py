@@ -9,8 +9,8 @@ from .graph import build_graph
 from .semigroup import (
     boundary_functionals,
     intersect_many,
+    node_power_intersection,
     node_ring,
-    ray_power_intersection,
     symbolic_power_ideal,
 )
 
@@ -128,7 +128,7 @@ def ideal_report():
         "I4": symbolic_power_ideal(ring, r4, 1),
     }
     inter = intersect_many(list(ideals.values()))
-    lhs, rhs = ray_power_intersection(pair, "e0", node=(ring, ac))
+    lhs, rhs = node_power_intersection(ring, ac, "e0")
     return {
         "dual_rays": sorted([list(r) for r in dual]),
         "dual_monoid_basis": sorted([list(r) for r in hb]),

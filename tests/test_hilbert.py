@@ -15,7 +15,13 @@ import pytest
 
 from tropabel import cone
 from tropabel.abelfan import merged_cone
-from tropabel.cone import Cone, hilbert_basis_pointed, rays_from_halfspaces, semigroup_generators
+from tropabel.cone import (
+    Cone,
+    dual_and_hilbert,
+    hilbert_basis_pointed,
+    rays_from_halfspaces,
+    semigroup_generators,
+)
 from tropabel.linalg import rank
 
 from conftest import ideal_cases
@@ -70,6 +76,34 @@ def test_parallelepipeds_match_box_walk_on_lower_dimensional_cones(monkeypatch):
     fast = [semigroup_generators(n, rays) for n, rays in cases]
     monkeypatch.setattr(cone, "hilbert_basis_pointed", box_walk_hilbert_basis)
     assert fast == [semigroup_generators(n, rays) for n, rays in cases]
+
+
+def test_parallelepipeds_match_box_walk_on_cones_with_lines():
+    """A primal cone that spans R^n but contains a line has a dual spanning
+    less than R^n, with no independent n-subset of dual rays; the basis is
+    taken in the lattice of the dual's span.  (0, 1, 1) is the example: it
+    lies on neither dual ray (0, 1, 0), (0, 1, 2)."""
+    c = Cone.from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 2, -1), (0, 0, 1)])
+    assert dual_and_hilbert(c) == (((0, 1, 0), (0, 1, 2)), ((0, 1, 0), (0, 1, 1), (0, 1, 2)))
+    rng = random.Random(31)
+    cones = larger = 0
+    while cones < 40:
+        n = rng.randint(2, 4)
+        bound = 2 if n < 4 else 1  # the box walk's cost grows fast with both
+        line = tuple(rng.randint(-bound, bound) for _ in range(n))
+        others = [
+            tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(rng.randint(n - 1, n + 1))
+        ]
+        rays = [line, tuple(-x for x in line)] + others
+        if not any(line) or rank(rays) < n:
+            continue
+        dual = list(cone.dual_rays(n, rays))
+        assert rank(dual) < n
+        basis = hilbert_basis_pointed(rays, dual)
+        assert basis == box_walk_hilbert_basis(rays, dual), (rays, dual)
+        cones += 1
+        larger += len(basis) > len(dual)
+    assert larger > 0
 
 
 def ideal_cones():

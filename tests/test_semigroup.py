@@ -14,6 +14,7 @@ from tropabel.semigroup import (
     intersect_many,
     model_ring,
     model_symbolic_power,
+    node_power_intersection,
     node_ring,
     ray_power_intersection,
     symbolic_power_ideal,
@@ -361,6 +362,26 @@ def test_ray_power_intersection_builds_one_cone(worked_pair, monkeypatch):
     lhs, rhs = ray_power_intersection(worked_pair, "e0")
     assert lhs.equals(rhs)
     assert len(calls) == 1
+
+
+def test_node_power_intersection_rejects_a_ring_of_another_node(worked_pair, theta):
+    """The ring must be node_ring's at e0 for the cone's own pair: a ring
+    tied to another edge, or over another pair's cone, is refused."""
+    ring, ac = node_ring(worked_pair, "e0")
+    assert node_power_intersection(ring, ac, "e0")[0].equals(
+        ray_power_intersection(worked_pair, "e0")[0]
+    )
+    ring1, _ = node_ring(worked_pair, "e1")
+    with pytest.raises(ValidationError, match="not the node ring"):
+        node_power_intersection(ring1, ac, "e0")
+    pairs = enumerate_admissible(
+        theta, "v0", Polarization.zero(theta), Divisor.of(theta, {"v0": 4, "v1": -4})
+    )
+    other = next(p for p in pairs if "e0" in p.eset and node_ring(p, "e0")[0].rays != ring.rays)
+    with pytest.raises(ValidationError, match="not the node ring"):
+        node_power_intersection(node_ring(other, "e0")[0], ac, "e0")
+    with pytest.raises(ValidationError, match="unknown edge"):
+        node_power_intersection(ring, ac, "e9")
 
 
 def test_join_finds_the_generator_four_levels_up():
