@@ -10,7 +10,10 @@ comparison of these vectors (in a normal affine monoid, divisibility is a
 comparison of support forms) and no Groebner machinery is needed.
 Generator lists come from one search over a generating set of the monoid.
 It only takes steps that raise a valuation still short of its threshold, so
-it ends by itself; its level cap only bounds the work.
+it ends by itself; its level cap only bounds the work.  A ray-wise symbolic
+power is one such threshold, and an intersection of symbolic powers is a
+chain of threshold searches, one power at a time, each started from the
+generators found so far.
 """
 
 from dataclasses import dataclass, field
@@ -204,21 +207,8 @@ class MonomialIdeal:
     def of(ring, monomials):
         return MonomialIdeal(ring, _minimalize(tuple(monomials)))
 
-    @staticmethod
-    def whole(ring):
-        return MonomialIdeal.of(ring, (ring.one(),))
-
     def contains(self, m):
         return any(g.divides(m) for g in self.gens)
-
-    def product(self, other):
-        return MonomialIdeal.of(self.ring, (g * h for g in self.gens for h in other.gens))
-
-    def power(self, n):
-        out = MonomialIdeal.whole(self.ring)
-        for _ in range(n):
-            out = out.product(self)
-        return out
 
     def equals(self, other):
         return all(other.contains(g) for g in self.gens) and all(
@@ -316,13 +306,6 @@ def intersect_ideals(ideal_a, ideal_b, bound=DEFAULT_SEARCH_BOUND):
     return result
 
 
-def intersect_many(ideals, bound=DEFAULT_SEARCH_BOUND):
-    out = None
-    for ideal in ideals:
-        out = ideal if out is None else intersect_ideals(out, ideal, bound=bound)
-    return out
-
-
 @dataclass(frozen=True)
 class BoundaryFunctionals:
     """The two dual covectors attached to a subdivided edge of an admissible
@@ -387,24 +370,42 @@ def symbolic_power_membership(ring, ray, n, m):
     return dot(m.u, ray) >= (n - m.b) * c
 
 
+def _symbolic_power_chain(ring, powers, bound):
+    """Generators of the intersection of the n-th symbolic powers at the
+    given (ray, n) pairs: start with gens = [one]; for each (ray, n), gens
+    becomes the minimalized union over g in gens of the threshold search
+    from g (the proof is in node_power_intersection).  `bound` caps each
+    search's word length.  Every generator is checked against every power's
+    symbolic_power_membership by an explicit raise.
+    """
+    nr = len(ring.rays)
+    gens = [ring.one()]
+    for ray, n in powers:
+        k = ring.ray_index(ray)
+        need = [(nr + k, n * ring.relation_values[k])]
+        gens = _minimalize(
+            [m for g in gens for m in _minimal_search(g, need, bound, "symbolic power saturation")]
+        )
+    for g in gens:
+        for ray, n in powers:
+            if not symbolic_power_membership(ring, ray, n, g):
+                raise AssertionError("symbolic power generator fails the membership rule")
+    return MonomialIdeal(ring, tuple(gens))
+
+
 def symbolic_power_ideal(ring, ray, n, bound=DEFAULT_SEARCH_BOUND):
     """Generator list of the n-th symbolic power at an extremal ray.
 
     A monomial belongs iff u(ray) + b * relation(ray) >= n * relation(ray),
-    which is its second-block valuation at the ray reaching n * c.
+    which is its second-block valuation at the ray reaching n * c: the
+    one-power case of node_power_intersection's chain, one threshold search
+    from one.  `bound` caps the search's word length.
     """
     if ring.relation is None:
         raise ValidationError("symbolic powers live in the split-pair ring")
     if n < 0:
         raise ValidationError(f"a symbolic power needs an exponent n >= 0, got {n}")
-    k = ring.ray_index(ray)
-    need = [(len(ring.rays) + k, n * ring.relation_values[k])]
-    gens = _minimal_search(ring.one(), need, bound, "symbolic power saturation")
-    ideal = MonomialIdeal.of(ring, gens)
-    for g in ideal.gens:
-        if not symbolic_power_membership(ring, ray, n, g):
-            raise AssertionError("symbolic power generator fails the membership rule")
-    return ideal
+    return _symbolic_power_chain(ring, [(ray, n)], bound)
 
 
 def ray_power_intersection(pair, e0, bound=DEFAULT_SEARCH_BOUND):
@@ -424,6 +425,29 @@ def node_power_intersection(ring, ac, e0, bound=DEFAULT_SEARCH_BOUND):
     the plain flow exponent and the closed form is (y)^flow(e0).
     The ring must be the cone's ring at e0: its rays are the cone's and its
     relation is e0's coordinate functional.
+
+    The intersection is one chain of threshold searches over the powers
+    (_symbolic_power_chain): no power's generator list is built and no
+    pairwise join is searched.  The n-th symbolic power I at the k-th ray is
+    a threshold ideal: it holds every monomial m with m.w[nr + k] >= n * c_k
+    (nr rays, c_k the relation's value at the ray).  Starting from [one],
+    each step replaces the generators of the ideal J found so far by the
+    minimalized union over g in gens(J) of the threshold search from g.
+    This generates J ∩ I: a member of both is g * q for some g, so each
+    minimal one is a minimal member of I above some g, which the search
+    from g returns, and each returned monomial lies in J and in I.
+
+    `bound` caps each search's word length, and the chain raises
+    SearchBoundError only where the search of one power from one, that of
+    symbolic_power_ideal, raises too.  The searches from g and from one
+    extend a short state by the same generators, those raising w[nr + k],
+    and a short state g * q is reached at the same breadth-first level as q
+    is from one.  The states of a shortest path to either are g * p and p
+    for the prefixes p of a word of q, so p divides q; as w >= 0 on every
+    monomial, p is short when g * p is, and g * p is short when g * q is.
+    So a short state at level `bound` above g, where the search from g
+    raises, gives a short q at level `bound` from one, where the search of
+    that power on its own raises.
     Returns (intersection ideal, closed-form ideal).
     """
     pair = ac.provenance
@@ -437,26 +461,23 @@ def node_power_intersection(ring, ac, e0, bound=DEFAULT_SEARCH_BOUND):
     if e0 in pair.eset:
         bf = boundary_functionals(ac, e0)
         n_s, n_t = bf.upstream_flow, bf.downstream_flow
-        pieces = []
+        powers = []
         for r in rays:
             if dot(bf.u_prime, r) == 0 and dot(bf.u_second, r) == 0:
                 continue  # relation vanishes there, the power is the ring
             if dot(bf.u_prime, r) == 0:
                 if n_t > 0:
-                    pieces.append(symbolic_power_ideal(ring, r, n_t, bound=bound))
+                    powers.append((r, n_t))
             elif dot(bf.u_second, r) == 0:
                 if n_s > 0:
-                    pieces.append(symbolic_power_ideal(ring, r, n_s, bound=bound))
-        lhs = intersect_many(pieces, bound=bound) if pieces else MonomialIdeal.whole(ring)
+                    powers.append((r, n_s))
         rhs_gens = [ring.y() ** (n_s + 1), (ring.y() ** n_s) * ring.monomial(bf.u_second)]
-        rhs = MonomialIdeal.of(ring, rhs_gens)
     else:
         n = pair.flow.flow_map[e0]
-        if n == 0:
-            return MonomialIdeal.whole(ring), MonomialIdeal.whole(ring)
-        pieces = [symbolic_power_ideal(ring, r, n, bound=bound) for r in rays]
-        lhs = intersect_many(pieces, bound=bound)
-        rhs = MonomialIdeal.of(ring, (ring.y() ** n,))
+        powers = [(r, n) for r in rays] if n else []
+        rhs_gens = [ring.y() ** n]
+    lhs = _symbolic_power_chain(ring, powers, bound)
+    rhs = MonomialIdeal.of(ring, rhs_gens)
     if not lhs.equals(rhs):
         raise AssertionError("two-sided symbolic-power identity failed")
     return lhs, rhs

@@ -8,7 +8,6 @@ from .flow import enumerate_admissible
 from .graph import build_graph
 from .semigroup import (
     boundary_functionals,
-    intersect_many,
     node_power_intersection,
     node_ring,
     symbolic_power_ideal,
@@ -127,7 +126,6 @@ def ideal_report():
         "I3": symbolic_power_ideal(ring, r3, 1),
         "I4": symbolic_power_ideal(ring, r4, 1),
     }
-    inter = intersect_many(list(ideals.values()))
     lhs, rhs = node_power_intersection(ring, ac, "e0")
     return {
         "dual_rays": sorted([list(r) for r in dual]),
@@ -137,7 +135,7 @@ def ideal_report():
             "e1": {"u_prime": list(bf1.u_prime), "u_second": list(bf1.u_second)},
         },
         "symbolic_powers": {k: sorted(v.format()) for k, v in ideals.items()},
-        "intersection": sorted(inter.format()),
+        "intersection": sorted(lhs.format()),
         "closed_form": sorted(rhs.format()),
         "two_sided_equal": lhs.equals(rhs),
     }

@@ -25,7 +25,6 @@ from tropabel.metric import abel_eval
 from tropabel.semigroup import (
     MonomialIdeal,
     boundary_functionals,
-    intersect_many,
     model_symbolic_power,
     node_ring,
     ray_power_intersection,
@@ -48,6 +47,7 @@ from flow_oracle import (
     bruteforce_acyclic_flows,
     flows_with_divisor,
 )
+from ideal_oracle import intersect_many
 
 
 def _report(number, text):

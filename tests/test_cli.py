@@ -436,6 +436,22 @@ def test_bad_rational_point_exit_code(capsys, theta_file, point):
     assert err == f"error: bad rational {point.split(',')[0]!r}\n"
 
 
+def test_icap_check_answers_where_a_pairwise_join_exceeded_the_bound(capsys, theta_file):
+    """Pair 114 of theta (8,-8) at e1: intersecting the ray-wise powers by
+    pairwise joins stopped at a join search deeper than the bound of 12
+    (exit 2, "desk-scale cap: ideal intersection: search bound 12
+    exceeded"); the chain of threshold searches answers it, and the answer
+    meets the closed form."""
+    code, out, err = _run(
+        capsys,
+        ["icap-check", "--graph", theta_file, "--mu=0,0", "--D0=8,-8", "--pair", "114", "--edge", "e1"],
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["equal"] is True
+    assert data["intersection"] == data["closed_form"] == ["y^2 χ{0,3,-4}", "y^3 χ{0,0,0}"]
+
+
 def test_cap_exit_code(capsys, theta_file):
     code, _, err = _run(
         capsys,

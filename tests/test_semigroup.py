@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +16,6 @@ from tropabel.semigroup import (
     MonomialRing,
     boundary_functionals,
     intersect_ideals,
-    intersect_many,
     model_ring,
     model_symbolic_power,
     node_power_intersection,
@@ -22,6 +26,7 @@ from tropabel.semigroup import (
 )
 
 from conftest import localization_preimage
+from ideal_oracle import intersect_many, whole_ideal
 
 WORKED_RAYS = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2))
 
@@ -217,7 +222,7 @@ def test_intersection_idempotent_and_whole(worked_ring):
     r = worked_ring
     ideal = MonomialIdeal.of(r, (r.y(), r.monomial(Z1)))
     assert intersect_ideals(ideal, ideal).equals(ideal)
-    assert intersect_ideals(ideal, MonomialIdeal.whole(r)).equals(ideal)
+    assert intersect_ideals(ideal, whole_ideal(r)).equals(ideal)
 
 
 def test_intersection_search_bound_error(worked_ring):
@@ -430,3 +435,38 @@ def test_search_stops_at_the_cap_on_a_deep_staircase():
         symbolic_power_ideal(ring, (8, -1), 3, bound=40)
     ideal = symbolic_power_ideal(ring, (8, -1), 3, bound=45)
     assert sorted(ideal.format()) == ["y χ{4,0}", "y^2 χ{2,0}", "y^3 χ{0,0}", "χ{6,0}"]
+
+
+def test_membership_certificate_raises_under_optimize():
+    """The symbolic-power membership certificate is an explicit raise, so
+    `python -O`, which strips assert statements, still rejects a search
+    that returns its start although the start is no member: for one power
+    and for the chain of the worked pair's intersection."""
+    script = textwrap.dedent(
+        """
+        from tropabel import semigroup
+        from tropabel.worked import theta_instance, worked_pair
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        pair = worked_pair(*theta_instance())
+        ring, ac = semigroup.node_ring(pair, "e0")
+        semigroup._minimal_search = lambda start, need, bound, what: [start]
+        for run in (
+            lambda: semigroup.symbolic_power_ideal(ring, (1, 1, 1), 2),
+            lambda: semigroup.node_power_intersection(ring, ac, "e0"),
+        ):
+            try:
+                run()
+            except AssertionError as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: symbolic power generator fails the membership rule\n" * 2

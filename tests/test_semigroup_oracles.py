@@ -4,17 +4,19 @@ enumeration.
 The predecessors are kept here as oracles: the j-loop divisibility test,
 the breadth-first search that stopped two levels past its last new
 minimal generator, the model-ring symbolic power by x-saturation of the
-ordinary power, and the boundary functionals from a fundamental cycle
-(functional_oracle.py).  The exhaustive check lists every lattice point of a
-valuation box {m : w(m) <= B}.  A member m of an upward closed set is
-minimal iff no quotient of m by a ring generator is a member, and the
-box holds each such quotient of its points; a box only gives a lower
-bound, since generators above it go unchecked.
+ordinary power, the boundary functionals from a fundamental cycle
+(functional_oracle.py), and the intersection of the ray-wise symbolic
+powers by pairwise joins (ideal_oracle.py).  The exhaustive check lists
+every lattice point of a valuation box {m : w(m) <= B}.  A member m of an
+upward closed set is minimal iff no quotient of m by a ring generator is
+a member, and the box holds each such quotient of its points; a box only
+gives a lower bound, since generators above it go unchecked.
 """
 
 import json
 import math
 import random
+from fractions import Fraction
 from importlib import resources
 from itertools import product
 
@@ -24,6 +26,7 @@ from tropabel import abelfan, semigroup, worked
 from tropabel.abelfan import build_fan, merged_cone
 from tropabel.cone import Cone
 from tropabel.errors import SearchBoundError
+from tropabel.flow import enumerate_admissible
 from tropabel.linalg import dot, rank, solve, vec_sub
 from tropabel.semigroup import (
     DEFAULT_SEARCH_BOUND,
@@ -33,6 +36,8 @@ from tropabel.semigroup import (
     intersect_ideals,
     model_ring,
     model_symbolic_power,
+    node_power_intersection,
+    node_ring,
     ray_power_intersection,
     symbolic_power_ideal,
     symbolic_power_membership,
@@ -41,6 +46,7 @@ from tropabel.worked import ideal_report
 
 from conftest import ideal_cases, localization_preimage, parallel_instance
 from functional_oracle import functionals_by_cycle
+from ideal_oracle import ideal_power, pairwise_power_intersection
 
 # ------------------------------------------------------------ the predecessors
 
@@ -169,7 +175,7 @@ def saturation_model_symbolic_power(t, m):
     for some k <= m t + t, a cap that is a heuristic, not a proof.
     Candidates are y^b u^s with b <= m + 1 and s <= m t + t."""
     ring = model_ring(t)
-    ordinary = MonomialIdeal.of(ring, (ring.y(), ring.monomial((1,)))).power(m)
+    ordinary = ideal_power(MonomialIdeal.of(ring, (ring.y(), ring.monomial((1,)))), m)
     cap = m * t + t
 
     def member(mono):
@@ -314,22 +320,82 @@ def _keys(ideal):
 
 
 def test_search_agrees_with_bfs_on_theta_and_worked_golden(monkeypatch):
+    """On the 63 ideal cases the chain of threshold searches gives the
+    generators of the replaced route run on its breadth-first twins: each
+    ray-wise power by bfs_symbolic_power_ideal, intersected pairwise by
+    bfs_intersect_ideals.  The worked report, with its four powers from the
+    breadth-first twin, matches its golden."""
     cases = ideal_cases()
     assert len(cases) == 63
-    new = [tuple(_keys(i) for i in ray_power_intersection(p, e0)) for p, e0 in cases]
+    for p, e0 in cases:
+        ring, ac = node_ring(p, e0)
+        new = node_power_intersection(ring, ac, e0)[0]
+        old = pairwise_power_intersection(
+            ring, ac, e0, power=bfs_symbolic_power_ideal, intersect=bfs_intersect_ideals
+        )
+        assert _keys(new) == _keys(old), (p.to_json(), e0)
     report = ideal_report()
-    monkeypatch.setattr(semigroup, "symbolic_power_ideal", bfs_symbolic_power_ideal)
-    monkeypatch.setattr(semigroup, "intersect_ideals", bfs_intersect_ideals)
     monkeypatch.setattr(worked, "symbolic_power_ideal", bfs_symbolic_power_ideal)
-    old = [tuple(_keys(i) for i in ray_power_intersection(p, e0)) for p, e0 in cases]
-    assert new == old
     golden = json.loads(resources.files("tropabel.goldens").joinpath("ideal.json").read_text())
     assert ideal_report() == golden == report
 
 
+@pytest.mark.parametrize(
+    ("k", "m", "cases", "chain_only", "both_raise"),
+    [(4, 0, 165, 0, 0), (6, Fraction(1, 5), 453, 36, 0), (8, 0, 885, 102, 162)],
+)
+def test_chain_agrees_with_pairwise_joins_on_theta(k, m, cases, chain_only, both_raise):
+    """Every (admissible pair, base edge) case of theta with D0 = (k, -k)
+    and mu = (m, -m), subdivided or not: wherever the replaced route (every ray-wise power, then
+    pairwise joins) answers under the default bound, the chain gives the
+    same generator keys.  The chain never raises where it answers, and it
+    answers some cases where a join search exceeds the bound; those pass
+    the two-sided closed-form check inside node_power_intersection."""
+    g, v0, mu, d0 = parallel_instance(3, k, m)
+    counts = {"equal": 0, "chain only": 0, "both raise": 0}
+    for p in enumerate_admissible(g, v0, mu, d0):
+        for e0 in g.edge_ids:
+            ring, ac = node_ring(p, e0)
+            try:
+                new = node_power_intersection(ring, ac, e0)[0]
+            except SearchBoundError:
+                new = None
+            try:
+                old = pairwise_power_intersection(ring, ac, e0)
+            except SearchBoundError:
+                old = None
+            if old is not None:
+                assert new is not None and _keys(new) == _keys(old), (p.to_json(), e0)
+                counts["equal"] += 1
+            else:
+                counts["both raise" if new is None else "chain only"] += 1
+    assert counts == {
+        "equal": cases - chain_only - both_raise,
+        "chain only": chain_only,
+        "both raise": both_raise,
+    }
+
+
+def test_ideal_cases_run_one_threshold_search_per_power_and_generator(monkeypatch):
+    """A pass over the 63 ideal cases runs at most 255 threshold searches,
+    one per (generator found so far, power) step of the chains; building
+    every power's list and then joining the lists pairwise ran 819."""
+    calls = []
+    search = semigroup._minimal_search
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(semigroup, "_minimal_search", spy)
+    for p, e0 in ideal_cases():
+        ray_power_intersection(p, e0)
+    assert len(calls) <= 255
+
+
 def test_ideal_report_builds_the_merged_cone_once(monkeypatch):
     """The report builds the ring and cone of node_ring once and hands them
-    to ray_power_intersection, with the same golden output."""
+    to node_power_intersection, with the same golden output."""
     calls = []
     build = abelfan.merged_cone
 
