@@ -773,9 +773,7 @@ class _EdgeSetSolve:
         on = [i for i, (e, _) in enumerate(self.basis.cycles) if e in sub.subdivided_set]
         off = [i for i, (e, _) in enumerate(self.basis.cycles) if e not in sub.subdivided_set]
         self.on, self.off = on, off
-        qoo_inv = inverse([[q[i][j] for j in off] for i in off])
-        d = math.lcm(1, *(x.denominator for row in qoo_inv for x in row))
-        a = [[int(x * d) for x in row] for row in qoo_inv]
+        a, d = inverse([[q[i][j] for j in off] for i in off])
         # d lam_off = a r_off - db lam_on and d t = ds lam_on + dc
         db = [[dot(row, [q[m][j] for m in off]) for j in on] for row in a]
         ds = [
@@ -794,9 +792,7 @@ class _EdgeSetSolve:
         # lam_on = ds^-1 (d t - dc) with d t in the open box (0, d l); ds^-1
         # is kept as integers over the common denominator m, and so is the
         # spread of ds^-1 (d t) over the box
-        ds_inv = inverse(ds)
-        self.m = math.lcm(1, *(x.denominator for row in ds_inv for x in row))
-        self.ds_inv = [[int(x * self.m) for x in row] for row in ds_inv]
+        self.ds_inv, self.m = inverse(ds)
         self.spread = [
             (
                 sum(min(0, x * dl) for x, dl in zip(row, self.dl)),

@@ -20,7 +20,6 @@ from itertools import combinations, product
 
 from .errors import DeskScaleError, ValidationError
 from .linalg import (
-    clear_denominators,
     determinant,
     dot,
     hnf_transform,
@@ -52,7 +51,7 @@ def rays_from_halfspaces(ineqs, dim):
     base = [rows[i] for i in base_idx]
     rest = [r for i, r in enumerate(rows) if i not in base_idx]
     # simplicial start: rays are the columns of the inverse of the base rows
-    rays = [primitive(clear_denominators(col)[0]) for col in zip(*inverse(base))]
+    rays = [primitive(col) for col in zip(*inverse(base)[0])]
     processed = list(base)
 
     def tight_set(r):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 from operator import add, sub
 
 from .errors import ValidationError, WorkCap
@@ -342,15 +342,14 @@ class QuasistableRoutes:
         deg(mu) + |E| with each base vertex v in its window
         mu(v) +- delta_v/2 and -1 at every exceptional vertex, in the order
         of their values: the windows are walked in the sorted vertex order,
-        values ascending.  Each one is charged to the WorkCap `work` as one
-        "candidate checks" unit before it is yielded."""
+        values ascending, degree first (_tuples_of_sum), so no tuple of
+        another degree is produced.  Each one is charged to the WorkCap
+        `work` as one "candidate checks" unit before it is yielded."""
         base_verts = self.g.vertex_ids
         windows = _value_windows(self.sub, self.lifted, base_verts)
         target_total = self.pol.degree() + len(self.eset)
         exceptional = {x: -1 for x in self.sub.exceptional}
-        for combo in product(*(windows[v] for v in base_verts)):
-            if sum(combo) != target_total:
-                continue
+        for combo in _tuples_of_sum([windows[v] for v in base_verts], target_total):
             work.charge("candidate checks")
             vals = dict(zip(base_verts, combo))
             vals.update(exceptional)
@@ -439,6 +438,60 @@ def contract_pushforward(pd, zset):
     )
     face = PseudoDivisor(target, new_e, pd.divisor.pushforward(along), subdivision)
     return face, along
+
+
+def _tuples_of_sum(windows, total):
+    """The tuples of product(*windows) whose entries sum to total, in the
+    same lexicographic order, walked degree first.
+
+    Each window is a range of consecutive integers, so the sums of windows
+    j.. are exactly the integers from lo[j] to hi[j], the sums of their
+    least and greatest values.  A prefix ending at level j therefore has a
+    completion exactly when the rest of the total, rests[j + 1], lies in
+    [lo[j + 1], hi[j + 1]], and the walk keeps only such prefixes: no
+    tuple of the wrong sum is produced and the work is proportional to the
+    tuples yielded.  It runs as an odometer: each level below the last
+    takes its least completable value, the last takes what is left of the
+    total, and after a yield the deepest level that can still rise (below
+    its window's top and with rests[j + 1] above lo[j + 1]) rises by one
+    and the levels after it start again from their least values.
+    """
+    lo, hi = [0], [0]
+    for w in reversed(windows):
+        if not w:
+            return
+        lo.append(lo[-1] + w[0])
+        hi.append(hi[-1] + w[-1])
+    lo.reverse()
+    hi.reverse()
+    n = len(windows)
+    if total != math.floor(total) or not lo[0] <= total <= hi[0]:
+        return
+    if n == 0:
+        yield ()
+        return
+    first = [w[0] for w in windows]
+    top = [w[-1] for w in windows]
+    vals = [0] * n
+    rests = [int(total)] + [0] * n
+    j = 0
+    while True:
+        for k in range(j, n - 1):
+            v = rests[k] - hi[k + 1]
+            if v < first[k]:
+                v = first[k]
+            vals[k] = v
+            rests[k + 1] = rests[k] - v
+        vals[-1] = rests[n - 1]
+        yield tuple(vals)
+        j = n - 2
+        while j >= 0 and (vals[j] == top[j] or rests[j + 1] == lo[j + 1]):
+            j -= 1
+        if j < 0:
+            return
+        vals[j] += 1
+        rests[j + 1] -= 1
+        j += 1
 
 
 def _value_windows(sub, pol_lifted, base_vertices):

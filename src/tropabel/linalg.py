@@ -3,12 +3,15 @@
 Vectors are tuples of ints (or Fractions where noted); matrices are tuples of
 row tuples.  Everything is exact; floats never appear.
 
-Rational elimination has one kernel, `_eliminate` (Gauss-Jordan on Fraction
-rows); rank, nullspace, solve, inverse, the determinant and the greedy
-independent-row choice all read its pivots.  Rationals cross the program's
-boundary through one codec: `format_rational` writes "n" or "p/q", and
-`parse_rational` reads an int or such a string back.  Values enter the
-divisor, polarization and metric types through one gate, `exact_value`.
+Rational elimination has one kernel, `_eliminate`: fraction-free
+Gauss-Jordan on integer rows, whose every division is an exact `//`.  Rank,
+nullspace, solve, inverse, the determinant and the greedy independent-row
+choice all read its pivots; rows with Fraction entries are scaled to
+integers on entry, and only `solve` builds Fractions, one per entry of its
+answer.  Rationals cross the program's boundary through one codec:
+`format_rational` writes "n" or "p/q", and `parse_rational` reads an int or
+such a string back.  Values enter the divisor, polarization and metric
+types through one gate, `exact_value`.
 """
 
 from fractions import Fraction
@@ -105,51 +108,82 @@ def exact_value(x, integral=False):
     raise ValidationError(f"bad {'integer' if integral else 'rational'} {x!r}")
 
 
+def _integer_rows(rows):
+    """(int rows, scale): each row as a list of ints, multiplied by the
+    least positive integer that clears its denominators, and the product
+    of those multipliers.  Scaling a row by a nonzero number changes
+    neither the rank, the nullspace, which rows are independent nor the
+    solutions of an augmented system."""
+    out, scale = [], 1
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        if den == 1:
+            out.append([x.numerator for x in row])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in row])
+            scale *= den
+    return out, scale
+
+
 def _eliminate(m, ncols):
-    """Gauss-Jordan elimination, in place, of the first ncols columns of the
-    Fraction rows m; columns past ncols (an augmented part) ride along.
+    """Fraction-free Gauss-Jordan elimination, in place, of the first ncols
+    columns of the integer rows m; columns past ncols (an augmented part)
+    ride along.
 
     Pivots are taken in column order, each from the first row at or below
-    the current one with a nonzero entry, and scaled to 1.  Returns
-    (pivots, sign, product): pivots[i] is the pivot column of row i, sign is
-    the parity of the row swaps and product the product of the pivots
-    before scaling, so a square matrix of full rank has determinant
-    sign * product.
+    the current one with a nonzero entry.  With p that pivot and prev the
+    one before it (1 at the start), every other row becomes
+    (p * row - f * pivot row) // prev, f being its entry in the pivot
+    column (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968).  Each entry is then a
+    minor of the input with the row swaps applied: a row below the pivots
+    holds the minor on the pivot rows and columns bordered by its own row
+    and the entry's column, and a pivot row holds, by Cramer's rule, the
+    pivot minor with its own pivot column replaced by the entry's column.
+    So every // is exact and no Fraction is built.
+
+    Returns (pivots, sign, d): pivots[i] is the pivot column of row i, sign
+    the parity of the row swaps and d the last pivot, the minor on the
+    pivot rows and columns (1 if there is none).  Every pivot row ends with
+    d at its pivot and 0 in the other pivot columns, so the reduced row
+    echelon form is m / d, and a square integer matrix of full rank has
+    determinant sign * d.
     """
     pivots = []
-    sign, product = 1, Fraction(1)
+    sign, prev = 1, 1
+    nrows = len(m)
     r = 0
     for c in range(ncols):
-        if r == len(m):
+        if r == nrows:
             break
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        p = m[r][c]
-        product *= p
-        inv = 1 / p
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
-    return pivots, sign, product
-
-
-def _to_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return pivots, sign, prev
 
 
 def rank(rows):
     """Rank over the rationals."""
     if not rows:
         return 0
-    return len(_eliminate(_to_fraction_rows(rows), len(rows[0]))[0])
+    return len(_eliminate(_integer_rows(rows)[0], len(rows[0]))[0])
 
 
 def independent_rows(rows):
@@ -161,45 +195,47 @@ def independent_rows(rows):
     """
     if not rows:
         return []
-    cols = [[Fraction(row[j]) for row in rows] for j in range(len(rows[0]))]
+    cols = [list(col) for col in zip(*_integer_rows(rows)[0])]
     return _eliminate(cols, len(rows))[0]
 
 
 def nullspace(rows, ncols):
     """Integer primitive basis of {x : rows @ x = 0}, sign-normalized.
 
-    Returns a deterministic list (free columns in increasing order).
+    Returns a deterministic list (free columns in increasing order).  Free
+    column c gives the kernel vector with d at c and minus row i's entry
+    at row i's pivot column, which is d times the one read from the reduced
+    form m / d.
     """
-    m = _to_fraction_rows(rows)
-    pivots = _eliminate(m, ncols)[0]
+    m = _integer_rows(rows)[0]
+    pivots, _, d = _eliminate(m, ncols)
     basis = []
     for c in range(ncols):
         if c in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
+        v = [0] * ncols
+        v[c] = d
         for pr, pc in enumerate(pivots):
             v[pc] = -m[pr][c]
-        basis.append(sign_normalize(clear_denominators(v)[0]))
+        basis.append(sign_normalize(v))
     return basis
 
 
 def solve(rows, rhs):
     """One exact solution x of rows @ x = rhs, or None if inconsistent.
 
-    Free variables are set to 0; entries are Fractions.
+    Free variables are set to 0; entries are Fractions, x[c] being pivot
+    row i's augmented entry over d when c is its pivot column.
     """
     if not rows:
         return None
     ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = _eliminate(m, ncols)[0]
-    if any(row[ncols] != 0 for row in m[len(pivots):]):
+    m = _integer_rows([[*row, b] for row, b in zip(rows, rhs)])[0]
+    pivots, _, d = _eliminate(m, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
         return None
-    x = [Fraction(0)] * ncols
-    for pr, pc in enumerate(pivots):
-        x[pc] = m[pr][ncols]
-    return tuple(x)
+    x = dict(zip(pivots, (row[ncols] for row in m)))
+    return tuple(Fraction(x.get(c, 0), d) for c in range(ncols))
 
 
 def hnf_transform(mat):
@@ -305,29 +341,52 @@ def lattice_quotient(basis, n):
 
 def determinant(m):
     """Determinant of a square matrix by elimination: an int for an integer
-    matrix."""
+    matrix, sign * d from _eliminate.  Rows with Fraction entries are
+    scaled to integers first, which multiplies the determinant by the
+    product of the row scales; that product is divided back out."""
     n = len(m)
-    pivots, sign, product = _eliminate(_to_fraction_rows(m), n)
+    a, scale = _integer_rows(m)
+    pivots, sign, d = _eliminate(a, n)
     if len(pivots) < n:
         return 0
-    det = sign * product
-    return int(det) if det.denominator == 1 else det
+    if scale == 1:
+        return sign * d
+    det = Fraction(sign * d, scale)
+    return det.numerator if det.denominator == 1 else det
 
 
 def inverse(m):
-    """Inverse of a nonsingular square matrix, as rows of Fractions."""
+    """Inverse of a nonsingular square matrix as (rows, den): integer rows
+    and den > 0 the least common denominator, so m^-1 = rows / den.
+
+    The integer kernel reduces [m | I], each row scaled to integers as a
+    whole, to [d I | d m^-1]: row scaling leaves the solution of m X = I
+    unchanged.  Dividing d and the right block by the gcd of d and all its
+    entries, sign included, gives the least denominator.  The answer is
+    certified by rows @ m == den * I with an explicit raise, which
+    `python -O` keeps.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in m[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    if len(_eliminate(a, n)[0]) < n:
+    a = _integer_rows([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])[0]
+    pivots, _, d = _eliminate(a, n)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return [tuple(row[n:]) for row in a]
+    g = gcd(d, *(x for row in a for x in row[n:]))
+    if d < 0:
+        g = -g
+    rows = [tuple(x // g for x in row[n:]) for row in a]
+    den = d // g
+    cols = list(zip(*m))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            if dot(row, col) != (den if i == j else 0):
+                raise AssertionError("inverse certificate failed: rows @ m != den * I")
+    return rows, den
 
 
 def _int_inverse(m):
     """Inverse of a unimodular integer matrix, as integer rows."""
-    out = []
-    for row in inverse(m):
-        if any(x.denominator != 1 for x in row):
-            raise AssertionError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return out
+    rows, den = inverse(m)
+    if den != 1:
+        raise AssertionError("matrix is not unimodular")
+    return rows

@@ -15,6 +15,7 @@ from tropabel.divisor import (
     PseudoDivisor,
     QuasistableRoutes,
     _CutTester,
+    _tuples_of_sum,
     _value_windows,
     beta,
     contract_pushforward,
@@ -561,7 +562,8 @@ def test_certificates_survive_optimize():
     that falls short of its limit (the real flow accepts), a pushforward
     leaving the poset, an admissible pair produced twice, divisors on
     different graphs, a flow divisor of nonzero degree, a non-unimodular
-    integer inverse and a cycle basis without a spanning tree."""
+    integer inverse, an inverse from a corrupted elimination kernel (the
+    real one is certified) and a cycle basis without a spanning tree."""
     script = textwrap.dedent(
         """
 
@@ -637,6 +639,18 @@ def test_certificates_survive_optimize():
 
         attempt("int_inverse", lambda: linalg._int_inverse([[2]]))
 
+        real_eliminate = linalg._eliminate
+
+        def corrupted(m, ncols):
+            out = real_eliminate(m, ncols)
+            m[0][-1] += 1
+            return out
+
+        linalg._eliminate = corrupted
+        attempt("inverse", lambda: linalg.inverse([[2, 1], [1, 1]]))
+        linalg._eliminate = real_eliminate
+        print("real inverse:", linalg.inverse([[2, 1], [1, 1]]))
+
         attempt(
             "cycle_basis",
             lambda: graph._check_cycles(graph.CycleBasis(g, frozenset(), graph.cycle_basis(g).cycles)),
@@ -659,6 +673,8 @@ def test_certificates_survive_optimize():
         "sub rejected: divisors live on different graphs",
         "div_flow rejected: divisor of a flow has nonzero degree",
         "int_inverse rejected: matrix is not unimodular",
+        "inverse rejected: inverse certificate failed: rows @ m != den * I",
+        "real inverse: ([(1, -1), (-1, 2)], 1)",
         "cycle_basis rejected: the cycles are not one per non-tree edge",
     ]
 
@@ -766,3 +782,41 @@ def test_one_cut_network_per_tested_edge_set(monkeypatch):
         built.clear()
         enumerate_quasistable(g, v0, mu)
         assert built == expected
+
+
+def test_degree_first_walk_is_the_filtered_window_product():
+    """_tuples_of_sum yields exactly the tuples of the window product with
+    the target sum, in the product's order: seeded windows, some of them
+    empty, no windows at all, and rational or out-of-reach totals."""
+    rng = random.Random(2501)
+    yielded = 0
+    for _ in range(600):
+        windows = []
+        for _ in range(rng.randint(0, 5)):
+            lo = rng.randint(-3, 3)
+            windows.append(range(lo, lo + rng.choice([0, 1, 1, 2, 3, 4])))
+        lo = sum(w.start for w in windows)
+        total = rng.choice([rng.randint(lo - 2, lo + 12), Fraction(2 * lo + 1, 2)])
+        expected = [c for c in product(*windows) if sum(c) == total]
+        assert list(_tuples_of_sum(windows, total)) == expected
+        yielded += len(expected)
+    assert list(_tuples_of_sum([], 0)) == [()] and list(_tuples_of_sum([], 1)) == []
+    assert yielded
+
+
+def test_candidates_are_the_filtered_window_product_on_every_edge_set():
+    """On every edge set of the kernel instances, E = {} included, the
+    candidates and their `candidate checks` count are those of the window
+    product filtered by degree."""
+    for g, v0, mu in _kernel_instances():
+        for eset in edge_sets(g):
+            routes = QuasistableRoutes(g, eset, v0, mu)
+            windows = _value_windows(routes.sub, routes.lifted, g.vertex_ids)
+            total = mu.degree() + len(eset)
+            expected = [
+                c for c in product(*(windows[v] for v in g.vertex_ids)) if sum(c) == total
+            ]
+            work = WorkCap("kernel", 1 << 20, "candidate checks")
+            got = [tuple(vals[v] for v in g.vertex_ids) for vals in routes.candidates(work)]
+            assert got == expected
+            assert work.count == {"candidate checks": len(expected)}

@@ -1,7 +1,8 @@
 """The exact linear-algebra kernel and the rational codec, checked against
-definitions on seeded random matrices, plus guards that keep floats and
-true division out of the library and its modules out of each other's
-private names."""
+definitions and the Fraction Gauss-Jordan oracle on seeded random matrices
+and on every matrix the `ideal` and `locate` workloads eliminate, plus
+guards that keep floats and true division out of the library and its
+modules out of each other's private names."""
 
 import ast
 import random
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from tropabel import linalg
+from tropabel.abelfan import locate_point
 from tropabel.errors import ValidationError
 from tropabel.linalg import (
     clear_denominators,
@@ -28,6 +31,10 @@ from tropabel.linalg import (
     vec_add,
     vec_sub,
 )
+from tropabel.semigroup import ray_power_intersection
+
+import linalg_oracle as oracle
+from conftest import ideal_cases, parallel_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tropabel"
 
@@ -121,8 +128,9 @@ def test_inverse_times_matrix_is_identity_or_singular_raises():
                 inverse(m)
             continue
         invertible += 1
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert matmul(inverse(m), m) == ident
+        rows, den = inverse(m)
+        assert den > 0 and all(type(x) is int for row in rows for x in row)
+        assert matmul(rows, m) == [[den * int(i == j) for j in range(n)] for i in range(n)]
     assert invertible and singular
 
 
@@ -199,17 +207,9 @@ def test_exact_value_accepts_exact_values():
     assert exact_value("-2/6") == Fraction(-1, 3)
 
 
-def _kernel_lines():
-    tree = ast.parse((SRC / "linalg.py").read_text())
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_eliminate")
-    return fn.lineno, fn.end_lineno
-
-
-def test_no_floats_and_one_division_in_the_library():
-    """Exact arithmetic: no float literal, no float() call, and the only
-    true division is the pivot reciprocal in linalg._eliminate."""
-    lo, hi = _kernel_lines()
-    divisions = []
+def test_no_floats_and_no_true_division_in_the_library():
+    """Exact arithmetic: no float literal, no float() call and no true
+    division anywhere in the library; elimination divides with exact //."""
     offences = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -219,14 +219,194 @@ def test_no_floats_and_one_division_in_the_library():
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
                 offences.append(f"float() call at {where}")
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                divisions.append((path.name, node.lineno))
-    offences += [
-        f"true division at {name}:{line}"
-        for name, line in divisions
-        if not (name == "linalg.py" and lo <= line <= hi)
-    ]
+                offences.append(f"true division at {where}")
     assert offences == []
-    assert len(divisions) == 1
+
+
+def test_integer_matrices_build_no_fraction(monkeypatch):
+    """rank, independent_rows, nullspace, inverse and determinant run on
+    integer matrices with linalg.Fraction raising, and still agree with the
+    oracle."""
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built inside linalg")
+
+    def answers(m, ncols):
+        out = [rank(m), independent_rows(m), nullspace(m, ncols)]
+        if len(m) == ncols:
+            out.append(determinant(m))
+            if rank(m) == ncols:
+                out.append(inverse(m))
+        return out
+
+    cases = list(matrices(9))
+    expected = []
+    for m, ncols in cases:
+        want = [oracle.rank(m), oracle.independent_rows(m), oracle.nullspace(m, ncols)]
+        if len(m) == ncols:
+            want.append(oracle.determinant(m))
+            if want[0] == ncols:
+                want.append(clear_inverse(oracle.inverse(m)))
+        expected.append(want)
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert [answers(m, ncols) for m, ncols in cases] == expected
+
+
+def clear_inverse(fraction_rows):
+    """The oracle's Fraction inverse in the (rows, den) form."""
+    n = len(fraction_rows)
+    ints, den = clear_denominators([x for row in fraction_rows for x in row])
+    return [tuple(ints[i * n:(i + 1) * n]) for i in range(n)], den
+
+
+def oracle_matrices(seed, count):
+    """(rows, ncols, k): seeded matrices of 0 to 6 rows and columns, to be
+    eliminated on their first k columns (k < ncols leaves an augmented
+    part).  Besides random_matrix's zero matrices and dependent rows, some
+    columns are zeroed, some matrices are sparse (so that pivots need row
+    swaps) and some have rational entries."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        m = random_matrix(rng, nrows, ncols)
+        if rng.random() < 0.3:
+            m = [[x if rng.random() < 0.4 else 0 for x in row] for row in m]
+        if ncols and rng.random() < 0.3:
+            j = rng.randrange(ncols)
+            m = [row[:j] + [0] + row[j + 1:] for row in m]
+        if rng.random() < 0.3:
+            m = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in m]
+        k = rng.randint(0, ncols) if rng.random() < 0.3 else ncols
+        yield m, ncols, k
+
+
+def assert_kernel_agrees(m, k):
+    """The integer kernel on m (scaled to integers) against the Fraction
+    oracle on m, both on the first k columns: same pivots and sign, pivot
+    rows equal to the oracle's reduced rows times d, and the other rows
+    nonzero multiples of the oracle's.  On an integer matrix every row is
+    exactly d times the oracle's and d is the oracle's pivot product."""
+    ints, scale = linalg._integer_rows(m)
+    fracs = oracle.fraction_rows(m)
+    pivots, sign, d = linalg._eliminate(ints, k)
+    o_pivots, o_sign, product = oracle.eliminate(fracs, k)
+    assert (pivots, sign) == (o_pivots, o_sign)
+    assert all(type(x) is int for row in ints for x in row)
+    if scale == 1:
+        assert d == product
+        assert ints == [[d * x for x in row] for row in fracs]
+        return
+    for i, (row, o_row) in enumerate(zip(ints, fracs)):
+        if i < len(pivots):
+            assert [Fraction(x, d) for x in row] == o_row
+        else:
+            j = next((j for j, x in enumerate(o_row) if x), None)
+            ratio = Fraction(row[j], o_row[j]) if j is not None else 1
+            assert ratio and row == [ratio * x for x in o_row]
+
+
+def assert_routes_agree(rng, m, ncols):
+    """Every public route of the kernel against the oracle's."""
+    assert rank(m) == oracle.rank(m)
+    assert independent_rows(m) == oracle.independent_rows(m)
+    assert nullspace(m, ncols) == oracle.nullspace(m, ncols)
+    rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in m]
+    assert solve(m, rhs) == oracle.solve(m, rhs)
+    if len(m) != ncols:
+        return
+    assert determinant(m) == oracle.determinant(m)
+    try:
+        expected = oracle.inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(m)
+        return
+    assert inverse(m) == clear_inverse(expected)
+
+
+def test_integer_kernel_agrees_with_the_fraction_oracle():
+    """1,200 seeded matrices, with every case the generator promises seen:
+    empty and zero matrices, zero columns, dependent rows, row swaps,
+    augmented columns and rational entries."""
+    rng = random.Random(11)
+    seen = set()
+    for m, ncols, k in oracle_matrices(10, 1200):
+        pivots, sign, _ = oracle.eliminate(oracle.fraction_rows(m), k)
+        seen |= {
+            "no rows" if not m else None,
+            "no columns" if not ncols else None,
+            "zero column" if m and any(not any(c) for c in zip(*m)) else None,
+            "dependent rows" if len(pivots) < len(m) and k == ncols else None,
+            "row swap" if sign < 0 else None,
+            "augmented" if k < ncols else None,
+            "rational" if any(Fraction(x).denominator > 1 for row in m for x in row) else None,
+        }
+        assert_kernel_agrees(m, k)
+        assert_routes_agree(rng, m, ncols)
+    seen.discard(None)
+    assert seen == {
+        "no rows", "no columns", "zero column", "dependent rows", "row swap", "augmented", "rational"
+    }
+
+
+def _captured_matrices(monkeypatch, run):
+    """Copies of every (rows, ncols) that linalg._eliminate is handed while
+    `run` runs."""
+    captured = []
+    real = linalg._eliminate
+
+    def spy(m, ncols):
+        captured.append(([list(row) for row in m], ncols))
+        return real(m, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    run()
+    monkeypatch.setattr(linalg, "_eliminate", real)
+    return captured
+
+
+def _ideal_pass():
+    cases = ideal_cases()
+    return lambda: [ray_power_intersection(*case) for case in cases]
+
+
+def _locate_pass():
+    """Seeded positive rational points located on theta with D0 = (8, -8)
+    and mu = 0, the `locate` benchmark's instance."""
+    g, v0, mu, d0 = parallel_instance(3, 8, 0)
+    rng = random.Random(12)
+    points = [
+        {e: Fraction(rng.randint(1, 1000), rng.randint(1, 8)) for e in g.edge_ids} for _ in range(12)
+    ]
+    return lambda: [locate_point(g, v0, mu, d0, p) for p in points]
+
+
+@pytest.mark.parametrize("make_pass", [_ideal_pass, _locate_pass], ids=["ideal", "locate"])
+def test_kernel_agrees_with_the_oracle_on_the_workloads_matrices(monkeypatch, make_pass):
+    """Every matrix that one pass of the `ideal` or of the `locate` workload
+    eliminates gives the oracle's pivots, sign and reduced form."""
+    captured = _captured_matrices(monkeypatch, make_pass())
+    assert captured
+    for m, ncols in captured:
+        assert_kernel_agrees(m, ncols)
+
+
+def test_ideal_pass_builds_no_fraction(monkeypatch):
+    """One pass of the 63 `ideal` cases constructs no Fraction at all, so
+    none inside linalg; with the Fraction kernel the same pass built
+    15,821."""
+    built = []
+    real_new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    run = _ideal_pass()
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    run()
+    monkeypatch.undo()
+    assert built == []
 
 
 def test_no_module_imports_another_modules_private_names():

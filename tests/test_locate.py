@@ -355,11 +355,11 @@ def _lattice_boxes(g, lengths):
             [sum(a.get(f, 0) * b.get(f, 0) * lengths[f] for f in g.edge_ids) for b in vecs]
             for a in vecs
         ]
-        q_inv = inverse(q)
+        q_inv, den = inverse(q)
         on = [i for i, (e, _) in enumerate(cycles) if e in eset]
         count = 1
         for i in on:
-            width = sum(abs(q_inv[i][j]) * lengths[cycles[j][0]] for j in on)
+            width = Fraction(sum(abs(q_inv[i][j]) * lengths[cycles[j][0]] for j in on), den)
             assert width <= len(on)
             count *= math.ceil(width)
         boxes[eset] = count

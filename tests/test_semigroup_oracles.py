@@ -22,7 +22,7 @@ from itertools import product
 
 import pytest
 
-from tropabel import abelfan, semigroup, worked
+from tropabel import abelfan, cone, semigroup, worked
 from tropabel.abelfan import build_fan, merged_cone
 from tropabel.cone import Cone
 from tropabel.errors import SearchBoundError
@@ -404,6 +404,24 @@ def test_ideal_report_builds_the_merged_cone_once(monkeypatch):
         return build(pair)
 
     monkeypatch.setattr(abelfan, "merged_cone", spy)
+    report = ideal_report()
+    assert len(calls) == 1
+    golden = json.loads(resources.files("tropabel.goldens").joinpath("ideal.json").read_text())
+    assert report == golden
+
+
+def test_ideal_report_builds_one_hilbert_basis(monkeypatch):
+    """The worked cone is full-dimensional, so the report reads its
+    dual-monoid basis from the ring's generators: one Hilbert basis per
+    report, with the same golden output."""
+    calls = []
+    build = cone.hilbert_basis_pointed
+
+    def spy(primal_rays, dual_ray_list):
+        calls.append(primal_rays)
+        return build(primal_rays, dual_ray_list)
+
+    monkeypatch.setattr(cone, "hilbert_basis_pointed", spy)
     report = ideal_report()
     assert len(calls) == 1
     golden = json.loads(resources.files("tropabel.goldens").joinpath("ideal.json").read_text())
