@@ -8,9 +8,9 @@ cones of admissible pairs are built with rays read from their flows
 (abelfan._cut_rays), and double description is their test oracle.  The
 fan cones are pointed: they live inside a coordinate orthant slice; a cone
 given by rays (from_rays) may contain a line, and then its dual spans a
-proper subspace.  Dual cones are only formed for full-dimensional cones;
-lower-dimensional ones go through the lineality quotient in
-semigroup_generators.
+proper subspace.  Dual monoids have one entry point, dual_monoid, whose
+kernel for a full-dimensional dual is hilbert_basis_pointed;
+dual_and_hilbert and semigroup_generators read their answers from it.
 """
 
 import math
@@ -117,9 +117,10 @@ class Cone:
     def from_rays(ambient_dim, rays):
         """V-representation input; the H-representation is recovered by
         double description (facets of the cone = rays of its dual within
-        the span, plus equalities cutting the span)."""
-        rays = tuple(sorted(primitive(tuple(int(x) for x in r)) for r in rays))
-        rays = tuple(r for r in rays if any(r))
+        the span, plus equalities cutting the span).  The rays are kept
+        primitive, each direction once, with the origin dropped."""
+        rays = {primitive(tuple(int(x) for x in r)) for r in rays}
+        rays = tuple(sorted(r for r in rays if any(r)))
         span_eqs = tuple(nullspace([list(r) for r in rays] or [[0] * ambient_dim], ambient_dim))
         ineqs = tuple(_rays_in_ambient(span_eqs, rays, ambient_dim)) if rays else ()
         return Cone(ambient_dim, span_eqs, ineqs, rays)
@@ -192,17 +193,6 @@ def _rays_in_ambient(equalities, inequalities, ambient_dim):
     return sorted(out)
 
 
-def dual_rays(ambient_dim, rays):
-    """Extremal rays of the dual cone {u : u(r) >= 0 for every ray r}.
-
-    Read from the rays alone.  Requires them to span the space (pointed
-    dual); use semigroup_generators for lower-dimensional cones.
-    """
-    if _span_dim(rays) != ambient_dim:
-        raise ValidationError("dual rays need a full-dimensional cone")
-    return tuple(rays_from_halfspaces([list(r) for r in rays], ambient_dim))
-
-
 def _span_dim(rays):
     return rank([list(r) for r in rays]) if rays else 0
 
@@ -237,8 +227,8 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
     of them, q, leaves u - q = (a - q) + b in the monoid.
 
     Lines.  If the primal cone contains a line, the dual rays span less
-    than R^n and have no independent n-subset; the basis is then taken in
-    the coordinates of the lattice of their span (_hilbert_basis_in_span).
+    than R^n and have no independent n-subset; the kernel then returns
+    None, and dual_monoid takes the basis in the lattice of their span.
 
     Certificates, raised explicitly so that they hold under python -O:
     each subset's number of coset representatives (the product of the HNF
@@ -254,7 +244,7 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
         raise ValidationError("grading degenerate: dual cone is not pointed")
     candidates = _hilbert_candidates(dual_ray_list, n)
     if candidates is None:
-        return _hilbert_basis_in_span(primal_rays, dual_ray_list, n)
+        return None
     candidates = sorted(candidates, key=lambda u: (dot(w, u), u))
     basis = []
     for u in candidates:
@@ -279,24 +269,6 @@ def hilbert_basis_pointed(primal_rays, dual_ray_list):
             if vec_add(a, b) in bset:
                 raise AssertionError("Hilbert basis not minimal")
     return sorted(basis)
-
-
-def _hilbert_basis_in_span(primal_rays, dual_ray_list, n):
-    """hilbert_basis_pointed for dual rays spanning a subspace S < R^n.
-
-    The monoid lies in the lattice of the integer points of S.  With a
-    basis B of it (the integer covectors vanishing on S's orthogonal
-    complement, the primal cone's lines), u = c @ B pairs with a primal ray
-    r as c . (B r), so the basis is the lift of the full-dimensional basis
-    of {c in Z^k : c . (B r) >= 0 for every primal ray r}.
-    """
-    lines = nullspace([list(d) for d in dual_ray_list], n)
-    lattice = left_kernel_lattice([list(col) for col in zip(*lines)])
-    k = len(lattice)
-    qrays = {primitive(tuple(dot(b, r) for b in lattice)) for r in primal_rays}
-    qrays = sorted(qrays - {(0,) * k})
-    qbasis = hilbert_basis_pointed(qrays, rays_from_halfspaces(qrays, k))
-    return sorted(tuple(dot(c, col) for col in zip(*lattice)) for c in qbasis)
 
 
 def _hilbert_candidates(dual_ray_list, n):
@@ -346,51 +318,69 @@ def _parallelepiped_points(subset, h, u, index):
         yield point
 
 
+def dual_monoid(ambient_dim, rays):
+    """The monoid {u in Z^n : u(r) >= 0 for every ray r} as (dual rays,
+    Hilbert basis, units), sorted tuples; the basis and the units generate it.
+
+    Units.  Both signs of a basis of the integer covectors vanishing on the
+    rays; none when the rays span R^n.  Otherwise the monoid is taken in
+    the pointed quotient by them (linalg.lattice_quotient), where a ray r
+    acts as pair(r), and its dual rays and basis are lifted back.  One
+    double description runs, in the quotient, for the dual rays.
+
+    Lines.  If the quotient cone holds a line, its dual rays span a proper
+    subspace S and hilbert_basis_pointed returns None.  With B a basis of
+    the integer points of S (the covectors vanishing on the lines),
+    u = c @ B pairs with r as c . (B r), so the basis is the lift of that of
+    {c : c . (B r) >= 0 for every ray r}, a full-dimensional dual.
+
+    Certificate, raised explicitly so that it holds under python -O: every
+    basis element pairs >= 0 and every unit 0 with every ray.
+    """
+    n = ambient_dim
+    units = []
+    if _span_dim(rays) < n:
+        # rays enter as matrix columns: u @ mat = 0 iff u vanishes on them
+        units = left_kernel_lattice([[r[i] for r in rays] for i in range(n)])
+    _, lift, pair = lattice_quotient(units, n)
+    qrays = sorted({primitive(pair(r)) for r in rays})
+    k = n - len(units)
+    qdual = rays_from_halfspaces(qrays, k)
+    basis = hilbert_basis_pointed(qrays, qdual)
+    if basis is None:
+        lines = nullspace(qdual, k)
+        span = left_kernel_lattice([list(col) for col in zip(*lines)])
+        srays = sorted({primitive(tuple(dot(b, r) for b in span)) for r in qrays})
+        sbasis = hilbert_basis_pointed(srays, rays_from_halfspaces(srays, len(span)))
+        basis = [tuple(dot(c, col) for col in zip(*span)) for c in sbasis]
+    basis = [lift(u) for u in basis]
+    units += [vec_scale(-1, u) for u in units]
+    for r in rays:
+        if any(dot(u, r) < 0 for u in basis) or any(dot(u, r) for u in units):
+            raise AssertionError(f"dual monoid certificate failed on the ray {tuple(r)}")
+    return tuple(sorted(lift(d) for d in qdual)), tuple(sorted(basis)), tuple(sorted(units))
+
+
 def dual_and_hilbert(cone):
-    """Dual-cone rays and the Hilbert basis of the dual lattice monoid.
+    """Dual-cone rays and the Hilbert basis of the dual lattice monoid of a
+    full-dimensional cone (dual_monoid); a cone spanning less is rejected.
 
     Desk-scale contract: ambient dimension at most 6.
     """
     if cone.ambient_dim > 6:
         raise DeskScaleError("dual/Hilbert computations are capped at dimension 6")
-    d = dual_rays(cone.ambient_dim, cone.rays)
-    hb = hilbert_basis_pointed(cone.rays, list(d))
-    return tuple(sorted(d)), tuple(hb)
+    if cone.dim < cone.ambient_dim:
+        raise ValidationError("dual rays need a full-dimensional cone")
+    dual, basis, _ = dual_monoid(cone.ambient_dim, cone.rays)
+    return dual, basis
 
 
 def semigroup_generators(ambient_dim, rays):
     """A generating set of {u in Z^n : u(r) >= 0 for every ray r}, units
-    allowed, read from the cone's extremal rays alone.
-
-    For a full-dimensional cone this is the Hilbert basis.  Otherwise the
-    monoid has a unit group (the integer covectors vanishing on the span);
-    the pointed quotient's Hilbert basis is computed in quotient coordinates
-    and lifted, and both signs of a unit-lattice basis are appended.
-    """
-    n = ambient_dim
-    if not rays:
-        gens = []
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            gens.append(e)
-            gens.append(tuple(-x for x in e))
-        return tuple(gens)
-    if _span_dim(rays) == n:
-        return tuple(hilbert_basis_pointed(rays, list(dual_rays(n, rays))))
-    unit_basis = left_kernel_lattice([list(r) for r in zip(*rays)])
-    # unit_basis: u with u . r = 0 for all rays; rays enter as matrix columns
-    proj, lift, pair = lattice_quotient(unit_basis, n)
-    qrays = sorted({primitive(pair(r)) for r in rays})
-    qdual = rays_from_halfspaces([list(r) for r in qrays], n - len(unit_basis))
-    qhb = hilbert_basis_pointed(qrays, list(qdual))
-    gens = [lift(h) for h in qhb]
-    for u in unit_basis:
-        gens.append(tuple(u))
-        gens.append(tuple(-x for x in u))
-    for g in gens:
-        if any(dot(g, r) < 0 for r in rays):
-            raise AssertionError("semigroup generator is negative on a ray")
-    return tuple(sorted(set(gens)))
+    allowed, read from the cone's rays alone: the Hilbert basis and the
+    units of dual_monoid, sorted."""
+    _, basis, units = dual_monoid(ambient_dim, rays)
+    return tuple(sorted(basis + units))
 
 
 def face_lattice_rayset(cone):

@@ -303,25 +303,18 @@ def lattice_quotient(basis, n):
     if s == 0:
         ident = lambda v: tuple(v)
         return ident, ident, ident
-    # column-style HNF via the row-style routine on the transpose:
-    # find unimodular C (n x n) with basis @ C = [T | 0], T unimodular.
+    # column-style HNF via the row-style routine on the transpose: a
+    # unimodular C (n x n) with basis @ C = [T | 0], T upper triangular
+    # with the HNF pivots on its diagonal.  U is saturated iff T is
+    # unimodular, that is iff every pivot is 1.  Replacing C[:, :s] by
+    # C[:, :s] @ T^-1, to reach [I | 0], would change only the first s
+    # rows of C^-1; lift and pair read only rows s..n-1, so T is not
+    # inverted.
     bt = [tuple(basis[i][j] for i in range(s)) for j in range(n)]
-    h, u = hnf_transform(bt)  # u @ bt = h, i.e. basis @ u^T = h^T
-    ct = u  # rows of C^T
-    t = [tuple(h[i][j] for i in range(s)) for j in range(s)]  # T^T
-    tmat = [tuple(t[j][i] for j in range(s)) for i in range(s)]
-    if abs(determinant(tmat)) != 1:
+    h, ct = hnf_transform(bt)  # ct @ bt = h: ct = C^T, and T^T = h[:s]
+    if any(h[i][i] != 1 for i in range(s)):
         raise ValueError("lattice is not saturated")
-    # absorb T^{-1}: replace the first s columns of C by C[:, :s] @ T^{-1}.
-    tinv = _int_inverse(tmat)
-    new_ct = []
-    for i in range(s):
-        new_ct.append(tuple(sum(tinv[i][k] * ct[k][j] for k in range(s)) for j in range(n)))
-    for i in range(s, n):
-        new_ct.append(tuple(ct[i]))
-    ct = new_ct
-    # now basis @ C = [I | 0]; rows s..n-1 of C^T give the projection.
-    cinv_t = _int_inverse([list(r) for r in ct])  # (C^T)^{-1} = (C^{-1})^T
+    cinv_t = _int_inverse(ct)  # (C^T)^-1 = (C^-1)^T
 
     def proj(v):
         return tuple(dot(ct[i], v) for i in range(s, n))
@@ -332,8 +325,8 @@ def lattice_quotient(basis, n):
         return tuple(sum(w[k - s] * cinv_t[j][k] for k in range(s, n)) for j in range(n))
 
     def pair(r):
-        # rows s..n-1 of C^{-1} applied to r; the first s rows are the
-        # U-basis, which kills r-pairings coming from the quotient side
+        # rows s..n-1 of C^{-1} applied to r; the first s rows span U
+        # (basis = [T | 0] @ C^{-1}), so they vanish on an r orthogonal to U
         return tuple(sum(cinv_t[j][k] * r[j] for j in range(n)) for k in range(s, n))
 
     return proj, lift, pair

@@ -19,7 +19,7 @@ generators found so far.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cone import semigroup_generators
+from .cone import dual_monoid
 from .errors import SearchBoundError, ValidationError
 from .linalg import dot, vec_add
 
@@ -51,10 +51,16 @@ class MonomialRing:
                     )
 
     @cached_property
+    def monoid(self):
+        """cone.dual_monoid of the ring's cone, computed once."""
+        return dual_monoid(self.ambient_dim, self.rays)
+
+    @cached_property
     def generators(self):
-        """Monoid generating set of the chi-part (units included if the cone
-        is not full-dimensional), read from the rays."""
-        return semigroup_generators(self.ambient_dim, self.rays)
+        """Monoid generating set of the chi-part, the Hilbert basis and the
+        units, as cone.semigroup_generators gives it."""
+        _, basis, units = self.monoid
+        return tuple(sorted(basis + units))
 
     @cached_property
     def relation_values(self):

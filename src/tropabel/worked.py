@@ -2,7 +2,6 @@
 reports the golden-example runner replays against committed files."""
 
 from .abelfan import build_fan, locate_point, merged_cone
-from .cone import dual_rays
 from .divisor import Divisor, Polarization, enumerate_quasistable
 from .flow import enumerate_admissible
 from .graph import build_graph
@@ -116,10 +115,7 @@ def ideal_report():
     g, mu, d0 = theta_instance()
     pair = worked_pair(g, mu, d0)
     ring, ac = node_ring(pair, "e0")
-    # dual_rays raises unless the cone is full-dimensional, and then the
-    # ring's chi-generators are the Hilbert basis of its dual monoid
-    dual = dual_rays(ac.cone.ambient_dim, ac.cone.rays)
-    hb = ring.generators
+    dual, hb, _ = ring.monoid
     bf0 = boundary_functionals(ac, "e0")
     bf1 = boundary_functionals(ac, "e1")
     r1, r2, r3, r4 = (1, 1, 1), (2, 1, 2), (1, 2, 2), (1, 1, 2)

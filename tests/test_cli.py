@@ -131,6 +131,18 @@ def test_dual_hilbert_command(capsys):
     assert len(data["hilbert_basis"]) == 5
 
 
+def test_dual_hilbert_lists_each_ray_direction_once(capsys):
+    """Rays are made primitive and kept once per direction: 5,5,5 and
+    1,1,1 give one ray [1, 1, 1]."""
+    code, out, _ = _run(capsys, ["dual-hilbert", "--rays", "1,0,0;0,1,0;0,0,1;1,1,1;5,5,5"])
+    assert code == 0
+    assert json.loads(out) == {
+        "rays": [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]],
+        "dual_rays": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        "hilbert_basis": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    }
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

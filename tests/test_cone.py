@@ -1,11 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from tropabel.cone import (
     Cone,
     dual_and_hilbert,
-    dual_rays,
+    dual_monoid,
     face_lattice_rayset,
     rays_from_halfspaces,
     semigroup_generators,
@@ -13,6 +14,7 @@ from tropabel.cone import (
 from tropabel.errors import ValidationError
 from tropabel.linalg import dot, lattice_quotient, left_kernel_lattice
 
+import linalg_oracle as oracle
 from conftest import contains, contains_interior
 
 
@@ -66,8 +68,9 @@ def test_zero_cone():
 
 
 def test_dual_rays_of_worked_cone():
-    d = dual_rays(3, ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)))
+    d, _, units = dual_monoid(3, ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)))
     assert set(d) == {(0, -1, 1), (2, 0, -1), (0, 2, -1), (-1, 0, 1)}
+    assert units == ()
 
 
 def test_hilbert_basis_of_worked_cone():
@@ -93,7 +96,7 @@ def test_hilbert_basis_singular_quadric():
 
 def test_dual_rays_requires_full_dim():
     with pytest.raises(ValidationError, match="full-dimensional"):
-        dual_rays(3, ((1, 1, 1),))
+        dual_and_hilbert(Cone.from_rays(3, ((1, 1, 1),)))
 
 
 def test_dual_hilbert_dimension_cap():
@@ -210,13 +213,26 @@ def test_face_lattice_matches_facet_closure():
 
 
 def test_left_kernel_lattice_saturated():
-    mat = [[1, 1, 1], [1, 1, 2]]  # columns = rays transposed
-    cols = [list(c) for c in zip(*mat)]
-    basis = left_kernel_lattice(mat)
-    # {x : x @ mat = 0} in Z^2... here we use the transpose orientation below
-    basis2 = left_kernel_lattice(cols)
-    for u in basis2:
-        assert dot(u, (1, 1, 1)) == 0 and dot(u, (1, 1, 2)) == 0
+    """The basis spans every integer vector x with x @ mat = 0, not a
+    sublattice of them: on seeded integer matrices, each kernel vector of a
+    small box is an integer combination of the basis (solved over the
+    rationals by the Fraction oracle), and the basis is independent."""
+    cols = [[1, 1], [1, 1], [1, 2]]  # the rays (1, 1, 1), (1, 1, 2) as columns
+    assert left_kernel_lattice(cols) == [(1, -1, 0)]
+    rng = random.Random(17)
+    hits = 0
+    for _ in range(40):
+        m, k = rng.randint(2, 4), rng.randint(1, 3)
+        mat = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+        basis = left_kernel_lattice(mat)
+        assert len(basis) == m - oracle.rank(mat)
+        assert oracle.rank(basis) == len(basis)
+        for x in product(range(-2, 3), repeat=m):
+            if any(x) and all(dot(x, col) == 0 for col in zip(*mat)):
+                coeffs = oracle.solve([list(col) for col in zip(*basis)], x)
+                assert coeffs is not None and all(c.denominator == 1 for c in coeffs), (mat, x)
+                hits += 1
+    assert hits > 100
 
 
 def test_lattice_quotient_roundtrip():

@@ -80,9 +80,10 @@ def test_parallelepipeds_match_box_walk_on_lower_dimensional_cones(monkeypatch):
 
 def test_parallelepipeds_match_box_walk_on_cones_with_lines():
     """A primal cone that spans R^n but contains a line has a dual spanning
-    less than R^n, with no independent n-subset of dual rays; the basis is
-    taken in the lattice of the dual's span.  (0, 1, 1) is the example: it
-    lies on neither dual ray (0, 1, 0), (0, 1, 2)."""
+    less than R^n, with no independent n-subset of dual rays; dual_monoid
+    takes the basis in the lattice of the dual's span, and the box walk
+    in R^n must find the same one.  (0, 1, 1) is the example: it lies on
+    neither dual ray (0, 1, 0), (0, 1, 2)."""
     c = Cone.from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 2, -1), (0, 0, 1)])
     assert dual_and_hilbert(c) == (((0, 1, 0), (0, 1, 2)), ((0, 1, 0), (0, 1, 1), (0, 1, 2)))
     rng = random.Random(31)
@@ -97,13 +98,43 @@ def test_parallelepipeds_match_box_walk_on_cones_with_lines():
         rays = [line, tuple(-x for x in line)] + others
         if not any(line) or rank(rays) < n:
             continue
-        dual = list(cone.dual_rays(n, rays))
-        assert rank(dual) < n
-        basis = hilbert_basis_pointed(rays, dual)
-        assert basis == box_walk_hilbert_basis(rays, dual), (rays, dual)
+        dual, basis, units = cone.dual_monoid(n, rays)
+        assert units == () and rank(dual) < n
+        assert list(basis) == box_walk_hilbert_basis(rays, list(dual)), (rays, dual)
         cones += 1
         larger += len(basis) > len(dual)
     assert larger > 0
+
+
+def test_lower_dimensional_cones_with_lines_match_box_walk(monkeypatch):
+    """A cone that spans less than R^n and holds a line takes both
+    reductions in one dual_monoid call: the quotient by the units, then the
+    lattice of the quotient dual's span.  The box walk, patched in for the
+    kernel, works in the quotient alone and must give the same monoid."""
+    assert semigroup_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]) == (
+        (0, 0, -1),
+        (0, 0, 1),
+        (0, 1, 0),
+    )
+    rng = random.Random(37)
+    cases = []
+    while len(cases) < 40:
+        n = rng.randint(3, 4)
+        span = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
+        vecs = [
+            tuple(sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(n))
+            for _ in range(rng.randint(2, n))
+        ]
+        rays = [vecs[0], tuple(-x for x in vecs[0])] + vecs[1:]
+        # the cone holds the line through vecs[0]; keep it when it spans
+        # less than R^n and is no subspace (it has dual rays)
+        if any(vecs[0]) and rank(rays) < n and cone.dual_monoid(n, rays)[0]:
+            cases.append((n, rays))
+    fast = [cone.dual_monoid(n, rays) for n, rays in cases]
+    assert all(units for _, _, units in fast)
+    assert any(len(basis) > len(dual) for dual, basis, _ in fast)
+    monkeypatch.setattr(cone, "hilbert_basis_pointed", box_walk_hilbert_basis)
+    assert fast == [cone.dual_monoid(n, rays) for n, rays in cases]
 
 
 def ideal_cones():
@@ -151,7 +182,7 @@ def test_dropped_parallelepiped_point_raises_under_optimize():
         if __debug__:
             raise SystemExit("not running under -O")
         rays = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2))
-        dual = cone.dual_rays(3, rays)
+        dual = cone.dual_monoid(3, rays)[0]
         print(len(cone.hilbert_basis_pointed(rays, dual)))
         points = cone._parallelepiped_points
         cone._parallelepiped_points = lambda *args: list(points(*args))[:-1]

@@ -411,19 +411,26 @@ def test_ideal_report_builds_the_merged_cone_once(monkeypatch):
 
 
 def test_ideal_report_builds_one_hilbert_basis(monkeypatch):
-    """The worked cone is full-dimensional, so the report reads its
-    dual-monoid basis from the ring's generators: one Hilbert basis per
-    report, with the same golden output."""
-    calls = []
+    """The report reads the dual rays and the dual-monoid basis from the
+    ring's one dual monoid: one double description and one Hilbert basis
+    per report, with the same golden output."""
+    calls, descriptions = [], []
     build = cone.hilbert_basis_pointed
+    describe = cone.rays_from_halfspaces
 
     def spy(primal_rays, dual_ray_list):
         calls.append(primal_rays)
         return build(primal_rays, dual_ray_list)
 
+    def spy_describe(ineqs, dim):
+        descriptions.append(ineqs)
+        return describe(ineqs, dim)
+
     monkeypatch.setattr(cone, "hilbert_basis_pointed", spy)
+    monkeypatch.setattr(cone, "rays_from_halfspaces", spy_describe)
     report = ideal_report()
     assert len(calls) == 1
+    assert len(descriptions) == 1
     golden = json.loads(resources.files("tropabel.goldens").joinpath("ideal.json").read_text())
     assert report == golden
 
