@@ -483,15 +483,26 @@ def _flow_sources(pair, zset, eset2, along):
                 yield e, rest[0]
 
 
-def _face_keys(ambient_edges, pair, zset):
+def _face_keys(ambient_edges, pair, zset, pushed=None):
     """The fan key of the face pair that contracting `zset` specializes the
     pair to, and that pair's divisor key (PseudoDivisor.canonical_key),
     read from the zero set alone: the keys of _specialize_pair(pair, zset),
     with no graph, subdivision or flow built.  The vertex map and the
     divisor key are contract_pushforward's (pushforward_vertex_map), and
     the flow is carried as _specialize_pair carries it (_flow_sources).
+
+    `pushed`, if given, memoizes pushforward_vertex_map by (divisor key,
+    zset); the pairs sharing it must have one base graph, which with the
+    divisor key and the zero set fixes the result.  Results there are only
+    read.
     """
-    full, eset2, along, divisor = pushforward_vertex_map(pair.resulting_pd, zset)
+    pd = pair.resulting_pd
+    if pushed is None:
+        pushed = {}
+    memo = (pd.canonical_key(), zset)
+    if memo not in pushed:
+        pushed[memo] = pushforward_vertex_map(pd, zset)
+    full, eset2, along, divisor = pushed[memo]
     flow, orient = pair.flow.flow_map, pair.flow.orient_map
     values, arrows = [], []
     for e2, src in _flow_sources(pair, zset, eset2, along):
@@ -504,7 +515,7 @@ def _face_keys(ambient_edges, pair, zset):
     return key, divisor
 
 
-def _lattice_faces(abcone, pairs=None):
+def _lattice_faces(abcone, pairs=None, pushed=None):
     """Every face of a fan cone, read from its face lattice and specialized
     from the cone's pair: yields (face ray-index set, face key, face
     divisor key) once per face.
@@ -517,6 +528,8 @@ def _lattice_faces(abcone, pairs=None):
     its own keys are certified to be the ones read from the zero set.  A
     key already there needs no pair: it fixes the contracted graph, E and
     the flow, and so the divisor, the flow's divisor plus the pushed D0.
+    `pushed` is _face_keys' pushforward memo, which a caller may share
+    among cones whose pairs have one base graph.
     """
     if pairs is None:
         pairs = {}
@@ -528,7 +541,7 @@ def _lattice_faces(abcone, pairs=None):
     every = frozenset(abcone.rows.sub.result.edge_ids)
     for face in face_lattice_rayset(abcone.cone):
         zset = every.intersection(*(vanish[i] for i in face))
-        key, divisor = _face_keys(abcone.ambient_edges, pair, zset)
+        key, divisor = _face_keys(abcone.ambient_edges, pair, zset, pushed)
         if key not in pairs:
             pair2 = _specialize_pair(pair, zset)
             if pair2 is None:
@@ -614,7 +627,10 @@ class AbelFan:
         for i, (c, faces) in enumerate(zip(self.cones, self.faces)):
             entry = c.to_json()
             entry["id"] = i
-            entry["faces"] = sorted(ids[k] for k in faces if k in ids)
+            try:
+                entry["faces"] = sorted(ids[k] for k in faces)
+            except KeyError as exc:
+                raise AssertionError(f"face {exc.args[0]} missing from the fan") from None
             cones.append(entry)
         return {
             "edge_order": list(self.graph.edge_ids),
@@ -632,7 +648,11 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     zero set, and a face pair is specialized from the maximal cone's pair
     only for a key not seen before; that key's merged cone reads its rays
     from its own pair's cuts (_cut_rays).  Within one call, the cones with
-    one (contracted graph, E) share one cycle basis.  A cone's face map
+    one (contracted graph, E) share one cycle basis, and the maximal
+    cones, whose pairs all live on g, share one pushforward per (divisor,
+    zero set) (_face_keys): many of them carry one pseudo-divisor.  The
+    memo lives as long as the call; the cap still charges every face
+    walked, memoized or not.  A cone's face map
     comes from the first maximal cone that holds it: that cone's faces
     whose ray sets lie in its own.  Cones are embedded into the edge space
     of g, contracted coordinates pinned to zero.  `cap` bounds the pair enumeration and,
@@ -659,10 +679,11 @@ def build_fan(g, v0, pol, d0, cap=1 << 20):
     cones = {key: fan_cone(key, pair) for key, pair in pairs.items()}
     maximal_keys = list(cones)
     faces = {}
+    pushed = {}
     work = WorkCap("fan faces", cap, "face specializations", "face containment tests")
     for top in maximal_keys:
         walked = []
-        for rayset, key, divisor in _lattice_faces(cones[top], pairs):
+        for rayset, key, divisor in _lattice_faces(cones[top], pairs, pushed):
             work.charge("face specializations")
             walked.append((rayset, key, divisor))
             if key not in cones:

@@ -37,8 +37,73 @@ DEFAULT_CAP = 1 << 20
 NUMBER_LIST_OPTIONS = ("--mu", "--D0", "--point", "--A", "--rays")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# compact, so the C encoder runs; it writes null, true, false, ints and
+# floats as the indenting encoder does, and raises its TypeError otherwise
+_encode_scalar = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_text(data):
+    """data as json.dumps(data, sort_keys=True, indent=2, separators=(",",
+    ": ")) writes it, plus a trailing newline, byte for byte.
+
+    With an indent the stdlib falls back to its pure-Python encoder; this
+    writer collects the parts once and joins them, and a list of plain ints
+    is written with one join.  Containers are lists, tuples and dicts, as
+    for the stdlib; anything else that is not a str or a plain int goes
+    through _encode_scalar, and a dict key that is not a str, int, float,
+    bool or None raises the stdlib's TypeError.
+    """
+    parts = []
+    _write(data, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, parts, nl):
+    """Append the JSON parts of value, its nested lines starting with nl."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif type(value) is int:
+        parts.append(str(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(x) is int for x in value):
+            parts += ("[", inner, ("," + inner).join(map(str, value)), nl, "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            parts.append(sep)
+            _write(x, parts, inner)
+            sep = "," + inner
+        parts += (nl, "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, x in sorted(value.items()):
+            if not isinstance(key, str):
+                if not (isinstance(key, (int, float)) or key is None):
+                    raise TypeError(
+                        "keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}"
+                    )
+                key = _encode_scalar(key)
+            parts += (sep, _encode_str(key), ": ")
+            _write(x, parts, inner)
+            sep = "," + inner
+        parts += (nl, "}")
+    else:
+        parts.append(_encode_scalar(value))
+
+
 def _dump(data, out_path):
-    text = json.dumps(data, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    text = _json_text(data)
     if out_path:
         try:
             with open(out_path, "w") as fh:

@@ -30,6 +30,7 @@ from .linalg import (
     nullspace,
     primitive,
     rank,
+    solve,
     vec_add,
     vec_scale,
     vec_sub,
@@ -332,7 +333,9 @@ def dual_monoid(ambient_dim, rays):
     subspace S and hilbert_basis_pointed returns None.  With B a basis of
     the integer points of S (the covectors vanishing on the lines),
     u = c @ B pairs with r as c . (B r), so the basis is the lift of that of
-    {c : c . (B r) >= 0 for every ray r}, a full-dimensional dual.
+    {c : c . (B r) >= 0 for every ray r}, a full-dimensional dual.  Its
+    rays are the dual rays d already found, written as the c with
+    c @ B = d (linalg.solve); no second double description runs.
 
     Certificate, raised explicitly so that it holds under python -O: every
     basis element pairs >= 0 and every unit 0 with every ray.
@@ -350,9 +353,17 @@ def dual_monoid(ambient_dim, rays):
     if basis is None:
         lines = nullspace(qdual, k)
         span = left_kernel_lattice([list(col) for col in zip(*lines)])
+        cols = [list(col) for col in zip(*span)]
         srays = sorted({primitive(tuple(dot(b, r) for b in span)) for r in qrays})
-        sbasis = hilbert_basis_pointed(srays, rays_from_halfspaces(srays, len(span)))
-        basis = [tuple(dot(c, col) for col in zip(*span)) for c in sbasis]
+        sdual = []
+        for d in qdual:
+            x = solve(cols, d)
+            c = None if x is None else tuple(int(q) for q in x)
+            if c is None or any(dot(c, col) != v for col, v in zip(cols, d)):
+                raise AssertionError(f"dual ray {tuple(d)} is not integral in the span lattice")
+            sdual.append(c)
+        sbasis = hilbert_basis_pointed(srays, sorted(sdual))
+        basis = [tuple(dot(c, col) for col in cols) for c in sbasis]
     basis = [lift(u) for u in basis]
     units += [vec_scale(-1, u) for u in units]
     for r in rays:

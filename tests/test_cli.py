@@ -1,10 +1,15 @@
 import json
+import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from tropabel.cli import main
+import tropabel
+from tropabel import cli
+from tropabel.cli import _json_text, main
 
 from conftest import graph_json
 
@@ -640,3 +645,110 @@ def test_negative_values_in_separated_form(capsys, theta_file, banana_file, argv
     assert separated == _run(capsys, joined + graph)
     assert separated[0] == code, separated[2]
     assert bool(separated[1]) == (code == 0)
+
+
+def _stdlib_text(data):
+    """The writer's oracle: the stdlib call the CLI's bytes were defined by."""
+    return json.dumps(data, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def _random_string(rng):
+    alphabet = 'ab"\\/,:{}[] \n\t\x00\x1f\x7féü\u2603\U0001f600χ'
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+
+def _random_document(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 7, -(10**30), 2**70, True, False, None])
+    if kind == 1:
+        return _random_string(rng)
+    if kind == 2:
+        return rng.randint(-(10**12), 10**12)
+    if kind == 3:
+        return [rng.randint(-5, 10**9) for _ in range(rng.randint(0, 5))]
+    if kind == 4:
+        return rng.choice([[], (), {}])
+    if kind in (5, 6):
+        items = [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return items if kind == 5 else tuple(items)
+    return {_random_string(rng): _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_json_writer_matches_stdlib_on_random_documents():
+    """The direct writer gives the stdlib's indented, key-sorted bytes on
+    seeded documents: nested dicts, lists and tuples, empty ones, escaped
+    and non-ASCII strings, large and negative ints, true, false and null,
+    plus dicts with int, float, bool and None keys."""
+    rng = random.Random(20261021)
+    docs = [_random_document(rng) for _ in range(400)]
+    docs += [
+        {1: "a", 10: "b", 2: [True, None]},
+        {True: 1, 0: 2, 1.5: 3},
+        {None: [2]},
+        [1, True, 2],
+        [1.5, -0.0, 1e300],
+        {"k": [[], {}, ()]},
+    ]
+    for doc in docs:
+        assert _json_text(doc) == _stdlib_text(doc), doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1, 2}, Fraction(1, 2), {(1, 2): 3}, {"a": [Fraction(1, 3)]}, {"a": 1, 2: 3}, [object()]],
+    ids=["set", "fraction", "tuple-key", "nested-fraction", "mixed-keys", "object"],
+)
+def test_json_writer_raises_where_stdlib_does(doc):
+    with pytest.raises(TypeError) as want:
+        _stdlib_text(doc)
+    with pytest.raises(TypeError) as got:
+        _json_text(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writer_raises_on_a_tuple_key_under_optimize():
+    """The writer's own key check is an explicit raise, kept under -O."""
+    code = "from tropabel.cli import _json_text\ntry:\n    _json_text({(1,): 2})\nexcept TypeError as exc:\n    print(exc)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tropabel.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stdout == "keys must be str, int, float, bool or None, not tuple\n", proc.stderr
+
+
+def test_every_command_writes_the_stdlib_bytes(capsys, theta_file, banana_file, tmp_path, monkeypatch):
+    """Every command's payload, captured at _dump, is written with the
+    stdlib's bytes, to stdout and to --out."""
+    payloads = []
+    real_dump = cli._dump
+
+    def spy(data, out_path):
+        payloads.append(data)
+        real_dump(data, out_path)
+
+    monkeypatch.setattr(cli, "_dump", spy)
+    inst = ["--graph", theta_file, "--mu", "0", "--D0", "4,-4"]
+    commands = [
+        ["quasistable-poset", "--graph", theta_file, "--mu", "0"],
+        ["admissible", *inst],
+        ["build-fan", *inst],
+        ["build-fan", "--graph", theta_file, "--mu=-1/3,1/3", "--D0", "4,-4"],
+        ["locate", *inst, "--point", "5/2,2,3"],
+        ["dual-hilbert", "--rays", "1,0,0;-1,0,0;0,2,-1;0,0,1"],
+        ["dual-hilbert", *inst, "--pair", "42"],
+        ["icap-check", *inst, "--pair", "42", "--edge", "e0"],
+        ["symbolic-power", "--model-t", "2", "-n", "2"],
+        ["symbolic-power", *inst, "--edge", "e0", "--power", "2"],
+        ["drl", "--graph", banana_file, "--A", "2,-2,0"],
+        ["verify", *inst, "--points", "20", "--seed", "3", "--skip-pairwise"],
+        ["paper-examples"],
+    ]
+    for argv in commands:
+        code, out, err = _run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert out == _stdlib_text(payloads[-1]), argv
+        if argv[0] != "paper-examples":
+            path = tmp_path / "out.json"
+            assert main(argv + ["--out", str(path)]) == 0
+            assert path.read_text() == out, argv
+    assert len(payloads) == 2 * len(commands) - 1
+

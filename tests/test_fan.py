@@ -735,8 +735,8 @@ def test_face_pair_certificate_raises(theta, monkeypatch):
         build_fan(theta, "v0", mu, d0)
     monkeypatch.setattr(abelfan, "_specialize_pair", real_pair)
 
-    def stray_divisor(amb, pair, zset):
-        key, (eset, _) = real_keys(amb, pair, zset)
+    def stray_divisor(amb, pair, zset, pushed):
+        key, (eset, _) = real_keys(amb, pair, zset, pushed)
         return key, (eset, ())
 
     monkeypatch.setattr(abelfan, "_face_keys", stray_divisor)
@@ -773,3 +773,74 @@ def test_build_fan_builds_each_face_pair_once(theta, monkeypatch, d):
     assert {(c.provenance.base, c.provenance.eset) for c in fan.cones} == {
         (g, frozenset(eset)) for g, eset in bases
     }
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(lambda: parallel_instance(3, 4, Fraction(1, 3)), id="theta+"),
+        pytest.param(lambda: parallel_instance(3, 4, Fraction(-1, 3)), id="theta-"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(1, 5)), id="banana4+"),
+    ],
+)
+def test_shared_pushforward_memo_yields_the_same_faces(instance):
+    """A pushforward memo shared by all maximal cones, as build_fan shares
+    it, leaves every cone's face walk as it is with a fresh one."""
+    g, v0, mu, d0 = instance()
+    fan = build_fan(g, v0, mu, d0)
+    pairs, pushed = {}, {}
+    for i in fan.maximal:
+        c = fan.cones[i]
+        assert list(_lattice_faces(c, pairs, pushed)) == list(_lattice_faces(c)), c.key()
+    assert pushed
+
+
+@pytest.mark.parametrize(
+    "instance, shared",
+    [
+        pytest.param(lambda: parallel_instance(3, 4, Fraction(1, 3)), True, id="theta"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(-1, 5)), False, id="banana4"),
+    ],
+)
+def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, shared, monkeypatch):
+    """Within one build_fan call, pushforward_vertex_map runs at most once
+    per distinct (divisor key, zero set) met in the face walks, plus once
+    per new face pair.  On theta many maximal cones share a pseudo-divisor,
+    so it runs fewer times than faces are walked; banana_4's 15 maximal
+    cones have 15 divisors, and share none."""
+    g, v0, mu, d0 = instance()
+    fan = build_fan(g, v0, mu, d0)
+    calls, specialized = [], []
+    real_push, real_pair = abelfan.pushforward_vertex_map, abelfan._specialize_pair
+
+    def push(pd, zset):
+        calls.append((pd.canonical_key(), frozenset(zset)))
+        return real_push(pd, zset)
+
+    def specialize(pair, zset):
+        specialized.append(zset)
+        return real_pair(pair, zset)
+
+    monkeypatch.setattr(abelfan, "pushforward_vertex_map", push)
+    monkeypatch.setattr(abelfan, "_specialize_pair", specialize)
+    assert build_fan(g, v0, mu, d0) == fan
+    assert len(calls) <= len(set(calls)) + len(specialized)
+    assert len(specialized) == len(fan.cones) - len(fan.maximal)
+    walked = sum(len(face_lattice_rayset(fan.cones[i].cone)) for i in fan.maximal)
+    assert (len(calls) < walked) == shared
+
+
+def test_fan_json_names_a_face_missing_from_the_fan(theta):
+    """AbelFan.to_json maps every face key to a cone id, and raises, naming
+    the face, on a key the fan does not hold."""
+    mu = Polarization.zero(theta)
+    d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
+    fan = build_fan(theta, "v0", mu, d0)
+    faces = [dict(f) for f in fan.faces]
+    stray = (("e9",), (), ((), ()))
+    faces[fan.maximal[0]][stray] = ((), (("v0", 0),))
+    with pytest.raises(AssertionError, match=r"face \(\('e9',\).* missing from the fan"):
+        dataclasses.replace(fan, faces=tuple(faces)).to_json()
+    for entry, faces_of in zip(fan.to_json()["cones"], fan.faces):
+        assert entry["faces"] == sorted(fan.index[k] for k in faces_of)
+

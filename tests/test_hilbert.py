@@ -106,6 +106,41 @@ def test_parallelepipeds_match_box_walk_on_cones_with_lines():
     assert larger > 0
 
 
+def test_cone_with_a_line_runs_one_double_description(monkeypatch):
+    """In the lattice of the dual's span, dual_monoid writes the dual rays
+    it already has in that lattice's basis rather than running a second
+    double description: one call for the `dual-hilbert --rays` example and
+    for seeded cones spanning R^n that hold a line."""
+    calls = []
+    real = cone.rays_from_halfspaces
+
+    def spy(ineqs, dim):
+        calls.append(dim)
+        return real(ineqs, dim)
+
+    monkeypatch.setattr(cone, "rays_from_halfspaces", spy)
+    example = [(1, 0, 0), (-1, 0, 0), (0, 2, -1), (0, 0, 1)]
+    assert cone.dual_monoid(3, example) == (
+        ((0, 1, 0), (0, 1, 2)),
+        ((0, 1, 0), (0, 1, 1), (0, 1, 2)),
+        (),
+    )
+    assert calls == [3]
+    rng = random.Random(41)
+    cones = 0
+    while cones < 30:
+        n = rng.randint(2, 4)
+        line = tuple(rng.randint(-2, 2) for _ in range(n))
+        rays = [line, tuple(-x for x in line)]
+        rays += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n - 1, n + 1))]
+        if not any(line) or rank(rays) < n:
+            continue
+        calls.clear()
+        cone.dual_monoid(n, rays)
+        assert calls == [n], rays
+        cones += 1
+
+
 def test_lower_dimensional_cones_with_lines_match_box_walk(monkeypatch):
     """A cone that spans less than R^n and holds a line takes both
     reductions in one dual_monoid call: the quotient by the units, then the
