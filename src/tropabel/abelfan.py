@@ -529,11 +529,15 @@ def _lattice_faces(abcone, pairs=None, pushed=None):
     key already there needs no pair: it fixes the contracted graph, E and
     the flow, and so the divisor, the flow's divisor plus the pushed D0.
     `pushed` is _face_keys' pushforward memo, which a caller may share
-    among cones whose pairs have one base graph.
+    among cones whose pairs have one base graph; a face pair is built from
+    the vertex map held there.
     """
     if pairs is None:
         pairs = {}
+    if pushed is None:
+        pushed = {}
     pair = abcone.provenance
+    pd_key = pair.resulting_pd.canonical_key()
     vanish = []
     for ray in abcone.cone.rays:
         lengths = abcone.split_point(ray)
@@ -543,7 +547,7 @@ def _lattice_faces(abcone, pairs=None, pushed=None):
         zset = every.intersection(*(vanish[i] for i in face))
         key, divisor = _face_keys(abcone.ambient_edges, pair, zset, pushed)
         if key not in pairs:
-            pair2 = _specialize_pair(pair, zset)
+            pair2 = _specialize_pair(pair, zset, pushed[pd_key, zset])
             if pair2 is None:
                 raise AssertionError("a face of a fan cone specializes to a cyclic flow")
             if (
@@ -571,17 +575,19 @@ def cone_faces(abcone):
     ]
 
 
-def _specialize_pair(pair, zset):
+def _specialize_pair(pair, zset, vertex_map=None):
     """Specialize an admissible pair by contracting a set of edges of its
     E-subdivision; zset may hold plain edges as well as halves.
 
-    The divisor and the vertex map come from contract_pushforward; the
+    The divisor and the vertex map come from contract_pushforward, handed
+    `vertex_map`, the result of pushforward_vertex_map on the pair's
+    pseudo-divisor and zset, when the caller has it; the
     flow is carried along _flow_sources, and orientations go through the
     vertex map.  Returns the face pair, on the contracted graph, or None
     when the image flow has a directed cycle, which no face of the pair's
     cone gives.
     """
-    pd2, along = contract_pushforward(pair.resulting_pd, zset)
+    pd2, along = contract_pushforward(pair.resulting_pd, zset, vertex_map)
     flow_vals = {}
     orient = {}
     for e2, src in _flow_sources(pair, zset, pd2.eset, along.vmap):

@@ -345,7 +345,7 @@ def dual_monoid(ambient_dim, rays):
     if _span_dim(rays) < n:
         # rays enter as matrix columns: u @ mat = 0 iff u vanishes on them
         units = left_kernel_lattice([[r[i] for r in rays] for i in range(n)])
-    _, lift, pair = lattice_quotient(units, n)
+    lift, pair = lattice_quotient(units, n)
     qrays = sorted({primitive(pair(r)) for r in rays})
     k = n - len(units)
     qdual = rays_from_halfspaces(qrays, k)

@@ -220,17 +220,49 @@ def _check_flow(cap, res, s, t, limit):
         raise AssertionError("the flow is not conserved")
 
 
+def _residual_reach(res, nbrs, starts):
+    """The nodes reachable from `starts` through residual arcs > 0, searched
+    along `nbrs`, as a set."""
+    seen = set(starts)
+    stack = list(starts)
+    while stack:
+        u = stack.pop()
+        row = res[u]
+        for v in nbrs[u]:
+            if row[v] > 0 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _check_closure(res, starts, n):
+    """Raise unless every node below n is reachable from `starts` through
+    arcs of `res` > 0.  The reach is recomputed over whole rows of `res`,
+    apart from _residual_reach."""
+    seen = [False] * len(res)
+    for s in starts:
+        seen[s] = True
+    frontier = list(starts)
+    for u in frontier:
+        for v, left in enumerate(res[u]):
+            if left > 0 and not seen[v]:
+                seen[v] = True
+                frontier.append(v)
+    if not all(seen[:n]):
+        raise AssertionError("the residual closure of v0 misses a vertex")
+
+
 class _CutTester:
-    """Quasistability on one polarized graph by integer s-t minimum cuts.
+    """Quasistability on one polarized graph by one integer maximum flow.
 
     With L the lcm of the polarization's denominators and
-    c(v) = 2L(D(v) - mu(v)), the function f(V) = sum_V c + L delta_V equals
-    2L beta(V).  It is a modular function plus a graph cut, so its minimum
-    over the sets holding s and missing t is a minimum cut (Picard and
-    Ratliff): each non-loop edge gives two arcs of capacity L, a vertex with
-    c(v) > 0 an arc v -> sink of capacity c(v), one with c(v) < 0 an arc
-    source -> v of capacity -c(v), and the cut value exceeds f by the sum of
-    the latter.  Only the terminal arcs depend on D, so one tester serves
+    c(v) = 2L(D(v) - mu(v)), the function f(X) = sum_X c + L delta_X equals
+    2L beta(X).  It is a modular function plus a graph cut, so it is a cut
+    function shifted by a constant (Picard and Ratliff): each non-loop edge
+    gives two arcs of capacity L, a vertex with c(v) > 0 an arc v -> sink of
+    capacity c(v), one with c(v) < 0 an arc source -> v of capacity -c(v),
+    and the cut of X plus the source is f(X) plus the sum of the latter,
+    the offset.  Only the terminal arcs depend on D, so one tester serves
     every candidate divisor on its graph.
     """
 
@@ -256,53 +288,58 @@ class _CutTester:
 
     def _network(self, values):
         """Capacities for the divisor `values` (vertex -> int) and the sum
-        of the source arcs, which a cut value exceeds f by."""
+        of the source arcs, which a cut value exceeds f by.  Raises
+        ValidationError unless f vanishes on the whole vertex set, that is
+        unless deg D = deg mu."""
         n = len(self.vertices)
         src, snk = n, n + 1
         cap = [row[:] for row in self.arcs]
+        total = 0
         for i, v in enumerate(self.vertices):
             c = 2 * self.scale * values[v] - self.twice_mu[i]
+            total += c
             if c > 0:
                 cap[i][snk] = c
             elif c < 0:
                 cap[src][i] = -c
+        if total:
+            raise ValidationError("the divisor's degree is not the polarization's")
         return cap, sum(cap[src])
 
     def violation(self, values):
         """A set violating quasistability of `values`, or None: beta < 0, or
-        beta <= 0 on a set holding v0.  Stops at the first one found.
+        beta = 0 on a set holding v0.
 
-        One minimum cut per pinned pair: first v0 on the source side with
-        each t on the sink side, then each s with v0 on the sink side.  Each
-        flow halts at the strict (first family) or weak (second family)
-        bound on f, so a pair whose minimum cut stays below it names a
-        violating set: the source side of that cut.
+        One maximum flow from source to sink.  Since f vanishes on the empty
+        and the whole vertex set, the flow never exceeds the offset, and
+        falls short of it exactly when some set has f < 0: the source side
+        of the minimum cut is then such a set, nonempty and proper.  Otherwise
+        f >= 0 everywhere, and the sets with f = 0 are the minimum cuts,
+        which are the residual-closed sets holding the source (Picard and
+        Queyranne).  So the residual reach of the source and v0 is the
+        least set holding v0 with f = 0, and it names a violation exactly
+        when it misses a vertex.
 
         Both answers are certified by explicit raises: a returned set by f
         recomputed from the divisor, 2L mu and the edges leaving it, and
-        None by every pinned flow's residual network (_check_flow).
+        None by the flow's residual network (_check_flow), which shows
+        f >= 0, and by the residual reach of the source and v0 recomputed
+        apart from the walk (_check_closure), which shows no proper set
+        holding v0 has f = 0.
         """
         n = len(self.vertices)
         src, snk = n, n + 1
         cap, offset = self._network(values)
-        big = sum(map(sum, cap)) + 1  # beyond any finite cut
-        r = self.root
-        flows = []
-        for first in (True, False):
-            limit = offset + 1 if first else offset
-            for other in range(n):
-                if other == r:
-                    continue
-                s, t = (r, other) if first else (other, r)
-                pinned = [row[:] for row in cap]
-                pinned[src][s] = pinned[t][snk] = big
-                res = [row[:] for row in pinned]
-                side = _max_flow(res, self.nbrs, src, snk, limit)
-                if side is not None:
-                    return self._checked_violation(values, side)
-                flows.append((pinned, res, limit))
-        for pinned, res, limit in flows:
-            _check_flow(pinned, res, src, snk, limit)
+        res = [row[:] for row in cap]
+        side = _max_flow(res, self.nbrs, src, snk, offset)
+        if side is not None:
+            return self._checked_violation(values, side)
+        starts = (src, self.root)
+        reach = _residual_reach(res, self.nbrs, starts)
+        if not reach.issuperset(range(n)):
+            return self._checked_violation(values, reach)
+        _check_flow(cap, res, src, snk, offset)
+        _check_closure(res, starts, n)
         return None
 
     def _checked_violation(self, values, side):
@@ -322,10 +359,10 @@ class QuasistableRoutes:
     """The candidates and the quasistability test of the pseudo-divisors
     with one edge set E.
 
-    The test is the definition, by a certified minimum-cut search for a
-    violating set on the E-subdivision against the lifted polarization
-    (_CutTester.violation), built at the first accepts: a walk that tests
-    no candidate of E builds none.
+    The test is the definition, decided by one certified maximum flow and
+    its residual closure on the E-subdivision against the lifted
+    polarization (_CutTester.violation); the network is built at the first
+    accepts, so a walk that tests no candidate of E builds none.
     """
 
     def __init__(self, g, eset, v0, pol, sub=None):
@@ -367,8 +404,9 @@ def is_quasistable(pd, v0, pol):
     """Quasistability of a pseudo-divisor: beta >= 0 on every proper vertex
     set of its E-subdivision, and > 0 on those holding v0.
 
-    The minimum of beta is found by 2(|V| - 1) integer s-t minimum cuts on
-    the subdivision, and the answer is certified (see _CutTester).
+    Decided by one integer maximum flow on the subdivision and the
+    residual reach of v0, and certified (see _CutTester.violation).  Raises
+    ValidationError when the degree of the pseudo-divisor is not deg(mu).
     """
     if pol.graph != pd.base:
         raise ValidationError("polarization lives on the wrong graph")
@@ -419,18 +457,21 @@ def pushforward_vertex_map(pd, zset):
     return full, new_e, vmap, (tuple(sorted(new_e)), tuple(sorted(sums.items())))
 
 
-def contract_pushforward(pd, zset):
+def contract_pushforward(pd, zset, vertex_map=None):
     """Push a pseudo-divisor forward along the contraction of a set `zset`
     of edges of its E-subdivision, plain edges and halves alike.
 
     The contracted edges, E' and the vertex map between the two
-    subdivisions come from pushforward_vertex_map; the vertex map is the
-    Specialization's.  The face divisor sums the values over its fibers
+    subdivisions come from pushforward_vertex_map, or from `vertex_map`, a
+    caller's result of pushforward_vertex_map(pd, zset); the vertex map is
+    the Specialization's.  The face divisor sums the values over its fibers
     (Divisor.pushforward), so the degree is kept and each surviving
     exceptional vertex keeps its -1.  Returns (face pseudo-divisor, vertex
     map).
     """
-    full, new_e, vmap, _ = pushforward_vertex_map(pd, zset)
+    if vertex_map is None:
+        vertex_map = pushforward_vertex_map(pd, zset)
+    full, new_e, vmap, _ = vertex_map
     target = contract(pd.base, full).target
     subdivision = subdivide(target, new_e)
     along = Specialization(

@@ -292,17 +292,17 @@ def left_kernel_lattice(mat):
 
 
 def lattice_quotient(basis, n):
-    """Projection data for Z^n / U where U is a saturated lattice.
+    """Coordinates on Z^n / U where U is a saturated lattice.
 
-    basis: rows spanning U (rank s, saturated).  Returns (proj, lift, pair)
-    where proj maps an ambient integer covector to Z^(n-s) with kernel
-    exactly U, lift is a right inverse of proj, and pair maps an ambient
-    vector r to coordinates with proj(u) . pair(r) = u . r for every u.
+    basis: rows spanning U (rank s, saturated).  Returns (lift, pair) where
+    lift maps Z^(n-s) isomorphically onto a complement of U in Z^n, and
+    pair maps an ambient vector r to coordinates with
+    lift(w) . r = w . pair(r); on the r vanishing on U, pair loses nothing.
     """
     s = len(basis)
     if s == 0:
         ident = lambda v: tuple(v)
-        return ident, ident, ident
+        return ident, ident
     # column-style HNF via the row-style routine on the transpose: a
     # unimodular C (n x n) with basis @ C = [T | 0], T upper triangular
     # with the HNF pivots on its diagonal.  U is saturated iff T is
@@ -316,9 +316,6 @@ def lattice_quotient(basis, n):
         raise ValueError("lattice is not saturated")
     cinv_t = _int_inverse(ct)  # (C^T)^-1 = (C^-1)^T
 
-    def proj(v):
-        return tuple(dot(ct[i], v) for i in range(s, n))
-
     def lift(w):
         # x with x @ C = (0, w): x = (0, w) @ C^{-1}; row i of C^{-1} is
         # column i of (C^T)^{-1}.
@@ -329,7 +326,7 @@ def lattice_quotient(basis, n):
         # (basis = [T | 0] @ C^{-1}), so they vanish on an r orthogonal to U
         return tuple(sum(cinv_t[j][k] * r[j] for j in range(n)) for k in range(s, n))
 
-    return proj, lift, pair
+    return lift, pair
 
 
 def determinant(m):

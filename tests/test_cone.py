@@ -12,7 +12,7 @@ from tropabel.cone import (
     semigroup_generators,
 )
 from tropabel.errors import ValidationError
-from tropabel.linalg import dot, lattice_quotient, left_kernel_lattice
+from tropabel.linalg import determinant, dot, lattice_quotient, left_kernel_lattice, nullspace
 
 import linalg_oracle as oracle
 from conftest import contains, contains_interior
@@ -236,15 +236,25 @@ def test_left_kernel_lattice_saturated():
 
 
 def test_lattice_quotient_roundtrip():
-    basis = [(1, -1, 0)]
-    proj, lift, pair = lattice_quotient(basis, 3)
-    assert proj(basis[0]) == (0, 0)
-    for w in [(1, 2), (-3, 5), (0, 0)]:
-        assert proj(lift(w)) == w
-    # pairing identity proj(u) . pair(r) = u . r for r orthogonal to U
+    """lift maps Z^(n-s) onto a complement of U, and lift(w) . r equals
+    w . pair(r) on the vectors r vanishing on U and on any other r."""
     rng = random.Random(1)
-    for _ in range(30):
-        u = tuple(rng.randint(-4, 4) for _ in range(3))
-        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
-        r = (a, a, b)  # orthogonal to (1, -1, 0)
-        assert sum(x * y for x, y in zip(proj(u), pair(r))) == dot(u, r)
+    cases = [([(1, -1, 0)], 3), ([], 2)]
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        cols = rng.randint(1, n)
+        mat = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(n)]
+        cases.append((left_kernel_lattice(mat), n))
+    for basis, n in cases:
+        lift, pair = lattice_quotient(basis, n)
+        k = n - len(basis)
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        assert abs(determinant(list(basis) + [lift(e) for e in units])) == 1, basis
+        perp = nullspace(basis, n) if basis else units
+        for _ in range(10):
+            w = tuple(rng.randint(-4, 4) for _ in range(k))
+            coeffs = [rng.randint(-3, 3) for _ in perp]
+            r = tuple(sum(c * p[j] for c, p in zip(coeffs, perp)) for j in range(n))
+            assert all(dot(b, r) == 0 for b in basis)
+            for v in (r, tuple(rng.randint(-4, 4) for _ in range(n))):
+                assert dot(lift(w), v) == dot(w, pair(v)), (basis, w, v)

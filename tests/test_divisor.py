@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from tropabel import divisor as divisor_mod
 from tropabel.divisor import (
     Divisor,
     Polarization,
     PseudoDivisor,
     QuasistableRoutes,
+    _check_flow,
     _CutTester,
+    _max_flow,
     _tuples_of_sum,
     _value_windows,
     beta,
@@ -54,6 +57,38 @@ def quasistable_by_subsets(div, v0, pol):
             if b < 0 or (b == 0 and v0 in subset):
                 return False
     return True
+
+
+def pinned_violation(tester, values):
+    """The cut test's former route, kept as the oracle of its single flow:
+    one minimum cut per pinned pair, first v0 on the source side with each
+    other vertex t on the sink side, halting at the strict bound offset + 1,
+    then each other vertex s on the source side with v0 on the sink side,
+    halting at the weak bound offset.  The first cut below its bound names
+    the violating set, its source side; an acceptance checks the residual
+    network of every pinned flow.  2(|V| - 1) flows per accepted divisor."""
+    n = len(tester.vertices)
+    src, snk = n, n + 1
+    cap, offset = tester._network(values)
+    big = sum(map(sum, cap)) + 1  # beyond any finite cut
+    r = tester.root
+    flows = []
+    for first in (True, False):
+        limit = offset + 1 if first else offset
+        for other in range(n):
+            if other == r:
+                continue
+            s, t = (r, other) if first else (other, r)
+            pinned = [row[:] for row in cap]
+            pinned[src][s] = pinned[t][snk] = big
+            res = [row[:] for row in pinned]
+            side = _max_flow(res, tester.nbrs, src, snk, limit)
+            if side is not None:
+                return tester._checked_violation(values, side)
+            flows.append((pinned, res, limit))
+    for pinned, res, limit in flows:
+        _check_flow(pinned, res, src, snk, limit)
+    return None
 
 
 def test_beta_hand_value(theta):
@@ -466,12 +501,32 @@ def test_polarization_rejects_non_integer_degree(theta):
         Polarization.of(theta, {"v0": Fraction(1, 2), "v1": 0})
 
 
-def _check_tester(tester, div, v0, pol):
-    """The cut tester against the subset oracle on one graph: same verdict,
-    and a genuinely violating set."""
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """Counts of the library's _max_flow and _check_flow calls."""
+    calls = {"flow": 0, "check": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(divisor_mod, "_max_flow", counted("flow", divisor_mod._max_flow))
+    monkeypatch.setattr(divisor_mod, "_check_flow", counted("check", divisor_mod._check_flow))
+    return calls
+
+
+def _check_tester(tester, div, v0, pol, calls):
+    """The cut tester against the subset oracle and the pinned route on one
+    graph: same verdict, a genuinely violating set, and exactly one
+    _max_flow per call, with _check_flow only on an acceptance."""
     expect = quasistable_by_subsets(div, v0, pol)
+    calls.update(flow=0, check=0)
     bad = tester.violation(div._map)
-    assert (bad is None) == expect
+    assert calls == {"flow": 1, "check": int(bad is None)}
+    assert (bad is None) == expect == (pinned_violation(tester, div._map) is None)
     if bad is not None:
         assert 0 < len(bad) < len(div.graph.vertex_ids)
         b = beta(div, pol, bad)
@@ -486,15 +541,17 @@ def _polarization_over(rng, g, degree, den):
     return Polarization.of(g, vals)
 
 
-def test_cut_tester_matches_subset_oracle_on_both_routes():
+def test_cut_tester_matches_subset_oracle_on_both_routes(flow_calls):
     """Seeded graphs with loops, parallel edges and single vertices, every
     edge set E (disconnecting ones included), D at both ends of each window
-    and one step outside it: the library's cut tester on the E-subdivision
+    and one step outside it, zero-beta ties on sets with and without v0,
+    and denominators 1 to 4: the library's cut tester on the E-subdivision
     and the reduction route's on G - E against mu_E (rebuilt from the test
     helpers removed_edges_shift and remove_edges) each agree with the subset
-    loop, with each other and with accepts."""
+    loop and the pinned route, with each other and with accepts."""
     rng = random.Random(4242)
     seen = {"loop": 0, "parallel": 0, "single": 0, "disconnecting": 0, "kept": 0, "scale": set()}
+    seen.update(tie_with_v0=0, tie_without_v0=0)
     for i in range(60):
         g = random_connected_graph(rng, max_edges=4, max_extra_vertices=2)
         v0 = rng.choice(g.vertex_ids)
@@ -520,13 +577,20 @@ def test_cut_tester_matches_subset_oracle_on_both_routes():
                 vals[g.vertex_ids[0]] += pol.degree() + len(eset) - sum(vals.values())
                 vals.update({x: -1 for x in sub.exceptional})
                 div = Divisor.of(sub.result, vals)
-                direct = _check_tester(routes.direct, div, v0, routes.lifted)
+                verts = sub.result.vertex_ids
+                for r in range(1, len(verts)):
+                    for x in combinations(verts, r):
+                        if beta(div, routes.lifted, x) == 0:
+                            seen["tie_with_v0" if v0 in x else "tie_without_v0"] += 1
+                direct = _check_tester(routes.direct, div, v0, routes.lifted, flow_calls)
                 # G - E is tested even when disconnected; the route
                 # itself then rejects
                 reduced_div = Divisor.of(
                     reduced_pol.graph, {v: div[v] for v in reduced_pol.graph.vertex_ids}
                 )
-                via_removal = _check_tester(reduced_tester, reduced_div, v0, reduced_pol)
+                via_removal = _check_tester(
+                    reduced_tester, reduced_div, v0, reduced_pol, flow_calls
+                )
                 via_removal = via_removal and not disconnecting
                 assert direct == via_removal
                 assert routes.accepts(vals) == direct
@@ -534,6 +598,7 @@ def test_cut_tester_matches_subset_oracle_on_both_routes():
                 seen["kept"] += direct
     assert seen["loop"] and seen["parallel"] and seen["single"]
     assert seen["disconnecting"] and seen["kept"]
+    assert seen["tie_with_v0"] and seen["tie_without_v0"]
     assert seen["scale"] == {1, 2, 3, 4}
 
 
@@ -555,11 +620,27 @@ def test_cut_tester_zero_beta_ties():
     assert not is_quasistable(PseudoDivisor.of(g, set(), {"a": -1, "b": 1}), "a", pol)
 
 
+def test_is_quasistable_rejects_a_degree_other_than_the_polarizations(theta):
+    """One flow decides quasistability only when beta vanishes on the whole
+    vertex set, so a pseudo-divisor of another degree than mu is an error,
+    not a verdict."""
+    mu = Polarization.zero(theta)
+    assert is_quasistable(PseudoDivisor.of(theta, set(), {"v0": 1, "v1": -1}), "v0", mu)
+    for vals in ({"v0": 1, "v1": 0}, {"v0": -2, "v1": 1}):
+        pd = PseudoDivisor.of(theta, set(), vals)
+        with pytest.raises(ValidationError, match="degree is not the polarization's"):
+            is_quasistable(pd, "v0", mu)
+    pd = PseudoDivisor.of(theta, {"e0"}, {"v0": 1, "v1": -1, exceptional_id("e0"): -1})
+    with pytest.raises(ValidationError, match="degree is not the polarization's"):
+        is_quasistable(pd, "v0", mu)
+
+
 def test_certificates_survive_optimize():
     """The certificates on the enumeration path are explicit raises, so
     `python -O`, which strips assert statements, still trips them: a cut
-    side that violates nothing, a flow that breaks conservation and one
-    that falls short of its limit (the real flow accepts), a pushforward
+    side that violates nothing, a flow that leaves a negative residual
+    capacity and one that falls short of its limit (the real flow accepts),
+    a residual reach that overstates its coverage (the real one rejects), a pushforward
     leaving the poset, an admissible pair produced twice, divisors on
     different graphs, a flow divisor of nonzero degree, a non-unimodular
     integer inverse, an inverse from a corrupted elimination kernel (the
@@ -575,6 +656,7 @@ def test_certificates_survive_optimize():
             raise SystemExit("not running under -O")
         g = theta_graph()
         mu = Polarization.zero(g)
+        half = Polarization.of(g, {"v0": "1/2", "v1": "-1/2"})
 
         def attempt(label, fn):
             try:
@@ -603,6 +685,15 @@ def test_certificates_survive_optimize():
         attempt("no_flow", lambda: routes.accepts({"v0": 1, "v1": -1}))
         divisor._max_flow = real_flow
         print("real_flow accepts:", routes.accepts({"v0": 1, "v1": -1}))
+
+        # under mu = (1/2, -1/2), (-1, 1) has beta({v0}) = 0: a reach that
+        # claims every vertex hides the tie from the walk, not the closure
+        tied = divisor.QuasistableRoutes(g, frozenset(), "v0", half)
+        real_reach = divisor._residual_reach
+        divisor._residual_reach = lambda res, nbrs, starts: set(range(len(res)))
+        attempt("reach", lambda: tied.accepts({"v0": -1, "v1": 1}))
+        divisor._residual_reach = real_reach
+        print("real reach rejects:", tied.direct.violation({"v0": -1, "v1": 1}))
 
         stray = ((), (("v0", 9), ("v1", -9)))
         real = divisor.pushforward_vertex_map
@@ -664,9 +755,11 @@ def test_certificates_survive_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "cut_side rejected: the violating set does not violate quasistability",
-        "leaky_flow rejected: the flow is not conserved",
+        "leaky_flow rejected: a residual capacity is negative",
         "no_flow rejected: the flow falls short of its limit",
         "real_flow accepts: True",
+        "reach rejected: the residual closure of v0 misses a vertex",
+        "real reach rejects: frozenset({'v0'})",
         "pushforward rejected: pushforward left the quasistable poset",
         "pairs rejected: an admissible pair was produced twice",
         "add rejected: divisors live on different graphs",

@@ -730,7 +730,7 @@ def test_face_pair_certificate_raises(theta, monkeypatch):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     real_keys, real_pair = abelfan._face_keys, abelfan._specialize_pair
-    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset: None)
+    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, vertex_map: None)
     with pytest.raises(AssertionError, match="cyclic flow"):
         build_fan(theta, "v0", mu, d0)
     monkeypatch.setattr(abelfan, "_specialize_pair", real_pair)
@@ -817,9 +817,9 @@ def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, share
         calls.append((pd.canonical_key(), frozenset(zset)))
         return real_push(pd, zset)
 
-    def specialize(pair, zset):
+    def specialize(pair, zset, vertex_map):
         specialized.append(zset)
-        return real_pair(pair, zset)
+        return real_pair(pair, zset, vertex_map)
 
     monkeypatch.setattr(abelfan, "pushforward_vertex_map", push)
     monkeypatch.setattr(abelfan, "_specialize_pair", specialize)
@@ -828,6 +828,36 @@ def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, share
     assert len(specialized) == len(fan.cones) - len(fan.maximal)
     walked = sum(len(face_lattice_rayset(fan.cones[i].cone)) for i in fan.maximal)
     assert (len(calls) < walked) == shared
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(lambda: parallel_instance(3, 4, Fraction(1, 3)), id="theta"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(-1, 5)), id="banana4"),
+    ],
+)
+def test_face_pairs_reuse_the_memoized_vertex_map(instance, monkeypatch):
+    """A face pair built inside build_fan takes its vertex map from the
+    pushforward memo, so contract_pushforward computes none of its own;
+    called with no vertex map, as the tests' subset loop calls it, it
+    computes one."""
+    g, v0, mu, d0 = instance()
+    callers = []
+    real = divisor_mod.pushforward_vertex_map
+
+    def push(pd, zset):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(pd, zset)
+
+    monkeypatch.setattr(divisor_mod, "pushforward_vertex_map", push)
+    fan = build_fan(g, v0, mu, d0)
+    assert "contract_pushforward" not in callers
+    assert len(fan.cones) > len(fan.maximal)
+    pair = fan.cones[fan.maximal[0]].provenance
+    callers.clear()
+    _specialize_pair(pair, frozenset())
+    assert callers == ["contract_pushforward"]
 
 
 def test_fan_json_names_a_face_missing_from_the_fan(theta):
