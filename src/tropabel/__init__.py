@@ -19,7 +19,6 @@ from .divisor import (
     Polarization,
     PseudoDivisor,
     beta,
-    contract_pushforward,
     enumerate_quasistable,
     is_quasistable,
 )

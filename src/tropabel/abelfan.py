@@ -33,12 +33,13 @@ from .cone import Cone, face_lattice_rayset
 from .divisor import (
     Divisor,
     Polarization,
+    PseudoDivisor,
     QuasistableRoutes,
-    contract_pushforward,
+    fiber_sums,
     nondisconnecting_edge_sets,
     pushforward_vertex_map,
 )
-from .errors import ValidationError, WorkCap
+from .errors import DEFAULT_CAP, ValidationError, WorkCap
 from .flow import (
     AdmissiblePair,
     FlowAssignment,
@@ -47,7 +48,15 @@ from .flow import (
     enumerate_admissible,
     is_acyclic_flow,
 )
-from .graph import CycleBasis, Graph, Subdivision, contract, contraction_names, cycle_basis
+from .graph import (
+    CycleBasis,
+    Graph,
+    Subdivision,
+    contract,
+    contraction_names,
+    cycle_basis,
+    subdivide,
+)
 from .linalg import clear_denominators, dot, inverse, primitive
 
 
@@ -456,66 +465,67 @@ def classify_ray(abcone):
     raise AssertionError("ray provenance matches no admissible shape")
 
 
-def _flow_sources(pair, zset, eset2, along):
-    """Each edge of the face's E'-subdivision, after contracting `zset`,
-    with the edge of the pair's subdivision whose flow it carries.
+def _face_flow(pair, zset, eset2, along):
+    """The flow of the face pair that contracting `zset` specializes the
+    pair to, as (values, arrows): the pairs (edge, value) over the edges of
+    the face's E'-subdivision, and (edge, (tail, head)) over the positive
+    ones.  `along` is the vertex map (pushforward_vertex_map) and eset2 the
+    face's E.
 
     Surviving plain edges and halves keep their values, and a subdivided
     edge reduced to one half carries that half's value on the
-    un-subdivided edge.  `along` is the vertex map (pushforward_vertex_map)
-    and eset2 the face's E.
+    un-subdivided edge; orientations go through the vertex map.
     """
     g, sub = pair.base, _sub_of(pair)
+    sources = []  # (face edge, the pair's edge whose flow it carries)
     for e, (a, b) in g.edges:
         if e in eset2:
             # contraction can flip the sorted ends: the halves swap names
             ha, hb = sub.halves[e]
             if along[a] <= along[b]:
-                yield from ((ha, ha), (hb, hb))
+                sources += ((ha, ha), (hb, hb))
             else:
-                yield from ((ha, hb), (hb, ha))
+                sources += ((ha, hb), (hb, ha))
         elif e not in pair.eset:
             if e not in zset:
-                yield e, e
+                sources.append((e, e))
         else:
             rest = [h for h in sub.halves[e] if h not in zset]
             if rest:
-                yield e, rest[0]
-
-
-def _face_keys(ambient_edges, pair, zset, pushed=None):
-    """The fan key of the face pair that contracting `zset` specializes the
-    pair to, and that pair's divisor key (PseudoDivisor.canonical_key),
-    read from the zero set alone: the keys of _specialize_pair(pair, zset),
-    with no graph, subdivision or flow built.  The vertex map and the
-    divisor key are contract_pushforward's (pushforward_vertex_map), and
-    the flow is carried as _specialize_pair carries it (_flow_sources).
-
-    `pushed`, if given, memoizes pushforward_vertex_map by (divisor key,
-    zset); the pairs sharing it must have one base graph, which with the
-    divisor key and the zero set fixes the result.  Results there are only
-    read.
-    """
-    pd = pair.resulting_pd
-    if pushed is None:
-        pushed = {}
-    memo = (pd.canonical_key(), zset)
-    if memo not in pushed:
-        pushed[memo] = pushforward_vertex_map(pd, zset)
-    full, eset2, along, divisor = pushed[memo]
+                sources.append((e, rest[0]))
     flow, orient = pair.flow.flow_map, pair.flow.orient_map
     values, arrows = [], []
-    for e2, src in _flow_sources(pair, zset, eset2, along):
+    for e2, src in sources:
         values.append((e2, flow[src]))
         if flow[src] > 0:
             s, t = orient[src]
             arrows.append((e2, (along[s], along[t])))
+    return values, arrows
+
+
+def _face_keys(ambient_edges, pair, zset, pushed):
+    """The fan key of the face pair that contracting `zset` specializes the
+    pair to, and that pair's divisor key (PseudoDivisor.canonical_key),
+    read from the zero set alone, with no graph, subdivision or flow built:
+    the vertex map and the divisor key from pushforward_vertex_map, the
+    flow from _face_flow.
+
+    `pushed` memoizes pushforward_vertex_map by (divisor key, zset); the
+    pairs sharing it must have one base graph, which with the divisor key
+    and the zero set fixes the result.  Results there are only read.
+    """
+    pd = pair.resulting_pd
+    memo = (pd.canonical_key(), zset)
+    if memo not in pushed:
+        pushed[memo] = pushforward_vertex_map(pd, zset)
+    full, eset2, along, divisor = pushed[memo]
+    values, arrows = _face_flow(pair, zset, eset2, along)
     contracted = tuple(sorted(contracted_edges(ambient_edges, pair).union(full)))
-    key = (contracted, divisor[0], (tuple(sorted(arrows)), tuple(sorted(values))))
-    return key, divisor
+    flow_key = (tuple(sorted(arrows)), tuple(sorted(values)))
+    return (contracted, divisor[0], flow_key), divisor
 
 
-def _lattice_faces(abcone, pairs=None, pushed=None):
+def _lattice_faces(abcone, pairs, pushed):
     """Every face of a fan cone, read from its face lattice and specialized
     from the cone's pair: yields (face ray-index set, face key, face
     divisor key) once per face.
@@ -524,18 +534,14 @@ def _lattice_faces(abcone, pairs=None, pushed=None):
     vanishes on all of the face's rays; contracting it specializes the pair.
     Both keys are read from the zero set (_face_keys), the face key over the
     cone's ambient edges.  A face pair is built only for a key missing from
-    `pairs` (key -> pair, a fresh dict by default), and stored there once
-    its own keys are certified to be the ones read from the zero set.  A
+    `pairs` (key -> pair), from its entry in `pushed` (_specialize_pair),
+    and stored there once its flow is found acyclic and its cone key the
+    one read from the zero set; _specialize_pair certifies its divisor.  A
     key already there needs no pair: it fixes the contracted graph, E and
     the flow, and so the divisor, the flow's divisor plus the pushed D0.
     `pushed` is _face_keys' pushforward memo, which a caller may share
-    among cones whose pairs have one base graph; a face pair is built from
-    the vertex map held there.
+    among cones whose pairs have one base graph.
     """
-    if pairs is None:
-        pairs = {}
-    if pushed is None:
-        pushed = {}
     pair = abcone.provenance
     pd_key = pair.resulting_pd.canonical_key()
     vanish = []
@@ -550,11 +556,8 @@ def _lattice_faces(abcone, pairs=None, pushed=None):
             pair2 = _specialize_pair(pair, zset, pushed[pd_key, zset])
             if pair2 is None:
                 raise AssertionError("a face of a fan cone specializes to a cyclic flow")
-            if (
-                _cone_key(abcone.ambient_edges, pair2) != key
-                or pair2.resulting_pd.canonical_key() != divisor
-            ):
-                raise AssertionError("a face pair's keys differ from its zero set's")
+            if _cone_key(abcone.ambient_edges, pair2) != key:
+                raise AssertionError("a face pair's cone key differs from its zero set's")
             pairs[key] = pair2
         yield face, key, divisor
 
@@ -567,7 +570,7 @@ def cone_faces(abcone):
     ambient space.
     """
     pairs = {}
-    for _ in _lattice_faces(abcone, pairs):
+    for _ in _lattice_faces(abcone, pairs, {}):
         pass
     return [
         merged_cone(pairs[k], ambient_edges=abcone.ambient_edges)
@@ -575,31 +578,35 @@ def cone_faces(abcone):
     ]
 
 
-def _specialize_pair(pair, zset, vertex_map=None):
-    """Specialize an admissible pair by contracting a set of edges of its
-    E-subdivision; zset may hold plain edges as well as halves.
+def _specialize_pair(pair, zset, entry):
+    """Specialize an admissible pair by contracting a set `zset` of edges
+    of its E-subdivision, plain edges and halves alike.
 
-    The divisor and the vertex map come from contract_pushforward, handed
-    `vertex_map`, the result of pushforward_vertex_map on the pair's
-    pseudo-divisor and zset, when the caller has it; the
-    flow is carried along _flow_sources, and orientations go through the
-    vertex map.  Returns the face pair, on the contracted graph, or None
-    when the image flow has a directed cycle, which no face of the pair's
-    cone gives.
+    `entry` is pushforward_vertex_map(pair.resulting_pd, zset): the
+    contracted base edges, E', the vertex map and the divisor key, whose
+    fiber sums are the face divisor.  The face graph is the contraction of
+    those edges, subdivided at E', and the flow is carried by _face_flow.
+    Returns the face pair, or None when its flow has a directed cycle,
+    which no face of the pair's cone gives.  Raises AssertionError unless
+    D' - div phi' is the fiber sum of D - div phi, the pushed D0, and that
+    vanishes at every surviving exceptional vertex: the face flow then has
+    divisor D' minus the pushed D0, whatever the entry was read from.
     """
-    pd2, along = contract_pushforward(pair.resulting_pd, zset, vertex_map)
-    flow_vals = {}
-    orient = {}
-    for e2, src in _flow_sources(pair, zset, pd2.eset, along.vmap):
-        v = pair.flow.flow_map[src]
-        flow_vals[e2] = v
-        if v > 0:
-            s, t = pair.flow.orient_map[src]
-            orient[e2] = (along(s), along(t))
-    fa = FlowAssignment.of(pd2.subdivision.result, orient, flow_vals)
+    full, eset2, along, (_, sums) = entry
+    target = contract(pair.base, full).target
+    sub2 = subdivide(target, eset2)
+    values, arrows = _face_flow(pair, zset, eset2, along)
+    fa = FlowAssignment.of(sub2.result, dict(arrows), dict(values))
     if not is_acyclic_flow(fa):
         return None
-    return AdmissiblePair(pd2.base, pd2.eset, fa, pd2)
+    pd2 = PseudoDivisor(target, eset2, Divisor(sub2.result, sums), sub2)
+    d, dphi = pair.resulting_pd.divisor, div_flow(pair.flow)
+    pushed_d0 = fiber_sums(along, {v: d[v] - dphi[v] for v in along})
+    d2, dphi2 = pd2.divisor, div_flow(fa)
+    after = {w: d2[w] - dphi2[w] for w in sub2.result.vertex_ids}
+    if after != pushed_d0 or any(pushed_d0[x] for x in sub2.exceptional):
+        raise AssertionError("a face pair's divisor minus its flow's is not the pushed D0")
+    return AdmissiblePair(target, eset2, fa, pd2)
 
 
 @dataclass(frozen=True)
@@ -645,30 +652,30 @@ class AbelFan:
         }
 
 
-def build_fan(g, v0, pol, d0, cap=1 << 20):
+def build_fan(g, v0, pol, d0, cap=DEFAULT_CAP):
     """Assemble the fan as the face closure of the admissible pairs of g.
 
     The pairs' merged cones are the maximal cones, and every cone of the
     fan is a face of one of them, so only their face lattices are walked
     (_lattice_faces).  Each face's key and divisor key are read from its
     zero set, and a face pair is specialized from the maximal cone's pair
-    only for a key not seen before; that key's merged cone reads its rays
+    only for a key not seen before, its divisor certified against the
+    pushed D0 (_specialize_pair); that key's merged cone reads its rays
     from its own pair's cuts (_cut_rays).  Within one call, the cones with
     one (contracted graph, E) share one cycle basis, and the maximal
     cones, whose pairs all live on g, share one pushforward per (divisor,
-    zero set) (_face_keys): many of them carry one pseudo-divisor.  The
-    memo lives as long as the call; the cap still charges every face
-    walked, memoized or not.  A cone's face map
-    comes from the first maximal cone that holds it: that cone's faces
-    whose ray sets lie in its own.  Cones are embedded into the edge space
-    of g, contracted coordinates pinned to zero.  `cap` bounds the pair enumeration and,
-    separately, the face work: one unit per face walked in each maximal
-    cone's lattice (a "face specialization", though a face whose key was
-    seen before builds no pair), and for each cone one containment test
-    per face of the maximal cone its face map comes from.
+    zero set) (_face_keys), which also builds each new face pair: many of
+    them carry one pseudo-divisor.  The memo lives as long as the call;
+    the cap still charges every face walked, memoized or not.  A cone's
+    face map comes from the first maximal cone that holds it: that cone's
+    faces whose ray sets lie in its own.  Cones are embedded into the edge
+    space of g, contracted coordinates pinned to zero.  The instance is
+    checked once, by enumerate_admissible (check_instance).  `cap` bounds
+    the pair enumeration and, separately, the face work: one unit per face
+    walked in each maximal cone's lattice (a "face specialization", though
+    a face whose key was seen before builds no pair), and for each cone one
+    containment test per face of the maximal cone its face map comes from.
     """
-    if d0.degree() != pol.degree():
-        raise ValidationError("deg D0 must equal deg mu")
     amb = g.edge_ids
     bases = {}
 
@@ -896,7 +903,7 @@ def _certified_pair(g, pd, basis, flow, d0, ipoint):
     return pair, rows
 
 
-def locate_point(g, v0, pol, d0, point, check_unique=False, cap=1 << 20):
+def locate_point(g, v0, pol, d0, point, check_unique=False, cap=DEFAULT_CAP):
     """Find the unique admissible pair whose open cone contains the point.
 
     point: mapping edge -> nonnegative rational (Fractions or ints).  Zero
@@ -927,7 +934,7 @@ def locate_point(g, v0, pol, d0, point, check_unique=False, cap=1 << 20):
     return merged_cone(pair, ambient_edges=g.edge_ids, rows=rows), split
 
 
-def locate_pair(g, v0, pol, d0, point, cap=1 << 20):
+def locate_pair(g, v0, pol, d0, point, cap=DEFAULT_CAP):
     """locate_point, stopping at the first hit, without building the cone:
     the hit's admissible pair, on g with the point's zero edges contracted
     (the edges of g missing from the pair's graph), and the split values.

@@ -24,14 +24,12 @@ from .abelfan import (
 )
 from .cone import Cone, dual_and_hilbert
 from .divisor import Divisor, Polarization, enumerate_quasistable
-from .errors import DeskScaleError, GoldenMismatch, ValidationError
+from .errors import DEFAULT_CAP, DeskScaleError, GoldenMismatch, ValidationError
 from .flow import enumerate_admissible
 from .graph import build_graph
 from .linalg import dot, format_rational, parse_rational
 from .metric import double_ramification_cones
 from .semigroup import node_ring, model_symbolic_power, ray_power_intersection, symbolic_power_ideal
-
-DEFAULT_CAP = 1 << 20
 
 # options taking comma-separated numbers, whose first value may be negative
 NUMBER_LIST_OPTIONS = ("--mu", "--D0", "--point", "--A", "--rays")

@@ -16,19 +16,9 @@ from functools import cached_property
 from itertools import combinations, repeat
 from operator import add, sub
 
-from .errors import ValidationError, WorkCap
-from .graph import (
-    Graph,
-    Specialization,
-    Subdivision,
-    contract,
-    contraction_names,
-    exceptional_id,
-    subdivide,
-)
+from .errors import DEFAULT_CAP, ValidationError, WorkCap
+from .graph import Graph, Subdivision, contraction_names, exceptional_id, subdivide
 from .linalg import exact_value
-
-DEFAULT_CANDIDATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,9 +65,8 @@ class _VertexValues:
 
     def pushforward(self, spec):
         """The values on spec.target, summed over each fiber."""
-        vals = {v: 0 for v in spec.target.vertex_ids}
-        for v in self.graph.vertex_ids:
-            vals[spec(v)] += self[v]
+        vals = dict.fromkeys(spec.target.vertex_ids, 0)
+        vals.update(fiber_sums(spec.vmap, self._map))
         return self.of(spec.target, vals)
 
 
@@ -96,7 +85,8 @@ class Divisor(_VertexValues):
 
 
 class Polarization(_VertexValues):
-    """Exact rational vertex weighting with integer total degree."""
+    """Exact rational vertex weighting with integer total degree, summed
+    once, when the polarization is checked."""
 
     _integral = False
     _noun = "polarization"
@@ -106,13 +96,14 @@ class Polarization(_VertexValues):
         total = super().degree()
         if total.denominator != 1:
             raise ValidationError(f"polarization degree {total} is not an integer")
+        object.__setattr__(self, "_degree", int(total))
 
     @staticmethod
     def zero(graph):
         return Polarization(graph, ())
 
     def degree(self):
-        return int(super().degree())
+        return self._degree
 
 
 @dataclass(frozen=True)
@@ -451,34 +442,18 @@ def pushforward_vertex_map(pd, zset):
         else:
             vmap[x] = x
     new_e = pd.eset.difference(parts)
-    sums = {}
-    for v, w in vmap.items():
-        sums[w] = sums.get(w, 0) + pd.divisor[v]
+    sums = fiber_sums(vmap, pd.divisor._map)
     return full, new_e, vmap, (tuple(sorted(new_e)), tuple(sorted(sums.items())))
 
 
-def contract_pushforward(pd, zset, vertex_map=None):
-    """Push a pseudo-divisor forward along the contraction of a set `zset`
-    of edges of its E-subdivision, plain edges and halves alike.
-
-    The contracted edges, E' and the vertex map between the two
-    subdivisions come from pushforward_vertex_map, or from `vertex_map`, a
-    caller's result of pushforward_vertex_map(pd, zset); the vertex map is
-    the Specialization's.  The face divisor sums the values over its fibers
-    (Divisor.pushforward), so the degree is kept and each surviving
-    exceptional vertex keeps its -1.  Returns (face pseudo-divisor, vertex
-    map).
-    """
-    if vertex_map is None:
-        vertex_map = pushforward_vertex_map(pd, zset)
-    full, new_e, vmap, _ = vertex_map
-    target = contract(pd.base, full).target
-    subdivision = subdivide(target, new_e)
-    along = Specialization(
-        pd.subdivision.result, subdivision.result, frozenset(zset), tuple(sorted(vmap.items()))
-    )
-    face = PseudoDivisor(target, new_e, pd.divisor.pushforward(along), subdivision)
-    return face, along
+def fiber_sums(vmap, values):
+    """The sums of `values` (vertex -> value) over the fibers of the vertex
+    map `vmap` (vertex -> image), as image -> sum: the one fiber sum of
+    every pushforward of vertex values."""
+    sums = {}
+    for v, w in vmap.items():
+        sums[w] = sums.get(w, 0) + values[v]
+    return sums
 
 
 def _tuples_of_sum(windows, total):
@@ -598,7 +573,7 @@ def quasistable_with_edge_set(g, eset, v0, pol, work):
             yield routes.pseudo_divisor(vals)
 
 
-def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CANDIDATE_CAP):
+def enumerate_quasistable(g, v0, pol, cap=DEFAULT_CAP):
     """The full poset of quasistable pseudo-divisors of degree deg(mu).
 
     Runs the per-edge-set kernel quasistable_with_edge_set on the

@@ -13,6 +13,10 @@ class DeskScaleError(RuntimeError):
     """An enumeration or search exceeded the configured desk-scale cap."""
 
 
+# the cap of every enumeration, face walk and CLI command not given one
+DEFAULT_CAP = 1 << 20
+
+
 class WorkCap:
     """Work counted against one desk-scale cap.
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .divisor import Divisor, PseudoDivisor, nondisconnecting_edge_sets, quasistable_with_edge_set
-from .errors import ValidationError, WorkCap
+from .errors import DEFAULT_CAP, ValidationError, WorkCap
 from .graph import Graph, contraction_names
-
-DEFAULT_PAIR_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,7 @@ def check_instance(g, v0, pol, d0):
         )
 
 
-def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_PAIR_CAP):
+def enumerate_admissible(g, v0, pol, d0, cap=DEFAULT_CAP):
     """All admissible pairs for the base divisor d0, sorted by canonical key.
 
     Only the nondisconnecting edge sets E are visited, and no poset covers

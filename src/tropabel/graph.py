@@ -174,8 +174,7 @@ class Specialization:
 
     vertex_map is constant exactly on the connected components of the
     contracted subgraph.  contract keeps the ids of the edges it does not
-    contract; along a pseudo-divisor's subdivision (contract_pushforward) a
-    half whose partner is contracted becomes its base edge.
+    contract.
     """
 
     source: Graph

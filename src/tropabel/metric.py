@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .abelfan import locate_pair, merged_cone
 from .divisor import Divisor, Polarization, PseudoDivisor
-from .errors import ValidationError, WorkCap
+from .errors import DEFAULT_CAP, ValidationError, WorkCap
 from .flow import AdmissiblePair, FlowAssignment, acyclic_flows, div_flow
 from .graph import Graph, exceptional_id, stable_reduction
 from .linalg import exact_value
@@ -206,7 +206,7 @@ def _place_on_stable_model(st, refinement, metric, pair, split):
     return PseudoDivisor.of(st, frozenset(st_e), out_vals), positions
 
 
-def double_ramification_cones(g, weights, cap=1 << 20):
+def double_ramification_cones(g, weights, cap=DEFAULT_CAP):
     """All acyclic flows on g (nothing subdivided) killing the target
     divisor, each with its fan cone, in canonical flow order.
 

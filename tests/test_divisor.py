@@ -21,7 +21,6 @@ from tropabel.divisor import (
     _tuples_of_sum,
     _value_windows,
     beta,
-    contract_pushforward,
     edge_sets,
     enumerate_quasistable,
     is_quasistable,
@@ -42,6 +41,7 @@ from conftest import (
     random_polarization,
     removed_edges_shift,
 )
+from face_oracle import contract_pushforward
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -499,6 +499,22 @@ def test_enumeration_cap(theta):
 def test_polarization_rejects_non_integer_degree(theta):
     with pytest.raises(ValidationError, match="not an integer"):
         Polarization.of(theta, {"v0": Fraction(1, 2), "v1": 0})
+
+
+def test_polarization_degree_is_summed_once(theta, monkeypatch):
+    """The integer degree is kept from the check in __post_init__, so
+    degree() sums no values, and it takes no part in equality or hashing."""
+    mu = Polarization.of(theta, {"v0": Fraction(3, 2), "v1": Fraction(-1, 2)})
+    same = Polarization.of(theta, {"v1": Fraction(-1, 2), "v0": Fraction(3, 2)})
+    zero = Polarization.zero(theta)
+
+    def summed(self):
+        raise AssertionError("degree() summed the values again")
+
+    monkeypatch.setattr(divisor_mod._VertexValues, "degree", summed)
+    assert mu.degree() == 1 and type(mu.degree()) is int
+    assert mu == same and hash(mu) == hash(same)
+    assert zero.degree() == 0
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from tropabel.abelfan import (
     _cone_key,
     _face_keys,
     _lattice_faces,
-    _specialize_pair,
     build_fan,
     classify_ray,
     cone_faces,
@@ -43,6 +42,7 @@ from conftest import (
     random_polarization,
     zero_flow,
 )
+from face_oracle import specialize_pair
 from split_oracle import split_cone, split_rays
 
 
@@ -453,21 +453,21 @@ def contraction_loop_fan(g, v0, pol, d0):
 
 def subset_loop_faces(abcone):
     """Face key -> face divisor, from specializing every subset of the
-    cone's subdivision edges and keeping the acyclic images.  Each image's
-    keys are also those read from the subset alone (_face_keys), so the
-    key route is checked on every face of the cone and on every other
-    subset with an acyclic image."""
+    cone's subdivision edges by the former route (face_oracle) and keeping
+    the acyclic images.  Each image's keys are also those read from the
+    subset alone (_face_keys), so the key route is checked on every face of
+    the cone and on every other subset with an acyclic image."""
     pair = abcone.provenance
     sub_edges = pair.resulting_pd.subdivision.result.edge_ids
-    out = {}
+    out, pushed = {}, {}
     for r in range(len(sub_edges) + 1):
-        for zset in combinations(sub_edges, r):
-            pair2 = _specialize_pair(pair, frozenset(zset))
+        for zset in map(frozenset, combinations(sub_edges, r)):
+            pair2 = specialize_pair(pair, zset)
             if pair2 is None:
                 continue
             key = _cone_key(abcone.ambient_edges, pair2)
             divisor = pair2.resulting_pd.canonical_key()
-            assert _face_keys(abcone.ambient_edges, pair, frozenset(zset)) == (key, divisor), zset
+            assert _face_keys(abcone.ambient_edges, pair, zset, pushed) == (key, divisor), zset
             assert out.setdefault(key, divisor) == divisor, key
     return out
 
@@ -475,7 +475,9 @@ def subset_loop_faces(abcone):
 def per_cone_faces(fan):
     """Each cone's face map from a walk of its own face lattice, the route
     the walk of the maximal cones alone replaced."""
-    return tuple({key: divisor for _, key, divisor in _lattice_faces(c)} for c in fan.cones)
+    return tuple(
+        {key: divisor for _, key, divisor in _lattice_faces(c, {}, {})} for c in fan.cones
+    )
 
 
 def _assert_matches_oracles(g, v0, mu, d0):
@@ -691,10 +693,11 @@ def test_build_fan_cap_charges_the_face_work(theta, d):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": d, "v1": -d})
     fan = build_fan(theta, "v0", mu, d0)
-    walks = [
-        [key for _, key, _ in _lattice_faces(fan.cone_by_key(_cone_key(theta.edge_ids, pair)))]
+    tops = [
+        fan.cone_by_key(_cone_key(theta.edge_ids, pair))
         for pair in enumerate_admissible(theta, "v0", mu, d0)
     ]
+    walks = [[key for _, key, _ in _lattice_faces(c, {}, {})] for c in tops]
     first = {}
     for walk in walks:
         for key in walk:
@@ -725,29 +728,76 @@ def test_verify_fan_catches_wrong_face_divisor(theta):
 
 def test_face_pair_certificate_raises(theta, monkeypatch):
     """A new face key gets its pair from _specialize_pair, and build_fan
-    raises when that pair's flow is cyclic or its keys differ from the
-    ones read from the zero set."""
+    raises when that pair's flow is cyclic or its cone key differs from
+    the one read from the zero set."""
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     real_keys, real_pair = abelfan._face_keys, abelfan._specialize_pair
-    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, vertex_map: None)
+    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, entry: None)
     with pytest.raises(AssertionError, match="cyclic flow"):
         build_fan(theta, "v0", mu, d0)
     monkeypatch.setattr(abelfan, "_specialize_pair", real_pair)
 
-    def stray_divisor(amb, pair, zset, pushed):
-        key, (eset, _) = real_keys(amb, pair, zset, pushed)
-        return key, (eset, ())
+    def stray_flow(amb, pair, zset, pushed):
+        (contracted, eset, _), divisor = real_keys(amb, pair, zset, pushed)
+        return (contracted, eset, ((), ())), divisor
 
-    monkeypatch.setattr(abelfan, "_face_keys", stray_divisor)
-    with pytest.raises(AssertionError, match="keys differ"):
+    monkeypatch.setattr(abelfan, "_face_keys", stray_flow)
+    with pytest.raises(AssertionError, match="cone key differs"):
         build_fan(theta, "v0", mu, d0)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_face_divisor_certificate_raises(flags):
+    """A face pair's divisor is certified apart from the memo it is read
+    from: handed fiber sums of the right degree but wrong at the base
+    vertices, build_fan raises on the 3-cycle with D0 = 2 v0 - 2 v2, whose
+    new face pairs mostly keep two base vertices, also under `python -O`,
+    since the certificate is an explicit raise."""
+    script = textwrap.dedent(
+        """
+        from tropabel import abelfan
+        from tropabel.divisor import Divisor, Polarization
+        from tropabel.graph import build_graph
+
+        real = abelfan.pushforward_vertex_map
+
+        def shifted(pd, zset):
+            full, eset2, along, (eset_key, sums) = real(pd, zset)
+            base = sorted({along[v] for v in pd.base.vertex_ids})
+            if len(base) < 2:
+                return full, eset2, along, (eset_key, sums)
+            moved = dict(sums)
+            moved[base[0]] += 1
+            moved[base[1]] -= 1
+            return full, eset2, along, (eset_key, tuple(sorted(moved.items())))
+
+        g = build_graph(GRAPH)
+        mu, d0 = Polarization.zero(g), Divisor.of(g, {"v0": 2, "v2": -2})
+        abelfan.build_fan(g, "v0", mu, d0)
+        abelfan.pushforward_vertex_map = shifted
+        try:
+            abelfan.build_fan(g, "v0", mu, d0)
+        except AssertionError as exc:
+            print(__debug__, "rejected:", exc)
+        else:
+            print(__debug__, "accepted")
+        """
+    ).replace("GRAPH", repr(cycle_json(3)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        f"{not flags} rejected: a face pair's divisor minus its flow's is not the pushed D0\n"
+    )
 
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_build_fan_builds_each_face_pair_once(theta, monkeypatch, d):
     """build_fan specializes one pair per cone it has not seen (one
-    contract_pushforward per non-maximal cone), and builds one cycle basis
+    _specialize_pair per non-maximal cone), and builds one cycle basis
     per (graph, E) it meets.  Subdivisions are not shared, and need not
     be: no two face pairs of these fans have the same (graph, E)."""
     mu = Polarization.zero(theta)
@@ -761,9 +811,9 @@ def test_build_fan_builds_each_face_pair_once(theta, monkeypatch, d):
 
         return call
 
-    pushforward = spy(pushforwards, abelfan.contract_pushforward)
-    monkeypatch.setattr(abelfan, "contract_pushforward", pushforward)
-    monkeypatch.setattr(divisor_mod, "subdivide", spy(subdivisions, divisor_mod.subdivide))
+    monkeypatch.setattr(abelfan, "_specialize_pair", spy(pushforwards, abelfan._specialize_pair))
+    for module in (abelfan, divisor_mod):
+        monkeypatch.setattr(module, "subdivide", spy(subdivisions, module.subdivide))
     monkeypatch.setattr(abelfan, "cycle_basis", spy(bases, abelfan.cycle_basis))
     fan = build_fan(theta, "v0", mu, d0)
     assert len(pushforwards) == len(fan.cones) - len(fan.maximal)
@@ -791,7 +841,7 @@ def test_shared_pushforward_memo_yields_the_same_faces(instance):
     pairs, pushed = {}, {}
     for i in fan.maximal:
         c = fan.cones[i]
-        assert list(_lattice_faces(c, pairs, pushed)) == list(_lattice_faces(c)), c.key()
+        assert list(_lattice_faces(c, pairs, pushed)) == list(_lattice_faces(c, {}, {})), c.key()
     assert pushed
 
 
@@ -803,11 +853,11 @@ def test_shared_pushforward_memo_yields_the_same_faces(instance):
     ],
 )
 def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, shared, monkeypatch):
-    """Within one build_fan call, pushforward_vertex_map runs at most once
-    per distinct (divisor key, zero set) met in the face walks, plus once
-    per new face pair.  On theta many maximal cones share a pseudo-divisor,
-    so it runs fewer times than faces are walked; banana_4's 15 maximal
-    cones have 15 divisors, and share none."""
+    """Within one build_fan call, pushforward_vertex_map runs once per
+    distinct (divisor key, zero set) met in the face walks, and a new face
+    pair is built from its memo entry.  On theta many maximal cones share
+    a pseudo-divisor, so it runs fewer times than faces are walked;
+    banana_4's 15 maximal cones have 15 divisors, and share none."""
     g, v0, mu, d0 = instance()
     fan = build_fan(g, v0, mu, d0)
     calls, specialized = [], []
@@ -817,14 +867,14 @@ def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, share
         calls.append((pd.canonical_key(), frozenset(zset)))
         return real_push(pd, zset)
 
-    def specialize(pair, zset, vertex_map):
+    def specialize(pair, zset, entry):
         specialized.append(zset)
-        return real_pair(pair, zset, vertex_map)
+        return real_pair(pair, zset, entry)
 
     monkeypatch.setattr(abelfan, "pushforward_vertex_map", push)
     monkeypatch.setattr(abelfan, "_specialize_pair", specialize)
     assert build_fan(g, v0, mu, d0) == fan
-    assert len(calls) <= len(set(calls)) + len(specialized)
+    assert len(calls) == len(set(calls))
     assert len(specialized) == len(fan.cones) - len(fan.maximal)
     walked = sum(len(face_lattice_rayset(fan.cones[i].cone)) for i in fan.maximal)
     assert (len(calls) < walked) == shared
@@ -839,9 +889,8 @@ def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, share
 )
 def test_face_pairs_reuse_the_memoized_vertex_map(instance, monkeypatch):
     """A face pair built inside build_fan takes its vertex map from the
-    pushforward memo, so contract_pushforward computes none of its own;
-    called with no vertex map, as the tests' subset loop calls it, it
-    computes one."""
+    pushforward memo: only _face_keys, which fills the memo, computes
+    one."""
     g, v0, mu, d0 = instance()
     callers = []
     real = divisor_mod.pushforward_vertex_map
@@ -850,14 +899,11 @@ def test_face_pairs_reuse_the_memoized_vertex_map(instance, monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(pd, zset)
 
-    monkeypatch.setattr(divisor_mod, "pushforward_vertex_map", push)
+    for module in (abelfan, divisor_mod):
+        monkeypatch.setattr(module, "pushforward_vertex_map", push)
     fan = build_fan(g, v0, mu, d0)
-    assert "contract_pushforward" not in callers
+    assert set(callers) == {"_face_keys"}
     assert len(fan.cones) > len(fan.maximal)
-    pair = fan.cones[fan.maximal[0]].provenance
-    callers.clear()
-    _specialize_pair(pair, frozenset())
-    assert callers == ["contract_pushforward"]
 
 
 def test_fan_json_names_a_face_missing_from_the_fan(theta):
