@@ -525,40 +525,60 @@ def _face_keys(ambient_edges, pair, zset, pushed):
     return (contracted, divisor[0], flow_key), divisor
 
 
-def _lattice_faces(abcone, pairs, pushed):
+def _lattice_faces(abcone, cones, pushed, seen, fan_cone):
     """Every face of a fan cone, read from its face lattice and specialized
     from the cone's pair: yields (face ray-index set, face key, face
     divisor key) once per face.
 
-    A face's zero set is the set of subdivision edges whose inverse row
-    vanishes on all of the face's rays; contracting it specializes the pair.
-    Both keys are read from the zero set (_face_keys), the face key over the
-    cone's ambient edges.  A face pair is built only for a key missing from
-    `pairs` (key -> pair), from its entry in `pushed` (_specialize_pair),
-    and stored there once its flow is found acyclic and its cone key the
-    one read from the zero set; _specialize_pair certifies its divisor.  A
-    key already there needs no pair: it fixes the contracted graph, E and
-    the flow, and so the divisor, the flow's divisor plus the pushed D0.
-    `pushed` is _face_keys' pushforward memo, which a caller may share
-    among cones whose pairs have one base graph.
+    `seen` maps a face's ray set (the frozenset of its ambient ray tuples)
+    to its two keys; a face whose rays are there is yielded from it, with
+    no zero set, key or pair computed.  Any other face is derived: its zero
+    set is the set of subdivision edges whose inverse row vanishes on all
+    of the face's rays, and contracting it specializes the pair.  Both keys
+    are read from the zero set (_face_keys), the face key over the cone's
+    ambient edges.  A face pair is built only for a key missing from
+    `cones` (key -> fan cone), from its entry in `pushed`
+    (_specialize_pair); its flow must be acyclic and its cone key the one
+    read from the zero set, and its cone, fan_cone(key, pair) over the
+    same ambient edges, is then stored in `cones`.  A key already there
+    needs no pair: it fixes the contracted graph, E and the flow, and so
+    the divisor, the flow's divisor plus the pushed D0.  Certificate of
+    every derivation: the cone of the derived key, whose rays come from
+    its own pair's cuts, has exactly the face's rays; only then is the face
+    stored in `seen`.  The vanish sets are computed at the cone's first
+    derivation, and its pair's D - div phi at its first new face pair.
+    `pushed` is _face_keys' pushforward memo; a caller may share it, and
+    `seen`, among cones whose pairs have one base graph.
     """
     pair = abcone.provenance
-    pd_key = pair.resulting_pd.canonical_key()
-    vanish = []
-    for ray in abcone.cone.rays:
-        lengths = abcone.split_point(ray)
-        vanish.append(frozenset(e for e, x in lengths.items() if x == 0))
-    every = frozenset(abcone.rows.sub.result.edge_ids)
+    rays = abcone.cone.rays
+    vanish = lifted = None
     for face in face_lattice_rayset(abcone.cone):
+        face_rays = frozenset(rays[i] for i in face)
+        if face_rays in seen:
+            yield (face, *seen[face_rays])
+            continue
+        if vanish is None:
+            vanish = [
+                frozenset(e for e, x in abcone.split_point(ray).items() if x == 0)
+                for ray in rays
+            ]
+            every = frozenset(abcone.rows.sub.result.edge_ids)
         zset = every.intersection(*(vanish[i] for i in face))
         key, divisor = _face_keys(abcone.ambient_edges, pair, zset, pushed)
-        if key not in pairs:
-            pair2 = _specialize_pair(pair, zset, pushed[pd_key, zset])
+        if key not in cones:
+            if lifted is None:
+                lifted = _d_minus_div_flow(pair)
+            entry = pushed[pair.resulting_pd.canonical_key(), zset]
+            pair2 = _specialize_pair(pair, zset, entry, lifted)
             if pair2 is None:
                 raise AssertionError("a face of a fan cone specializes to a cyclic flow")
             if _cone_key(abcone.ambient_edges, pair2) != key:
                 raise AssertionError("a face pair's cone key differs from its zero set's")
-            pairs[key] = pair2
+            cones[key] = fan_cone(key, pair2)
+        if frozenset(cones[key].cone.rays) != face_rays:
+            raise AssertionError("a face's rays are not those of its key's cone")
+        seen[face_rays] = key, divisor
         yield face, key, divisor
 
 
@@ -569,16 +589,24 @@ def cone_faces(abcone):
     cone's pair (_lattice_faces); their cones are embedded in the same
     ambient space.
     """
-    pairs = {}
-    for _ in _lattice_faces(abcone, pairs, {}):
+    cones = {}
+
+    def fan_cone(key, pair):
+        return merged_cone(pair, ambient_edges=abcone.ambient_edges)
+
+    for _ in _lattice_faces(abcone, cones, {}, {}, fan_cone):
         pass
-    return [
-        merged_cone(pairs[k], ambient_edges=abcone.ambient_edges)
-        for k in sorted(pairs)
-    ]
+    return [cones[k] for k in sorted(cones)]
 
 
-def _specialize_pair(pair, zset, entry):
+def _d_minus_div_flow(pair):
+    """D - div phi of an admissible pair, per vertex of its subdivision:
+    the lifted D0, computed from the divisor and the flow."""
+    d, dphi = pair.resulting_pd.divisor, div_flow(pair.flow)
+    return {v: d[v] - dphi[v] for v in _sub_of(pair).result.vertex_ids}
+
+
+def _specialize_pair(pair, zset, entry, lifted):
     """Specialize an admissible pair by contracting a set `zset` of edges
     of its E-subdivision, plain edges and halves alike.
 
@@ -587,10 +615,11 @@ def _specialize_pair(pair, zset, entry):
     fiber sums are the face divisor.  The face graph is the contraction of
     those edges, subdivided at E', and the flow is carried by _face_flow.
     Returns the face pair, or None when its flow has a directed cycle,
-    which no face of the pair's cone gives.  Raises AssertionError unless
-    D' - div phi' is the fiber sum of D - div phi, the pushed D0, and that
-    vanishes at every surviving exceptional vertex: the face flow then has
-    divisor D' minus the pushed D0, whatever the entry was read from.
+    which no face of the pair's cone gives.  `lifted` is D - div phi of
+    the pair (_d_minus_div_flow).  Raises AssertionError unless D' - div
+    phi' is its fiber sum, the pushed D0, and that vanishes at every
+    surviving exceptional vertex: the face flow then has divisor D' minus
+    the pushed D0, whatever the entry was read from.
     """
     full, eset2, along, (_, sums) = entry
     target = contract(pair.base, full).target
@@ -600,8 +629,7 @@ def _specialize_pair(pair, zset, entry):
     if not is_acyclic_flow(fa):
         return None
     pd2 = PseudoDivisor(target, eset2, Divisor(sub2.result, sums), sub2)
-    d, dphi = pair.resulting_pd.divisor, div_flow(pair.flow)
-    pushed_d0 = fiber_sums(along, {v: d[v] - dphi[v] for v in along})
+    pushed_d0 = fiber_sums(along, lifted)
     d2, dphi2 = pd2.divisor, div_flow(fa)
     after = {w: d2[w] - dphi2[w] for w in sub2.result.vertex_ids}
     if after != pushed_d0 or any(pushed_d0[x] for x in sub2.exceptional):
@@ -657,23 +685,27 @@ def build_fan(g, v0, pol, d0, cap=DEFAULT_CAP):
 
     The pairs' merged cones are the maximal cones, and every cone of the
     fan is a face of one of them, so only their face lattices are walked
-    (_lattice_faces).  Each face's key and divisor key are read from its
-    zero set, and a face pair is specialized from the maximal cone's pair
-    only for a key not seen before, its divisor certified against the
-    pushed D0 (_specialize_pair); that key's merged cone reads its rays
-    from its own pair's cuts (_cut_rays).  Within one call, the cones with
-    one (contracted graph, E) share one cycle basis, and the maximal
-    cones, whose pairs all live on g, share one pushforward per (divisor,
-    zero set) (_face_keys), which also builds each new face pair: many of
-    them carry one pseudo-divisor.  The memo lives as long as the call;
-    the cap still charges every face walked, memoized or not.  A cone's
-    face map comes from the first maximal cone that holds it: that cone's
-    faces whose ray sets lie in its own.  Cones are embedded into the edge
-    space of g, contracted coordinates pinned to zero.  The instance is
-    checked once, by enumerate_admissible (check_instance).  `cap` bounds
-    the pair enumeration and, separately, the face work: one unit per face
-    walked in each maximal cone's lattice (a "face specialization", though
-    a face whose key was seen before builds no pair), and for each cone one
+    (_lattice_faces).  Within one call, a face is derived once: the first
+    maximal cone whose lattice holds it reads its key and divisor key from
+    its zero set, and the later ones find them by its ray set (the frozenset
+    of its ambient ray tuples), since a cone of a fan is fixed by its rays.
+    A face pair is specialized from the maximal cone's pair only for a key
+    not seen before, its divisor certified against the pushed D0
+    (_specialize_pair); that key's merged cone reads its rays from its own
+    pair's cuts (_cut_rays), and each derived face must have exactly those
+    rays before its ray set is stored.  The cones with one (contracted
+    graph, E) share one cycle basis, and the maximal cones, whose pairs
+    all live on g, share one pushforward per (divisor, zero set)
+    (_face_keys), which also builds each new face pair: many of them carry
+    one pseudo-divisor.  The memos live as long as the call; the cap still
+    charges every face walked, memoized or not.  A cone's face map comes
+    from the first maximal cone that holds it: that cone's faces whose ray
+    sets lie in its own.  Cones are embedded into the edge space of g,
+    contracted coordinates pinned to zero.  The instance is checked once,
+    by enumerate_admissible (check_instance).  `cap` bounds the pair
+    enumeration and, separately, the face work: one unit per face walked
+    in each maximal cone's lattice (a "face specialization", though a face
+    found by its ray set derives nothing), and for each cone one
     containment test per face of the maximal cone its face map comes from.
     """
     amb = g.edge_ids
@@ -686,21 +718,18 @@ def build_fan(g, v0, pol, d0, cap=DEFAULT_CAP):
         rows = pair_rows(pair, bases[key[:2]])
         return merged_cone(pair, ambient_edges=amb, rows=rows)
 
-    pairs = {}
+    cones = {}
     for pair in enumerate_admissible(g, v0, pol, d0, cap=cap):
-        pairs[_cone_key(amb, pair)] = pair
-    cones = {key: fan_cone(key, pair) for key, pair in pairs.items()}
+        key = _cone_key(amb, pair)
+        cones[key] = fan_cone(key, pair)
     maximal_keys = list(cones)
-    faces = {}
-    pushed = {}
+    faces, pushed, seen = {}, {}, {}
     work = WorkCap("fan faces", cap, "face specializations", "face containment tests")
     for top in maximal_keys:
         walked = []
-        for rayset, key, divisor in _lattice_faces(cones[top], pairs, pushed):
+        for rayset, key, divisor in _lattice_faces(cones[top], cones, pushed, seen, fan_cone):
             work.charge("face specializations")
             walked.append((rayset, key, divisor))
-            if key not in cones:
-                cones[key] = fan_cone(key, pairs[key])
         for rayset, key, _ in walked:
             if key not in faces:
                 work.charge("face containment tests", len(walked))

@@ -1,5 +1,4 @@
-"""The face-pair route that abelfan._specialize_pair replaced, kept as a
-test oracle.
+"""The face routes that abelfan replaced, kept as test oracles.
 
 The library builds a face pair from build_fan's pushforward memo entry: the
 fiber sums pushforward_vertex_map read are the face divisor, and the flow
@@ -8,10 +7,24 @@ face pseudo-divisor by contract_pushforward, which pushes the divisor along
 a Specialization between the two subdivisions (Divisor.pushforward), and
 the flow by its own walk over the edges, so the subset loop of the fan
 tests checks the library against a route that shares neither.
+
+build_fan derives each distinct face once and finds it again by its ray
+set.  lattice_faces and build_fan here are the per-(cone, face) route it
+replaced: every maximal cone derives each face of its lattice from the
+zero set again.
 """
 
+from tropabel.abelfan import (
+    AbelFan,
+    _cone_key,
+    _d_minus_div_flow,
+    _face_keys,
+    _specialize_pair,
+    merged_cone,
+)
+from tropabel.cone import face_lattice_rayset
 from tropabel.divisor import PseudoDivisor, pushforward_vertex_map
-from tropabel.flow import AdmissiblePair, FlowAssignment, is_acyclic_flow
+from tropabel.flow import AdmissiblePair, FlowAssignment, enumerate_admissible, is_acyclic_flow
 from tropabel.graph import Specialization, contract, subdivide
 
 
@@ -79,3 +92,43 @@ def specialize_pair(pair, zset):
     if not is_acyclic_flow(fa):
         return None
     return AdmissiblePair(pd2.base, pd2.eset, fa, pd2)
+
+
+def lattice_faces(abcone, pairs, pushed):
+    """Every face of a fan cone, each derived from its zero set: yields
+    (face ray-index set, face key, face divisor key) once per face.  A face
+    pair is built, with D - div phi recomputed, for a key missing from
+    `pairs` (key -> pair), and stored there."""
+    pair = abcone.provenance
+    pd_key = pair.resulting_pd.canonical_key()
+    vanish = []
+    for ray in abcone.cone.rays:
+        lengths = abcone.split_point(ray)
+        vanish.append(frozenset(e for e, x in lengths.items() if x == 0))
+    every = frozenset(abcone.rows.sub.result.edge_ids)
+    for face in face_lattice_rayset(abcone.cone):
+        zset = every.intersection(*(vanish[i] for i in face))
+        key, divisor = _face_keys(abcone.ambient_edges, pair, zset, pushed)
+        if key not in pairs:
+            pair2 = _specialize_pair(pair, zset, pushed[pd_key, zset], _d_minus_div_flow(pair))
+            assert pair2 is not None and _cone_key(abcone.ambient_edges, pair2) == key, zset
+            pairs[key] = pair2
+        yield face, key, divisor
+
+
+def build_fan(g, v0, pol, d0):
+    """The fan as build_fan assembles it, with every face of every maximal
+    cone derived by lattice_faces, and no cap."""
+    amb = g.edge_ids
+    pairs = {_cone_key(amb, pair): pair for pair in enumerate_admissible(g, v0, pol, d0)}
+    tops = {key: merged_cone(pair, ambient_edges=amb) for key, pair in pairs.items()}
+    faces, pushed = {}, {}
+    for top_cone in tops.values():
+        walked = list(lattice_faces(top_cone, pairs, pushed))
+        for rayset, key, _ in walked:
+            if key not in faces:
+                faces[key] = {k: div for rs, k, div in walked if rs <= rayset}
+    keys = sorted(pairs)
+    cones = tuple(tops.get(k) or merged_cone(pairs[k], ambient_edges=amb) for k in keys)
+    maximal = tuple(sorted(keys.index(k) for k in tops))
+    return AbelFan(g, d0, pol, cones, maximal, tuple(faces[k] for k in keys))

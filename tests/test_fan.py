@@ -42,7 +42,8 @@ from conftest import (
     random_polarization,
     zero_flow,
 )
-from face_oracle import specialize_pair
+import face_oracle
+from face_oracle import lattice_faces, specialize_pair
 from split_oracle import split_cone, split_rays
 
 
@@ -476,17 +477,27 @@ def per_cone_faces(fan):
     """Each cone's face map from a walk of its own face lattice, the route
     the walk of the maximal cones alone replaced."""
     return tuple(
-        {key: divisor for _, key, divisor in _lattice_faces(c, {}, {})} for c in fan.cones
+        {key: divisor for _, key, divisor in lattice_faces(c, {}, {})} for c in fan.cones
     )
+
+
+def _assert_matches_per_face_route(fan, v0):
+    """The fan equals the one whose maximal cones each derive every face of
+    their lattices (face_oracle.build_fan), JSON included."""
+    oracle = face_oracle.build_fan(fan.graph, v0, fan.polarization, fan.base_divisor)
+    assert fan == oracle
+    assert fan.to_json() == oracle.to_json()
 
 
 def _assert_matches_oracles(g, v0, mu, d0):
     """Same JSON as the contraction loop, and each cone's lattice faces
-    (keys and divisors) are the subset loop's."""
+    (keys and divisors) are the subset loop's; the same fan as the
+    per-face route."""
     fan = build_fan(g, v0, mu, d0)
     oracle = contraction_loop_fan(g, v0, mu, d0)
     assert fan.to_json() == oracle.to_json()
     assert fan.faces == oracle.faces
+    _assert_matches_per_face_route(fan, v0)
     return fan
 
 
@@ -596,10 +607,14 @@ def loop_instance(rng):
 def test_cut_rays_match_double_description_on_graphs_with_loops():
     """The cut rays are double description's on every cone of the fans of
     30 seeded graphs with a loop, weighted vertices and half-integral
-    polarizations, faces included."""
+    polarizations, faces included, and each fan is the per-face route's."""
     rng = random.Random(19)
     instances = [loop_instance(rng) for _ in range(30)]
-    count = sum(_assert_cut_rays_match_double_description(build_fan(*i)) for i in instances)
+    count = 0
+    for g, v0, mu, d0 in instances:
+        fan = build_fan(g, v0, mu, d0)
+        count += _assert_cut_rays_match_double_description(fan)
+        _assert_matches_per_face_route(fan, v0)
     assert count > 1000
     assert any(x.denominator == 2 for _, _, mu, _ in instances for _, x in mu.values)
 
@@ -697,7 +712,7 @@ def test_build_fan_cap_charges_the_face_work(theta, d):
         fan.cone_by_key(_cone_key(theta.edge_ids, pair))
         for pair in enumerate_admissible(theta, "v0", mu, d0)
     ]
-    walks = [[key for _, key, _ in _lattice_faces(c, {}, {})] for c in tops]
+    walks = [[key for _, key, _ in lattice_faces(c, {}, {})] for c in tops]
     first = {}
     for walk in walks:
         for key in walk:
@@ -733,7 +748,7 @@ def test_face_pair_certificate_raises(theta, monkeypatch):
     mu = Polarization.zero(theta)
     d0 = Divisor.of(theta, {"v0": 4, "v1": -4})
     real_keys, real_pair = abelfan._face_keys, abelfan._specialize_pair
-    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, entry: None)
+    monkeypatch.setattr(abelfan, "_specialize_pair", lambda pair, zset, entry, lifted: None)
     with pytest.raises(AssertionError, match="cyclic flow"):
         build_fan(theta, "v0", mu, d0)
     monkeypatch.setattr(abelfan, "_specialize_pair", real_pair)
@@ -834,30 +849,39 @@ def test_build_fan_builds_each_face_pair_once(theta, monkeypatch, d):
     ],
 )
 def test_shared_pushforward_memo_yields_the_same_faces(instance):
-    """A pushforward memo shared by all maximal cones, as build_fan shares
-    it, leaves every cone's face walk as it is with a fresh one."""
+    """A pushforward memo and a ray-set memo shared by all maximal cones,
+    as build_fan shares them, leave every cone's face walk as the per-face
+    route walks it with fresh ones."""
     g, v0, mu, d0 = instance()
     fan = build_fan(g, v0, mu, d0)
-    pairs, pushed = {}, {}
-    for i in fan.maximal:
-        c = fan.cones[i]
-        assert list(_lattice_faces(c, pairs, pushed)) == list(_lattice_faces(c, {}, {})), c.key()
+    cones = {fan.cones[i].key(): fan.cones[i] for i in fan.maximal}
+    pushed, seen = {}, {}
+
+    def fan_cone(key, pair):
+        return merged_cone(pair, ambient_edges=g.edge_ids)
+
+    for c in list(cones.values()):
+        walk = list(_lattice_faces(c, cones, pushed, seen, fan_cone))
+        assert walk == list(lattice_faces(c, {}, {})), c.key()
     assert pushed
+    assert sorted(cones) == sorted(fan.index)
+    assert len(seen) == len(fan.cones)
 
 
 @pytest.mark.parametrize(
-    "instance, shared",
+    "instance",
     [
-        pytest.param(lambda: parallel_instance(3, 4, Fraction(1, 3)), True, id="theta"),
-        pytest.param(lambda: parallel_instance(4, 2, Fraction(-1, 5)), False, id="banana4"),
+        pytest.param(lambda: parallel_instance(3, 4, Fraction(1, 3)), id="theta"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(-1, 5)), id="banana4"),
     ],
 )
-def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, shared, monkeypatch):
-    """Within one build_fan call, pushforward_vertex_map runs once per
-    distinct (divisor key, zero set) met in the face walks, and a new face
-    pair is built from its memo entry.  On theta many maximal cones share
-    a pseudo-divisor, so it runs fewer times than faces are walked;
-    banana_4's 15 maximal cones have 15 divisors, and share none."""
+def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, monkeypatch):
+    """Within one build_fan call, pushforward_vertex_map runs at most once
+    per distinct (divisor key, zero set) met in the face walks, and a new
+    face pair is built from its memo entry.  A face found again by its ray
+    set pushes nothing forward, so on both fans it runs fewer times than
+    faces are walked, although banana_4's 15 maximal cones have 15
+    divisors and share no pushforward."""
     g, v0, mu, d0 = instance()
     fan = build_fan(g, v0, mu, d0)
     calls, specialized = [], []
@@ -867,9 +891,9 @@ def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, share
         calls.append((pd.canonical_key(), frozenset(zset)))
         return real_push(pd, zset)
 
-    def specialize(pair, zset, entry):
+    def specialize(pair, zset, entry, lifted):
         specialized.append(zset)
-        return real_pair(pair, zset, entry)
+        return real_pair(pair, zset, entry, lifted)
 
     monkeypatch.setattr(abelfan, "pushforward_vertex_map", push)
     monkeypatch.setattr(abelfan, "_specialize_pair", specialize)
@@ -877,7 +901,93 @@ def test_build_fan_pushes_each_divisor_and_zero_set_forward_once(instance, share
     assert len(calls) == len(set(calls))
     assert len(specialized) == len(fan.cones) - len(fan.maximal)
     walked = sum(len(face_lattice_rayset(fan.cones[i].cone)) for i in fan.maximal)
-    assert (len(calls) < walked) == shared
+    assert len(calls) < walked
+
+
+@pytest.mark.parametrize(
+    "instance, n_cones, walked",
+    [
+        pytest.param(lambda: parallel_instance(3, 4, Fraction(1, 3)), 62, 278, id="theta"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(-1, 5)), 30, 130, id="banana4-"),
+        pytest.param(lambda: parallel_instance(4, 2, Fraction(1, 5)), 16, 16, id="banana4+"),
+    ],
+)
+def test_build_fan_derives_each_face_once(instance, n_cones, walked, monkeypatch):
+    """_face_keys runs once per cone of the fan, where the per-face route
+    ran it once per face walked in each maximal cone's lattice; the cap
+    still charges one face specialization per face walked.  A maximal
+    pair's D - div phi is computed once, and only if it yields a new face
+    pair."""
+    g, v0, mu, d0 = instance()
+    derived, caps, lifted, specialized = [], [], [], set()
+    real_keys, real_cap = abelfan._face_keys, abelfan.WorkCap
+    real_lift, real_pair = abelfan._d_minus_div_flow, abelfan._specialize_pair
+
+    def face_keys(amb, pair, zset, pushed):
+        derived.append(zset)
+        return real_keys(amb, pair, zset, pushed)
+
+    def work_cap(*args):
+        caps.append(real_cap(*args))
+        return caps[-1]
+
+    def lift(pair):
+        lifted.append(pair)
+        return real_lift(pair)
+
+    def specialize(pair, zset, entry, d_minus_dphi):
+        specialized.add(pair)
+        return real_pair(pair, zset, entry, d_minus_dphi)
+
+    monkeypatch.setattr(abelfan, "_face_keys", face_keys)
+    monkeypatch.setattr(abelfan, "WorkCap", work_cap)
+    monkeypatch.setattr(abelfan, "_d_minus_div_flow", lift)
+    monkeypatch.setattr(abelfan, "_specialize_pair", specialize)
+    fan = build_fan(g, v0, mu, d0)
+    assert len(fan.cones) == n_cones
+    assert len(derived) == n_cones
+    assert len(lifted) == len(specialized) <= len(fan.maximal)
+    assert set(lifted) == specialized
+    (work,) = caps
+    assert work.count["face specializations"] == walked
+    assert walked == sum(len(face_lattice_rayset(fan.cones[i].cone)) for i in fan.maximal)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_face_rays_certificate_raises(flags):
+    """A derived face must have exactly the rays of its key's cone: told
+    that each maximal cone's origin face is the maximal cone itself, a key
+    the fan already holds, build_fan raises on theta (4,-4), also under
+    `python -O`, since the certificate is an explicit raise."""
+    script = textwrap.dedent(
+        """
+        from tropabel import abelfan
+        from tropabel.worked import theta_instance
+
+        real = abelfan._face_keys
+
+        def stray(amb, pair, zset, pushed):
+            if zset == frozenset(pair.resulting_pd.subdivision.result.edge_ids):
+                return abelfan._cone_key(amb, pair), pair.resulting_pd.canonical_key()
+            return real(amb, pair, zset, pushed)
+
+        g, mu, d0 = theta_instance()
+        abelfan.build_fan(g, "v0", mu, d0)
+        abelfan._face_keys = stray
+        try:
+            abelfan.build_fan(g, "v0", mu, d0)
+        except AssertionError as exc:
+            print(__debug__, "rejected:", exc)
+        else:
+            print(__debug__, "accepted")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{not flags} rejected: a face's rays are not those of its key's cone\n"
 
 
 @pytest.mark.parametrize(
